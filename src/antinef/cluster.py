@@ -15,6 +15,12 @@ Conventions
 * The proximity matrix P is unitriangular with P[i][j] = -1 exactly when
   point i is proximate to point j.  The intersection form of the strict
   transforms is -(P^T P); this is the canonical divisor basis throughout.
+* The form is a weighted tree with unit edges: E_i . E_j is 0 or 1 off the
+  diagonal, and the pairs with 1 form a tree on the n curves (the dual
+  graph of the resolution).  :meth:`Cluster.tree_form` stores it as its
+  diagonal plus neighbour lists, built in O(n); every divisor computation
+  runs on that.  :meth:`Cluster.intersection_matrix` expands it to a dense
+  matrix for output and tests only.
 * Free points may carry a parameter t in Q or ``inf`` locating them on the
   parent's exceptional line.  The blowup charts are fixed: a finite t maps
   parent coordinates (U, V) to (u, u(t + v)), and t = inf maps them to
@@ -37,6 +43,7 @@ __all__ = [
     "Cluster",
     "ProximityMatrix",
     "IntersectionForm",
+    "TreeForm",
     "new_cluster",
     "is_negative_definite",
 ]
@@ -103,6 +110,18 @@ class IntersectionForm:
         return is_negative_definite(self)
 
 
+@dataclass(frozen=True)
+class TreeForm:
+    """The intersection form as a weighted tree.
+
+    ``diag[i]`` is E_i . E_i; E_i . E_j is 1 when j is in ``nbrs[i]`` and 0
+    for every other j != i.
+    """
+
+    diag: tuple[int, ...]
+    nbrs: tuple[tuple[int, ...], ...]
+
+
 def _as_param(value):
     """Normalize a user-supplied parameter to Fraction | INFINITY | None."""
     if value is None:
@@ -161,10 +180,6 @@ class Cluster:
             table = tuple(tuple(c) for c in table)
             self._cache[key] = table
         return table[i]
-
-    def has_coordinates(self) -> bool:
-        """True when every free point carries a parameter."""
-        return all(rec.param is not None for rec in self._points if rec.kind == "free")
 
     # -- construction -----------------------------------------------------
 
@@ -295,22 +310,50 @@ class Cluster:
             self._cache[key] = mat
         return mat
 
+    def tree_form(self) -> TreeForm:
+        """The form -(P^T P) as a weighted tree, in O(n).
+
+        Column i of P holds 1 at row i and -1 at each row k proximate to i,
+        so E_i . E_i = -(1 + #{k proximate to i}) and, for i < j,
+        E_i . E_j = [j proximate to i] - #{k proximate to both i and j}.
+        Only a satellite is proximate to two points, and it is the one point
+        blown up where their curves cross: their edge drops to 0 and the
+        satellite joins both curves instead.
+        """
+        key = ("tree", len(self._points))
+        form = self._cache.get(key)
+        if form is None:
+            diag = [-1] * len(self._points)
+            nbrs: list[set[int]] = [set() for _ in self._points]
+            for rec in self._points:
+                for i in rec.prox:
+                    diag[i] -= 1
+                    nbrs[i].add(rec.index)
+                    nbrs[rec.index].add(i)
+                if rec.kind == "satellite":
+                    a, b = rec.prox
+                    nbrs[a].discard(b)
+                    nbrs[b].discard(a)
+            form = TreeForm(diag=tuple(diag), nbrs=tuple(tuple(sorted(s)) for s in nbrs))
+            self._cache[key] = form
+        return form
+
     def intersection_matrix(self) -> IntersectionForm:
-        """The form -(P^T P) on the strict transforms E_0, ..., E_{n-1}."""
+        """The form -(P^T P) on E_0, ..., E_{n-1} as a dense matrix.
+
+        Expanded from :meth:`tree_form` in O(n^2); the divisor layer never
+        calls it.
+        """
         key = ("inter", len(self._points))
         mat = self._cache.get(key)
         if mat is None:
-            p = self.proximity_matrix().entries
-            n = len(p)
+            form = self.tree_form()
             rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    # column dot product of P; rows k < max(i, j) never hit both
-                    s = 0
-                    for k in range(max(i, j), n):
-                        s += p[k][i] * p[k][j]
-                    row.append(-s)
+            for i, (d, nbrs) in enumerate(zip(form.diag, form.nbrs)):
+                row = [0] * len(form.diag)
+                row[i] = d
+                for j in nbrs:
+                    row[j] = 1
                 rows.append(tuple(row))
             mat = IntersectionForm(entries=tuple(rows))
             self._cache[key] = mat

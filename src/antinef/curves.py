@@ -79,13 +79,6 @@ class PlaneElement:
         """Multiplicity at the origin: least total degree of a term."""
         return min(a + b for (a, b), _ in self.terms)
 
-    def total_degree(self) -> int:
-        return max(a + b for (a, b), _ in self.terms)
-
-    def is_unit(self) -> bool:
-        """Units of the local ring: nonzero constant term."""
-        return self.order() == 0
-
     def __add__(self, other: "PlaneElement") -> "PlaneElement":
         return PlaneElement.from_terms(_add_terms(self.to_dict(), other.to_dict()))
 

@@ -6,12 +6,18 @@ closures:
 
 * :func:`unload` - the least *integer* antinef divisor dominating an
   integer divisor, computed by the classical fixpoint that keeps raising
-  any coefficient whose curve still meets the divisor positively.  The
-  result models the complete ideal of global sections.
+  any coefficient whose curve still meets the divisor positively, warm
+  started from the rounded-up nef envelope once the raising runs long.
+  The result models the complete ideal of global sections.
 * :func:`nef_envelope` - the least *rational* antinef divisor dominating
   an effective rational divisor, computed by an exact active-set solve.
   Its self-intersection gives the multiplicity of the associated graded
   family in closed form.
+
+Everything runs on the cluster's :class:`~antinef.cluster.TreeForm`: the
+form is a tree with unit edges, so all pairings (D . E_i) cost O(n) and a
+linear solve on any set of curves is leaf elimination on the forest they
+induce, O(k) exact operations with no fill-in and no pivoting.
 
 A divisor D is antinef when (D . E_i) <= 0 for every exceptional curve.
 On the connected negative definite lattice of a cluster this forces
@@ -26,7 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cluster import Cluster
+from .cluster import Cluster, TreeForm
+from .errors import ClusterStructureError
+
+#: Raise steps per curve that :func:`unload` spends before its warm start.
+_WARM_START_STEPS = 16
 
 __all__ = [
     "ExcDivisor",
@@ -134,23 +144,19 @@ def divisor(cluster: Cluster, coeffs) -> ExcDivisor:
 
 
 def intersect(d1: ExcDivisor, d2: ExcDivisor) -> Fraction:
-    """Exact intersection product D1^T M D2 with M the intersection form."""
+    """Exact intersection product D1 . D2."""
     d1._check_same(d2)
-    m = d1.cluster.intersection_matrix().entries
-    total = Fraction(0)
-    for i, a in enumerate(d1.coeffs):
-        if a == 0:
-            continue
-        row = m[i]
-        total += a * sum(row[j] * b for j, b in enumerate(d2.coeffs) if b != 0)
-    return total
+    pair = _pairings(d1.cluster, d2.coeffs)
+    return sum((a * s for a, s in zip(d1.coeffs, pair) if a), Fraction(0))
 
 
 def _pairings(cluster: Cluster, coeffs: Sequence) -> list:
-    """All products (D . E_i), one pass over the matrix."""
-    m = cluster.intersection_matrix().entries
-    n = cluster.n_curves
-    return [sum(m[i][j] * coeffs[j] for j in range(n) if coeffs[j] != 0) for i in range(n)]
+    """All products (D . E_i), one pass over the tree form: O(n)."""
+    form = cluster.tree_form()
+    return [
+        d * coeffs[i] + sum(coeffs[j] for j in nbrs)
+        for i, (d, nbrs) in enumerate(zip(form.diag, form.nbrs))
+    ]
 
 
 def is_antinef(d: ExcDivisor) -> bool:
@@ -204,6 +210,38 @@ class CompleteIdealModel:
         )
 
 
+def _raise(
+    form: TreeForm,
+    coeffs: list[int],
+    pair: list[int],
+    select: Optional[Callable[[list[int]], int]],
+    limit: Optional[int] = None,
+) -> bool:
+    """Run the raise loop of :func:`unload` in place, for at most ``limit`` steps.
+
+    ``pair`` holds the pairings (D . E_i) of ``coeffs`` and is kept up to
+    date.  Raising curve i changes only its own pairing, which drops to
+    <= 0, and those of its neighbours, so the violated set is updated in
+    O(degree) per step.  Returns True once the divisor is antinef.
+    """
+    violated = {i for i, s in enumerate(pair) if s > 0}
+    steps = 0
+    while violated:
+        if steps == limit:
+            return False
+        steps += 1
+        i = min(violated) if select is None else select(sorted(violated))
+        step = -(-pair[i] // -form.diag[i])  # ceil(pair_i / -m_ii), both positive
+        coeffs[i] += step
+        pair[i] += step * form.diag[i]
+        violated.discard(i)
+        for j in form.nbrs[i]:
+            pair[j] += step
+            if pair[j] > 0:
+                violated.add(j)
+    return True
+
+
 def unload(
     d: ExcDivisor,
     select: Optional[Callable[[list[int]], int]] = None,
@@ -219,25 +257,33 @@ def unload(
 
     ``d`` must be integral but need not be effective: the closure of any
     divisor with no positive part is the zero divisor.
+
+    Warm start: the number of raise steps grows with the size of the
+    coefficients.  After ``_WARM_START_STEPS * n`` (16 n) steps the loop
+    jumps to the componentwise max of its current state and ceil(env(D+)),
+    the rounded-up nef envelope of the positive part, and finishes from
+    there; the remaining steps no longer depend on the coefficient size.
+    The closure is unchanged: nonzero antinef divisors are positive, so
+    closure(D) = closure(D+), which is an integral antinef divisor
+    dominating D+ and hence dominates ceil(env(D+)) >= D; every raise state
+    also lies between D and closure(D), and raising from any integral
+    divisor in that interval ends at closure(D).  The budget keeps small
+    inputs, which finish in a few steps, from paying for a rational
+    envelope.
     """
+    cluster = d.cluster
+    form = cluster.tree_form()
     coeffs = list(d.as_integers())
-    m = d.cluster.intersection_matrix().entries
-    n = len(coeffs)
-    pair = [sum(m[i][j] * coeffs[j] for j in range(n) if coeffs[j]) for i in range(n)]
-    while True:
-        violated = [i for i in range(n) if pair[i] > 0]
-        if not violated:
-            break
-        i = violated[0] if select is None else select(violated)
-        step = -(-pair[i] // -m[i][i])  # ceil(pair_i / -m_ii), both positive
-        coeffs[i] += step
-        row = m[i]
-        for j in range(n):
-            if row[j]:
-                pair[j] += step * row[j]
+    pair = _pairings(cluster, coeffs)
+    if not _raise(form, coeffs, pair, select, _WARM_START_STEPS * len(coeffs)):
+        positive = divisor(cluster, [max(c, 0) for c in d.coeffs])
+        ceiling = nef_envelope(positive).ceil().as_integers()
+        coeffs = [max(c, e) for c, e in zip(coeffs, ceiling)]
+        pair = _pairings(cluster, coeffs)
+        _raise(form, coeffs, pair, select)
     e = -sum(c * s for c, s in zip(coeffs, pair))
     return CompleteIdealModel(
-        divisor=ExcDivisor(d.cluster, tuple(Fraction(c) for c in coeffs)),
+        divisor=ExcDivisor(cluster, tuple(Fraction(c) for c in coeffs)),
         degree_coeffs=tuple(-s for s in pair),
         multiplicity=e,
     )
@@ -263,36 +309,47 @@ def fixed_part(d: ExcDivisor) -> ExcDivisor:
     return unload(d).divisor - d
 
 
-def _solve_active(m, delta, active: list[int]) -> list[Fraction]:
+def _solve_active(form: TreeForm, delta: Sequence[Fraction], active: set[int]) -> list[Fraction]:
     """Solve (D . E_i) = 0 for i in ``active`` with D = delta off the set.
 
-    Exact Gaussian elimination on the negative definite principal block,
-    so the system is always uniquely solvable.
+    Returns all n coefficients of D.  The active curves induce a forest of
+    the tree form; each component is solved by leaf elimination (Rose,
+    1970).  Eliminating a leaf u with parent w replaces w's pivot p_w by
+    p_w - 1/p_u and its right-hand side b_w by b_w - b_u/p_u; the root then
+    solves directly and back substitution gives x_u = (b_u - x_w)/p_u.
+    Each pivot is a Schur complement of a negative definite block, so it is
+    negative: O(k) exact operations, no pivoting, no fill-in.  A cycle
+    among the active curves would make the elimination wrong, so meeting
+    one raises.
     """
-    k = len(active)
-    inactive = [j for j in range(len(delta)) if j not in set(active)]
-    a = [[Fraction(m[i][j]) for j in active] for i in active]
-    b = [
-        -sum(Fraction(m[i][j]) * delta[j] for j in inactive if delta[j] != 0)
-        for i in active
-    ]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col] != 0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        pivot = a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / pivot
-            for c in range(col, k):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [Fraction(0)] * k
-    for r in range(k - 1, -1, -1):
-        s = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, k))
-        x[r] = s / a[r][r]
+    x = list(delta)
+    pivot: dict[int, Fraction] = {}
+    rhs: dict[int, Fraction] = {}
+    parent: dict[int, Optional[int]] = {}
+    for root in active:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for u in order:  # breadth first; ``order`` grows while it is read
+            pivot[u] = Fraction(form.diag[u])
+            rhs[u] = -sum((delta[v] for v in form.nbrs[u] if v not in active), Fraction(0))
+            for v in form.nbrs[u]:
+                if v not in active or v == parent[u]:
+                    continue
+                if v in parent:
+                    raise ClusterStructureError(
+                        f"active curves {u} and {v} close a cycle; the form is not a tree"
+                    )
+                parent[v] = u
+                order.append(v)
+        for u in reversed(order[1:]):
+            w = parent[u]
+            pivot[w] -= 1 / pivot[u]
+            rhs[w] -= rhs[u] / pivot[u]
+        x[root] = rhs[root] / pivot[root]
+        for u in order[1:]:
+            x[u] = (rhs[u] - x[parent[u]]) / pivot[u]
     return x
 
 
@@ -305,24 +362,31 @@ def nef_envelope(delta: ExcDivisor) -> ExcDivisor:
     complementarity holds: for every i, either the coefficient was never
     raised or (D . E_i) = 0.  The result is homogeneous under positive
     rational scaling and equals the limit of unload(ceil(n delta))/n.
+
+    S starts as the curves where delta is zero.  Any start whose solution
+    lies between delta and the envelope is sound, since growing S only
+    raises the solution and no solution exceeds the envelope; this one
+    does, because the inverse of a negative definite block with
+    nonnegative off-diagonal entries is entrywise <= 0.  Sparse inputs such
+    as a multiple of one curve then finish in one or two rounds.  Each
+    round is one O(n) pass of pairings plus one leaf-elimination solve
+    (:func:`_solve_active`), so the cost is O(rounds * n) with at most n
+    rounds.  :func:`unload` relies on the result lying above ``delta``, so
+    that is checked on every call.
     """
     if any(c < 0 for c in delta.coeffs):
         raise ValueError("nef envelope needs an effective divisor")
-    m = delta.cluster.intersection_matrix().entries
-    n = delta.cluster.n_curves
-    coeffs = list(delta.coeffs)
-    active: list[int] = []
+    cluster = delta.cluster
+    form = cluster.tree_form()
+    active = {i for i, c in enumerate(delta.coeffs) if c == 0}
     while True:
-        if active:
-            sol = _solve_active(m, delta.coeffs, active)
-            for pos, i in enumerate(active):
-                coeffs[i] = sol[pos]
-        pair = [sum(m[i][j] * coeffs[j] for j in range(n) if coeffs[j] != 0) for i in range(n)]
-        violated = [i for i in range(n) if i not in active and pair[i] > 0]
+        coeffs = _solve_active(form, delta.coeffs, active)
+        pair = _pairings(cluster, coeffs)
+        violated = [i for i, s in enumerate(pair) if s > 0 and i not in active]
         if not violated:
             break
-        active.extend(violated)
-        active.sort()
-    out = ExcDivisor(delta.cluster, tuple(coeffs))
-    assert out.dominates(delta), "active-set solve dipped below the input"
+        active.update(violated)
+    out = ExcDivisor(cluster, tuple(coeffs))
+    if not out.dominates(delta):
+        raise RuntimeError("active-set solve dipped below the input")
     return out

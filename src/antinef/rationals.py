@@ -13,8 +13,6 @@ from fractions import Fraction
 #: Marker for the point at infinity on an exceptional line (direction u = 0).
 INFINITY = float("inf")
 
-Param = "Fraction | float"  # a Fraction, or the INFINITY marker
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``a``, ``-a`` or ``a/b`` into an exact Fraction.

@@ -101,7 +101,6 @@ def assert_envelope_laws(rng: random.Random, cluster: Cluster, delta: ExcDivisor
     env = nef_envelope(delta)
     assert env.dominates(delta), "envelope does not dominate its input"
     assert is_antinef(env), "envelope is not antinef"
-    m = cluster.intersection_matrix()
     for i in range(cluster.n_curves):
         pairing = intersect(env, ExcDivisor.basis(cluster, i))
         assert env.coeffs[i] == delta.coeffs[i] or pairing == 0, (
