@@ -222,7 +222,10 @@ def run_scenario(
     nmax_override=None,
     parallel: bool = False,
 ) -> int:
-    """Execute all tasks in order; returns the process exit status."""
+    """Execute all tasks in order; returns the process exit status.
+
+    ``parallel`` is accepted for compatibility and has no effect.
+    """
     lines: list[str] = []
     failures = 0
     for index, task in enumerate(scenario.tasks, start=1):
@@ -276,6 +279,9 @@ def _open_output(path):
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
+_PARALLEL_HELP = "accepted for compatibility; no effect (each family is swept once)"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="antinef",
@@ -291,13 +297,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--format", choices=["table", "csv"], default="table")
     p_run.add_argument("--output", default=None, help="output path (default stdout)")
     p_run.add_argument("--nmax", type=int, default=None, help="override task n ranges")
-    p_run.add_argument("--parallel", action="store_true", help="concurrent n sweeps")
+    p_run.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     p_ex = sub.add_parser("example42", help="run the built-in growing family")
     p_ex.add_argument("--nmax", type=int, default=10)
     p_ex.add_argument("--format", choices=["table", "csv"], default="csv")
     p_ex.add_argument("--output", default=None)
-    p_ex.add_argument("--parallel", action="store_true")
+    p_ex.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     p_self = sub.add_parser("selftest", help="seeded randomized closure-law checks")
     p_self.add_argument("--seed", type=int, default=0)

@@ -150,6 +150,11 @@ class Cluster:
     def __init__(self):
         origin = PointRecord(index=0, parent=None, prox=(), kind="origin")
         self._points: list[PointRecord] = [origin]
+        # Kept up to date on insert, so adding a point is O(1) amortized:
+        # each point's children in creation order, and the positions taken
+        # on its curve (parameter -> the point sitting there).
+        self._children: list[list[int]] = [[]]
+        self._taken: list[dict] = [{}]
         self._cache: dict = {}
 
     # -- basic views ------------------------------------------------------
@@ -170,16 +175,7 @@ class Cluster:
         return len(self._points)
 
     def children(self, i: int) -> tuple[int, ...]:
-        key = ("children", len(self._points))
-        table = self._cache.get(key)
-        if table is None:
-            table = [[] for _ in self._points]
-            for rec in self._points:
-                if rec.parent is not None:
-                    table[rec.parent].append(rec.index)
-            table = tuple(tuple(c) for c in table)
-            self._cache[key] = table
-        return table[i]
+        return tuple(self._children[i])
 
     # -- construction -----------------------------------------------------
 
@@ -210,14 +206,12 @@ class Cluster:
                     f"parameter 0 on curve {parent} is the crossing with curve "
                     f"{v_curve}; add a satellite point instead"
                 )
-            for j in self.children(parent):
-                sib = self._points[j]
-                taken = sib.param if sib.kind == "free" else self._satellite_param(sib)
-                if taken is not None and taken == param:
-                    raise ClusterStructureError(
-                        f"coincident point: parameter {format_param(param)} on curve "
-                        f"{parent} is already taken by point {j}"
-                    )
+            j = self._taken[parent].get(param)
+            if j is not None:
+                raise ClusterStructureError(
+                    f"coincident point: parameter {format_param(param)} on curve "
+                    f"{parent} is already taken by point {j}"
+                )
         index = len(self._points)
         axis = (parent, None) if param != INFINITY else (None, parent)
         self._points.append(
@@ -230,12 +224,18 @@ class Cluster:
                 axis_curves=axis,
             )
         )
-        self._cache.clear()
+        self._record_child(parent, param)
         return index
 
-    def _satellite_param(self, rec: PointRecord):
-        """Effective parameter of a satellite on its parent's curve."""
-        return INFINITY if rec.crossing_axis == "u" else Fraction(0)
+    def _record_child(self, parent: int, position):
+        """Register the point just appended as a child of ``parent``."""
+        index = len(self._points) - 1
+        self._children[parent].append(index)
+        self._children.append([])
+        self._taken.append({})
+        if position is not None:
+            self._taken[parent].setdefault(position, index)
+        self._cache.clear()
 
     def add_satellite_point(self, parent: int, other: int) -> int:
         """Append the point where the curves of ``parent`` and ``other`` cross.
@@ -260,11 +260,13 @@ class Cluster:
                 f"curves {parent} and {other} do not meet (point {parent} is not "
                 f"proximate to {other})"
             )
-        for rec in self._points:
-            if parent in rec.prox and other in rec.prox:
+        # Only a satellite is proximate to two points, and its parent is the
+        # more recent of them, so a separating point is a child of ``parent``.
+        for j in self._children[parent]:
+            if other in self._points[j].prox:
                 raise ClusterStructureError(
                     f"curves {parent} and {other} were separated by blowing up "
-                    f"point {rec.index}"
+                    f"point {j}"
                 )
         u_curve, v_curve = prec.axis_curves
         if other == u_curve:
@@ -289,7 +291,8 @@ class Cluster:
                 crossing_axis=crossing_axis,
             )
         )
-        self._cache.clear()
+        # the satellite's position on the curve of ``parent``
+        self._record_child(parent, INFINITY if crossing_axis == "u" else Fraction(0))
         return index
 
     # -- lattice data -----------------------------------------------------

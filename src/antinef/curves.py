@@ -341,7 +341,13 @@ def value_vector(cluster: Cluster, f: PlaneElement) -> ValuationVector:
 
 
 def _is_squarefree(f: PlaneElement) -> bool:
-    """Squarefreeness over Q via gcd with both partials (sympy)."""
+    """Squarefreeness over Q via gcd with both partials (sympy).
+
+    A nonzero element of total degree <= 1 is a unit or irreducible, hence
+    squarefree; it is answered without importing sympy.
+    """
+    if f.terms and all(a + b <= 1 for (a, b), _ in f.terms):
+        return True
     import sympy
 
     x, y = sympy.symbols("x y")

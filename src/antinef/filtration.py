@@ -18,13 +18,24 @@ Three family variants are supported:
 Limit reports always carry the exact per-index sequence; the extrapolated
 limit is exact when a closed form applies and is otherwise flagged as an
 estimate (last iterate, Richardson value, and an empirical rate exponent).
+
+One sweep per family: each spec object memoizes its members, so member n is
+realized (through :func:`realize`) at most once per spec and is shared by
+every task and label that reads the family; a ``QDivisorialSpec`` likewise
+computes the nef envelope of its delta once.  The memo lives exactly as long
+as the spec object, so nothing carries over between scenario parses or CLI
+runs.  It assumes that a spec, its table and its clusters are not mutated
+after the first sweep.  :func:`realize` itself is not cached.  The
+``parallel`` keyword of the family functions is accepted and ignored: with
+shared members a sweep is cheap, and threads running this pure-Python,
+lock-bound code measured no faster.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -62,6 +73,7 @@ class QDivisorialSpec:
     """Valuation-theoretic family on a fixed cluster: closure of ceil(n delta)."""
 
     delta: ExcDivisor
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.delta.is_effective():
@@ -70,6 +82,14 @@ class QDivisorialSpec:
     @property
     def cluster(self) -> Cluster:
         return self.delta.cluster
+
+    @cached_property
+    def envelope(self) -> ExcDivisor:
+        """The nef envelope of delta, computed once per spec object."""
+        return nef_envelope(self.delta)
+
+    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+        return self.cluster, unload((n * self.delta).ceil())
 
 
 @dataclass(frozen=True)
@@ -82,6 +102,7 @@ class Example42Spec:
     """
 
     params: Optional[tuple[Fraction, ...]] = None
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.params is not None:
@@ -101,37 +122,53 @@ class Example42Spec:
             )
         return self.params[i - 1]
 
+    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+        cluster = new_cluster()
+        for i in range(1, n + 1):
+            cluster.add_free_point(0, self.param(i))
+        coeffs = [2 * n + 1] + [2 * n + 2] * n
+        return cluster, unload(divisor(cluster, coeffs))
+
 
 @dataclass(frozen=True)
 class ExplicitSpec:
     """Explicit table n -> (cluster, integer divisor); authors own the growth law."""
 
     table: Mapping[int, tuple[Cluster, ExcDivisor]]
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+        if n not in self.table:
+            raise ValueError(f"family index {n} missing from the explicit table")
+        cluster, d = self.table[n]
+        return cluster, unload(d)
 
 
 FiltrationSpec = Union[QDivisorialSpec, Example42Spec, ExplicitSpec]
 
 
 def realize(spec: FiltrationSpec, n: int) -> tuple[Cluster, CompleteIdealModel]:
-    """The n-th member of the family as a cluster plus complete-ideal model."""
+    """The n-th member of the family as a cluster plus complete-ideal model.
+
+    Computed afresh on every call; the family functions share members
+    through the spec's memo instead.
+    """
     if n < 1:
         raise ValueError("family index must be >= 1")
-    if isinstance(spec, QDivisorialSpec):
-        model = unload((n * spec.delta).ceil())
-        return spec.cluster, model
-    if isinstance(spec, Example42Spec):
-        cluster = new_cluster()
-        for i in range(1, n + 1):
-            cluster.add_free_point(0, spec.param(i))
-        coeffs = [2 * n + 1] + [2 * n + 2] * n
-        model = unload(divisor(cluster, coeffs))
-        return cluster, model
-    if isinstance(spec, ExplicitSpec):
-        if n not in spec.table:
-            raise ValueError(f"family index {n} missing from the explicit table")
-        cluster, d = spec.table[n]
-        return cluster, unload(d)
-    raise TypeError(f"not a filtration spec: {spec!r}")
+    if not isinstance(spec, FiltrationSpec):
+        raise TypeError(f"not a filtration spec: {spec!r}")
+    return spec.member(n)
+
+
+def _member(spec: FiltrationSpec, n: int) -> tuple[Cluster, CompleteIdealModel]:
+    """Member n of ``spec``, realized on the first request only.
+
+    A non-spec has no memo; :func:`realize` then raises its ``TypeError``.
+    """
+    members = getattr(spec, "_members", {})
+    if n not in members:
+        members[n] = realize(spec, n)
+    return members[n]
 
 
 def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
@@ -143,7 +180,7 @@ def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
     same complete ideal there.
     """
     if isinstance(spec, Example42Spec):
-        big, model_big = realize(spec, n + m)
+        big, model_big = _member(spec, n + m)
 
         def embedded(k: int) -> ExcDivisor:
             coeffs = [2 * k + 1] + [2 * k + 2] * k + [0] * (n + m - k)
@@ -151,9 +188,9 @@ def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
 
         total = embedded(n) + embedded(m)
         return total.dominates(model_big.divisor)
-    cluster_n, model_n = realize(spec, n)
-    cluster_m, model_m = realize(spec, m)
-    cluster_nm, model_nm = realize(spec, n + m)
+    cluster_n, model_n = _member(spec, n)
+    cluster_m, model_m = _member(spec, m)
+    cluster_nm, model_nm = _member(spec, n + m)
     if cluster_n is not cluster_m or cluster_n is not cluster_nm:
         raise ValueError("spot check needs a common cluster across indices")
     return (model_n.divisor + model_m.divisor).dominates(model_nm.divisor)
@@ -228,13 +265,9 @@ def _make_report(values: Sequence[Fraction], closed_form: Optional[Fraction]) ->
     )
 
 
-def _sweep(spec: FiltrationSpec, nmax: int, parallel: bool = False):
-    """Models for n = 1..nmax, assembled in index order."""
-    indices = range(1, nmax + 1)
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(lambda n: realize(spec, n)[1], indices))
-    return [realize(spec, n)[1] for n in indices]
+def _sweep(spec: FiltrationSpec, nmax: int) -> list[CompleteIdealModel]:
+    """Models for n = 1..nmax, in index order, shared through the spec's memo."""
+    return [_member(spec, n)[1] for n in range(1, nmax + 1)]
 
 
 def multiplicity_sequence(
@@ -243,15 +276,15 @@ def multiplicity_sequence(
     """The sequence e(I_n)/n^2 with its limit.
 
     Closed forms: -(envelope(delta)^2) for the fixed-cluster family, and 4
-    for the built-in growing family.
+    for the built-in growing family.  ``parallel`` is ignored.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    models = _sweep(spec, nmax, parallel)
+    models = _sweep(spec, nmax)
     values = [Fraction(model.multiplicity, n * n) for n, model in enumerate(models, start=1)]
     closed = None
     if isinstance(spec, QDivisorialSpec):
-        env = nef_envelope(spec.delta)
+        env = spec.envelope
         closed = -intersect(env, env)
     elif isinstance(spec, Example42Spec):
         closed = Fraction(4)
@@ -279,6 +312,7 @@ def degree_limit(
     Valuations absent from a realized cluster contribute 0 at that index.
     Closed forms: -(envelope . E_v) for the fixed-cluster family; 1 for the
     first curve of the growing family and 0 for every other one.
+    ``parallel`` is ignored.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -286,15 +320,14 @@ def degree_limit(
     if isinstance(spec, QDivisorialSpec) and v >= spec.cluster.n_curves:
         raise ValueError(f"unknown valuation label v{v} on a cluster with "
                          f"{spec.cluster.n_curves} curves")
-    models = _sweep(spec, nmax, parallel)
+    models = _sweep(spec, nmax)
     values = []
     for n, model in enumerate(models, start=1):
         coeffs = model.degree_coeffs
         values.append(Fraction(coeffs[v], n) if v < len(coeffs) else Fraction(0))
     closed = None
     if isinstance(spec, QDivisorialSpec):
-        env = nef_envelope(spec.delta)
-        closed = -intersect(env, ExcDivisor.basis(spec.cluster, v))
+        closed = -intersect(spec.envelope, ExcDivisor.basis(spec.cluster, v))
     elif isinstance(spec, Example42Spec):
         closed = Fraction(1) if v == 0 else Fraction(0)
     return _make_report(values, closed)
@@ -318,22 +351,23 @@ def commutation_report(
     The element must be squarefree (reducedness proxy) and every realized
     cluster must carry coordinates.  For the growing family the two closed
     forms are 2*ord(f) and ord(f): the operations commute only for units.
+    ``parallel`` is ignored.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     if not _is_squarefree(f):
         raise ValueError("element is not squarefree")
     if isinstance(spec, ExplicitSpec):
-        clusters = {id(realize(spec, n)[0]) for n in range(1, nmax + 1)}
+        clusters = {id(_member(spec, n)[0]) for n in range(1, nmax + 1)}
         if len(clusters) > 1:
             raise ValueError("commutation needs a fixed cluster for explicit tables")
 
     # One valuation computation on the largest realized cluster covers all
     # indices: values are intrinsic to the valuations.
-    big_cluster, _ = realize(spec, nmax)
+    big_cluster, _ = _member(spec, nmax)
     vv = value_vector(big_cluster, f).values
 
-    models = _sweep(spec, nmax, parallel)
+    models = _sweep(spec, nmax)
     values = []
     for n, model in enumerate(models, start=1):
         coeffs = model.degree_coeffs
@@ -346,9 +380,8 @@ def commutation_report(
         closed = Fraction(2 * vv[0])
         sum_of_lims = Fraction(vv[0])
     elif isinstance(spec, QDivisorialSpec):
-        env = nef_envelope(spec.delta)
         per_curve = [
-            -intersect(env, ExcDivisor.basis(spec.cluster, i))
+            -intersect(spec.envelope, ExcDivisor.basis(spec.cluster, i))
             for i in range(spec.cluster.n_curves)
         ]
         closed = sum((vv[i] * c for i, c in enumerate(per_curve)), Fraction(0))
@@ -394,9 +427,10 @@ class ReesUnionReport:
 
 
 def rees_union(spec: FiltrationSpec, nmax: int, parallel: bool = False) -> ReesUnionReport:
+    """Rees valuation supports of I_1..I_nmax and their union; ``parallel`` is ignored."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    models = _sweep(spec, nmax, parallel)
+    models = _sweep(spec, nmax)
     per_n = tuple(model.rees_valuations for model in models)
     running: list[frozenset[int]] = []
     acc: frozenset[int] = frozenset()

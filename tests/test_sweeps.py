@@ -1,0 +1,214 @@
+"""One sweep per family: shared members, call counts, O(1) cluster insertion.
+
+The family functions read members through the spec's memo; these tests hold
+every shared member equal to a fresh ``realize``, pin how often ``realize``
+and ``nef_envelope`` run, and check that the constant-time insertion
+bookkeeping in ``Cluster`` still rejects what the old sibling scan rejected.
+"""
+
+import io
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import antinef
+from antinef import (
+    Example42Spec,
+    ExplicitSpec,
+    QDivisorialSpec,
+    commutation_report,
+    degree_limit,
+    divisor,
+    multiplicity_sequence,
+    new_cluster,
+    parse_poly,
+    realize,
+    rees_union,
+)
+from antinef import filtration
+from antinef.cli import _EXAMPLE42_SCENARIO, run_scenario
+from antinef.errors import ClusterStructureError
+from antinef.rationals import INFINITY
+from antinef.scenario import parse_scenario
+from antinef.selfcheck import random_cluster, random_effective_divisor
+from helpers import chain_cluster, cusp_cluster
+
+NMAX = 16
+
+
+def assert_shared_members_match_fresh(spec, nmax=NMAX):
+    """Sweep through the family functions, then compare every member."""
+    mult = multiplicity_sequence(spec, nmax)
+    deg0 = degree_limit(spec, 0, nmax)
+    rees = rees_union(spec, nmax)
+    for n in range(1, nmax + 1):
+        shared_cluster, shared = filtration._member(spec, n)
+        fresh_cluster, fresh = realize(spec, n)
+        assert shared_cluster.tree_form() == fresh_cluster.tree_form()
+        assert shared.divisor.coeffs == fresh.divisor.coeffs
+        assert shared.degree_coeffs == fresh.degree_coeffs
+        assert shared.multiplicity == fresh.multiplicity
+        assert shared.rees_valuations == fresh.rees_valuations
+        assert mult.values[n - 1] == Fraction(fresh.multiplicity, n * n)
+        assert deg0.values[n - 1] == Fraction(fresh.degree_coeffs[0], n)
+        assert rees.per_n[n - 1] == fresh.rees_valuations
+
+
+def test_qdivisorial_members_match_fresh_realize():
+    rng = random.Random(4)
+    for _ in range(50):
+        cluster = random_cluster(rng, max_points=10)
+        delta = random_effective_divisor(rng, cluster)
+        if all(c == 0 for c in delta.coeffs):
+            delta = divisor(cluster, [0] * (cluster.n_curves - 1) + [Fraction(1, 3)])
+        assert_shared_members_match_fresh(QDivisorialSpec(delta=delta))
+
+
+def test_example42_members_match_fresh_realize():
+    assert_shared_members_match_fresh(Example42Spec())
+    params = [Fraction(k, 3) - 2 for k in range(NMAX)]
+    random.Random(7).shuffle(params)
+    assert_shared_members_match_fresh(Example42Spec(params=tuple(params)))
+
+
+def test_explicit_members_match_fresh_realize():
+    cusp, chain = cusp_cluster(), chain_cluster(4)
+    table = {}
+    for n in range(1, NMAX + 1):
+        cluster = cusp if n % 3 else chain
+        coeffs = [(n * (i + 2)) % 5 - 1 for i in range(cluster.n_curves)]
+        table[n] = (cluster, divisor(cluster, coeffs))
+    assert_shared_members_match_fresh(ExplicitSpec(table=table))
+
+
+def test_memo_belongs_to_the_spec_object():
+    first, second = Example42Spec(), Example42Spec()
+    multiplicity_sequence(first, 3)
+    assert first == second
+    assert sorted(first._members) == [1, 2, 3]
+    assert second._members == {}
+
+
+@pytest.fixture
+def realize_calls(monkeypatch):
+    calls = []
+    original = filtration.realize
+
+    def counting(spec, n):
+        calls.append(n)
+        return original(spec, n)
+
+    monkeypatch.setattr(filtration, "realize", counting)
+    return calls
+
+
+def test_example42_scenario_realizes_each_member_once(realize_calls):
+    scenario = parse_scenario(_EXAMPLE42_SCENARIO.format(nmax=20))
+    assert run_scenario(scenario, io.StringIO(), "csv") == 0
+    assert sorted(realize_calls) == list(range(1, 21))
+
+
+def test_default_degree_labels_share_one_sweep(realize_calls):
+    scenario = parse_scenario(
+        "[filtration EX42]\nkind = example42\n\n"
+        "[task]\nkind = degree_limits\nfiltration = EX42\nnmax = 10\n"
+    )
+    out = io.StringIO()
+    assert run_scenario(scenario, out, "csv") == 0
+    assert "d_v10_over_n" in out.getvalue()
+    assert sorted(realize_calls) == list(range(1, 11))
+
+
+def test_explicit_commutation_realizes_each_member_once(realize_calls):
+    cusp = cusp_cluster()
+    table = {n: (cusp, divisor(cusp, [n, n, 2 * n])) for n in range(1, 7)}
+    commutation_report(ExplicitSpec(table=table), parse_poly("y^2 - x^3"), 6)
+    assert sorted(realize_calls) == list(range(1, 7))
+
+
+def test_qdivisorial_envelope_computed_once(monkeypatch):
+    calls = []
+    original = filtration.nef_envelope
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(filtration, "nef_envelope", counting)
+    spec = QDivisorialSpec(delta=divisor(cusp_cluster(), [0, 0, Fraction(1, 2)]))
+    multiplicity_sequence(spec, 4)
+    for v in range(3):
+        degree_limit(spec, v, 4)
+    commutation_report(spec, parse_poly("y - x"), 4)
+    assert len(calls) == 1
+
+
+class TestInsertionBookkeeping:
+    def test_coincident_parameter_names_the_point_holding_it(self):
+        c = new_cluster()
+        for k in range(30):
+            c.add_free_point(0, Fraction(k, 7))
+        c.add_free_point(5, 3)
+        with pytest.raises(
+            ClusterStructureError,
+            match="parameter 17/7 on curve 0 is already taken by point 18",
+        ):
+            c.add_free_point(0, Fraction(17, 7))
+        with pytest.raises(ClusterStructureError, match="on curve 5 is already taken by point 31"):
+            c.add_free_point(5, 3)
+        assert c.children(0) == tuple(range(1, 31))
+        assert c.children(5) == (31,)
+
+    def test_crossing_positions_rejected(self):
+        c = new_cluster()
+        p1 = c.add_free_point(0, 0)
+        with pytest.raises(
+            ClusterStructureError, match="parameter inf on curve 1 is the crossing with curve 0"
+        ):
+            c.add_free_point(p1, INFINITY)
+        p2 = c.add_free_point(p1, 5)
+        sat = c.add_satellite_point(p2, p1)
+        with pytest.raises(
+            ClusterStructureError, match="parameter 0 on curve 3 is the crossing with curve 2"
+        ):
+            c.add_free_point(sat, 0)
+        with pytest.raises(
+            ClusterStructureError, match="curves 2 and 1 were separated by blowing up point 3"
+        ):
+            c.add_satellite_point(p2, p1)
+        assert c.children(p2) == (sat,)
+
+
+def _run_isolated(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(antinef.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_linear_element_skips_sympy():
+    out = _run_isolated(
+        "import sys\n"
+        "from antinef import Example42Spec, commutation_report, parse_poly\n"
+        "rep = commutation_report(Example42Spec(), parse_poly('y - 3*x'), 4)\n"
+        "print(rep.commute, 'sympy' in sys.modules)\n"
+    )
+    assert out == ["False", "False"]
+
+
+def test_higher_degree_takes_the_sympy_path():
+    out = _run_isolated(
+        "import sys\n"
+        "from antinef import parse_poly\n"
+        "from antinef.curves import _is_squarefree\n"
+        "print(_is_squarefree(parse_poly('(y - x)^2')),"
+        " _is_squarefree(parse_poly('y^2 - x^3')), 'sympy' in sys.modules)\n"
+    )
+    assert out == ["False", "True", "True"]
