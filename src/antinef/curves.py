@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .cluster import Cluster
@@ -37,19 +38,42 @@ __all__ = [
 ]
 
 Terms = dict[tuple[int, int], Fraction]
+IntTerms = dict[tuple[int, int], int]
 
 
 def _trim(terms: Terms) -> Terms:
     return {k: c for k, c in terms.items() if c != 0}
 
 
-def _mul_terms(f: Terms, g: Terms) -> Terms:
-    out: Terms = {}
+def _mul_terms(f, g):
+    """Product of two term dicts, both ``Terms`` or both ``IntTerms``."""
+    out = {}
     for (a1, b1), c1 in f.items():
         for (a2, b2), c2 in g.items():
             key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+            out[key] = out.get(key, 0) + c1 * c2
     return _trim(out)
+
+
+def _clear_denominators(terms: Terms) -> tuple[IntTerms, int]:
+    """(den * terms, den), with den the least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _pow_terms(f: Terms, k: int) -> Terms:
+    """f^k by square-and-multiply on integers: (den f)^k, divided by den^k."""
+    base, den = _clear_denominators(f)
+    out: IntTerms = {(0, 0): 1}
+    e = k
+    while e:
+        if e & 1:
+            out = _mul_terms(out, base)
+        e >>= 1
+        if e:
+            base = _mul_terms(base, base)
+    scale = den**k
+    return {key: Fraction(c, scale) for key, c in out.items()}
 
 
 def _add_terms(f: Terms, g: Terms, sign: int = 1) -> Terms:
@@ -91,11 +115,7 @@ class PlaneElement:
     def __pow__(self, k: int) -> "PlaneElement":
         if k < 0:
             raise ValueError("negative powers are not plane elements")
-        out: Terms = {(0, 0): Fraction(1)}
-        base = self.to_dict()
-        for _ in range(k):
-            out = _mul_terms(out, base)
-        return PlaneElement.from_terms(out)
+        return PlaneElement.from_terms(_pow_terms(self.to_dict(), k))
 
     def __str__(self):
         parts = []
@@ -185,11 +205,7 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            exp = self.natural()
-            out: Terms = {(0, 0): Fraction(1)}
-            for _ in range(exp):
-                out = _mul_terms(out, base)
-            return out
+            return _pow_terms(base, self.natural())
         return base
 
     def natural(self) -> int:
@@ -248,34 +264,65 @@ def parse_poly(text: str) -> PlaneElement:
 
 
 # -- blowup substitutions ---------------------------------------------------
+#
+# Only the support of each strict transform matters (its least total degree
+# is the multiplicity), so the charts work on integer polynomials known up to
+# a nonzero constant factor: the root equation is cleared of denominators and
+# every chart divides out its integer content.
 
 
-def _blow_finite(terms: Terms, t: Fraction, m: int) -> Terms:
-    """(x, y) -> (u, u(t + v)), then divide by u^m (exact by construction)."""
-    out: Terms = {}
+def _primitive(terms: IntTerms) -> IntTerms:
+    """``terms`` divided by the gcd of its coefficients."""
+    g = gcd(*terms.values())
+    return terms if g == 1 else {k: c // g for k, c in terms.items()}
+
+
+def _integer_terms(f: PlaneElement) -> IntTerms:
+    """A primitive integer multiple of ``f``."""
+    return _primitive(_clear_denominators(f.to_dict())[0])
+
+
+def _blow_finite(terms: IntTerms, t: Fraction, m: int) -> IntTerms:
+    """(x, y) -> (u, u(t + v)), divided by u^m, up to a constant factor.
+
+    With t = p/q the terms of total degree D form a univariate h_D(y), and
+    u^D h_D(t + v) is its contribution.  Each group is replaced by
+    q^B h_D((p + q v)/q) = sum_b c_b q^(B - b) (p + q v)^b, one integer
+    Horner pass (a Taylor shift), where B is the largest y-exponent of all
+    terms, so every group carries the same factor q^B.
+    """
+    if t == 0:
+        return {(a + b - m, b): c for (a, b), c in terms.items()}
+    p, q = t.numerator, t.denominator
+    groups: dict[int, dict[int, int]] = {}
     for (a, b), c in terms.items():
-        u_exp = a + b - m
-        if t == 0:
-            key = (u_exp, b)
-            out[key] = out.get(key, Fraction(0)) + c
-            continue
-        # (t + v)^b expanded by the binomial theorem
-        coef = c * t**b
-        for k in range(b + 1):
-            if k > 0:
-                coef = coef * (b - k + 1) / (k * t)
-            key = (u_exp, k)
-            out[key] = out.get(key, Fraction(0)) + coef
-    return _trim(out)
+        groups.setdefault(a + b, {})[b] = c
+    top = max(b for _, b in terms)
+    qpow = [1]
+    for _ in range(top):
+        qpow.append(qpow[-1] * q)
+    out: IntTerms = {}
+    for total, h in groups.items():
+        deg = max(h)
+        acc = [h[deg] * qpow[top - deg]]
+        for b in range(deg - 1, -1, -1):
+            # acc <- acc * (p + q v) + c_b q^(B - b)
+            nxt = [p * c for c in acc]
+            nxt.append(0)
+            for k, c in enumerate(acc):
+                nxt[k + 1] += q * c
+            nxt[0] += h.get(b, 0) * qpow[top - b]
+            acc = nxt
+        u_exp = total - m
+        for k, c in enumerate(acc):
+            if c:
+                out[(u_exp, k)] = c
+    return _primitive(out)
 
 
-def _blow_infinity(terms: Terms, m: int) -> Terms:
+def _blow_infinity(terms: IntTerms, m: int) -> IntTerms:
     """(x, y) -> (uv, v), then divide by v^m."""
-    out: Terms = {}
-    for (a, b), c in terms.items():
-        key = (a, a + b - m)
-        out[key] = out.get(key, Fraction(0)) + c
-    return _trim(out)
+    return {(a, a + b - m): c for (a, b), c in terms.items()}
 
 
 def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
@@ -288,7 +335,7 @@ def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
     """
     n = len(cluster)
     m = [0] * n
-    stack: list[tuple[int, Terms]] = [(0, f.to_dict())]
+    stack: list[tuple[int, IntTerms]] = [(0, _integer_terms(f))]
     while stack:
         i, terms = stack.pop()
         mult = min(a + b for a, b in terms)
@@ -340,26 +387,106 @@ def value_vector(cluster: Cluster, f: PlaneElement) -> ValuationVector:
     )
 
 
+# -- squarefree test ---------------------------------------------------------
+#
+# Univariate polynomials are integer coefficient lists, lowest degree first,
+# with no trailing zeros.  Every gcd below is taken up to a nonzero constant.
+
+
+def _primitive_list(a: list[int]) -> list[int]:
+    g = gcd(*a)
+    return a if g <= 1 else [c // g for c in a]
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two nonzero polynomials by a primitive remainder sequence over Z.
+
+    Each pseudo-division step scales by the least multiplier that cancels the
+    leading term, and each remainder is divided by its content, so the
+    coefficients stay as small as the gcd allows.
+    """
+    a, b = _primitive_list(a), _primitive_list(b)
+    while b:
+        db, lb = len(b) - 1, b[-1]
+        r = list(a)
+        while len(r) > db:
+            g = gcd(r[-1], lb)
+            ma, mb = lb // g, r[-1] // g
+            shift = len(r) - 1 - db
+            r = [ma * c for c in r]
+            for k, c in enumerate(b):
+                r[shift + k] -= mb * c
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive_list(r)
+    return a
+
+
+def _univariate_squarefree(a: list[int]) -> bool:
+    """No repeated factor over Q: gcd(a, a') is a constant."""
+    if len(a) <= 2:
+        return True
+    return len(_prs_gcd(a, [k * c for k, c in enumerate(a)][1:])) == 1
+
+
+def _evaluate(a: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = value * x + c
+    return value
+
+
 def _is_squarefree(f: PlaneElement) -> bool:
-    """Squarefreeness over Q via gcd with both partials (sympy).
+    """Squarefreeness over Q, decided exactly in integer arithmetic.
+
+    Write f = c(x) pp(x, y) with c the content in y.  Then f is squarefree iff
+    c is squarefree in Q[x] and, when d = deg_y f >= 1, disc_y(f) is not the
+    zero polynomial.  The discriminant has degree at most (2d - 1) e in x,
+    with e = deg_x f, and specializes to disc(f(x0, y)) wherever the leading
+    y-coefficient lc_y(f)(x0) is nonzero, which fails at e points at most.
+    So f(x0, y) is tested for a repeated factor at x0 = 1, 2, 3, ..., skipping
+    roots of lc_y(f): the first squarefree specialization proves f squarefree,
+    and (2d - 1) e + 1 repeated ones prove it is not.  That is at most
+    2 d e + 1 points, usually one.  (x0 = 0 is left out: any two branches
+    through the origin meet there, so it would rarely decide.)  The content
+    and every specialization go through :func:`_prs_gcd`.
 
     A nonzero element of total degree <= 1 is a unit or irreducible, hence
-    squarefree; it is answered without importing sympy.
+    squarefree, and is answered at once.
     """
-    if f.terms and all(a + b <= 1 for (a, b), _ in f.terms):
+    if all(a + b <= 1 for (a, b), _ in f.terms):
         return True
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    expr = sympy.Add(
-        *[sympy.Rational(c) * x**a * y**b for (a, b), c in f.terms]
-    )
-    poly = sympy.Poly(expr, x, y)
-    if poly.total_degree() == 0:
+    terms = _integer_terms(f)
+    d = max(b for _, b in terms)
+    e = max(a for a, _ in terms)
+    rows = [[0] * (e + 1) for _ in range(d + 1)]
+    for (a, b), c in terms.items():
+        rows[b][a] = c
+    for row in rows:
+        while row and row[-1] == 0:
+            row.pop()
+    coeffs = [row for row in rows if row]
+    if all(len(row) > 1 for row in coeffs):
+        content = coeffs[0]
+        for row in coeffs[1:]:
+            if len(content) == 1:
+                break
+            content = _prs_gcd(content, row)
+        if not _univariate_squarefree(content):
+            return False
+    if d == 0:
         return True
-    g = sympy.gcd(poly, poly.diff(x))
-    g = sympy.gcd(g, poly.diff(y))
-    return sympy.Poly(g, x, y).total_degree() == 0
+    lead = rows[d]
+    needed = (2 * d - 1) * e + 1
+    x0 = 0
+    while needed:
+        x0 += 1
+        if _evaluate(lead, x0) == 0:
+            continue
+        if _univariate_squarefree([_evaluate(row, x0) for row in rows]):
+            return True
+        needed -= 1
+    return False
 
 
 def degree_function(d: ExcDivisor, f: PlaneElement, assume_reduced: bool = False) -> int:
@@ -369,7 +496,8 @@ def degree_function(d: ExcDivisor, f: PlaneElement, assume_reduced: bool = False
     antinef closure of ``d``.  The quotient by ``f`` should be reduced;
     as a proxy ``f`` is required squarefree unless ``assume_reduced`` is
     set (the check is global over Q, so locally-reduced elements with a
-    repeated factor away from the origin need the override).
+    repeated factor away from the origin need the override).  The check is
+    :func:`_is_squarefree`, exact integer arithmetic with no dependency.
     """
     if not assume_reduced and not _is_squarefree(f):
         raise ValueError(

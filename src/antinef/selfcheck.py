@@ -24,13 +24,16 @@ __all__ = [
 
 
 def valid_satellite_pairs(cluster: Cluster) -> list[tuple[int, int]]:
-    """All (parent, other) pairs whose exceptional curves still meet."""
+    """All (parent, other) pairs whose exceptional curves still meet.
+
+    Only a child of ``parent`` can be proximate to both curves, so only the
+    children are scanned for the satellite that separated them.
+    """
     pairs = []
     for rec in cluster.points:
+        kids = [cluster.point(j).prox for j in cluster.children(rec.index)]
         for other in rec.prox:
-            if not any(
-                rec.index in r.prox and other in r.prox for r in cluster.points
-            ):
+            if not any(other in prox for prox in kids):
                 pairs.append((rec.index, other))
     return pairs
 

@@ -1,13 +1,21 @@
-"""Slow reference implementations of the divisor layer, for differential tests.
+"""Slow reference implementations, for differential tests.
 
-These are the dense-matrix algorithms the package used before the form was
-stored as a tree: the O(n^3) product -(P^T P), a pivoting Gaussian
+The divisor layer: the dense-matrix algorithms the package used before the
+form was stored as a tree: the O(n^3) product -(P^T P), a pivoting Gaussian
 elimination for the envelope's active-set solves, and unloading from the
 input divisor with no warm start.  They share no code with the fast paths
 beyond the cluster's proximity matrix.
+
+The curves layer: blowup charts on exact ``Fraction`` coefficients, with the
+binomial expansion done term by term, as the package did before it moved
+to integer Taylor shifts.
+
+The random-cluster generator: the satellite-pair scan over every point.
 """
 
 from fractions import Fraction
+
+from antinef.rationals import INFINITY
 
 
 def dense_form(cluster) -> tuple[tuple[int, ...], ...]:
@@ -87,3 +95,78 @@ def cold_unload(cluster, coeffs, select=None) -> tuple[tuple[int, ...], tuple[in
         for j in range(n):
             if m[i][j]:
                 pair[j] += step * m[i][j]
+
+
+# -- curves layer ---------------------------------------------------------------
+
+
+def _trim(terms):
+    return {k: c for k, c in terms.items() if c != 0}
+
+
+def fraction_blow_finite(terms, t, m):
+    """(x, y) -> (u, u(t + v)), then divide by u^m (exact by construction)."""
+    out = {}
+    for (a, b), c in terms.items():
+        u_exp = a + b - m
+        if t == 0:
+            key = (u_exp, b)
+            out[key] = out.get(key, Fraction(0)) + c
+            continue
+        # (t + v)^b expanded by the binomial theorem
+        coef = c * t**b
+        for k in range(b + 1):
+            if k > 0:
+                coef = coef * (b - k + 1) / (k * t)
+            key = (u_exp, k)
+            out[key] = out.get(key, Fraction(0)) + coef
+    return _trim(out)
+
+
+def fraction_blow_infinity(terms, m):
+    """(x, y) -> (uv, v), then divide by v^m."""
+    out = {}
+    for (a, b), c in terms.items():
+        key = (a, a + b - m)
+        out[key] = out.get(key, Fraction(0)) + c
+    return _trim(out)
+
+
+def fraction_multiplicity_vector(cluster, f):
+    """Multiplicities of the strict transforms of ``f``, on exact rationals."""
+    m = [0] * len(cluster)
+    stack = [(0, f.to_dict())]
+    while stack:
+        i, terms = stack.pop()
+        mult = min(a + b for a, b in terms)
+        if mult == 0:
+            continue
+        m[i] = mult
+        for j in cluster.children(i):
+            rec = cluster.point(j)
+            if rec.kind == "free":
+                if rec.param == INFINITY:
+                    child = fraction_blow_infinity(terms, mult)
+                else:
+                    child = fraction_blow_finite(terms, rec.param, mult)
+            elif rec.crossing_axis == "u":
+                child = fraction_blow_infinity(terms, mult)
+            else:
+                child = fraction_blow_finite(terms, Fraction(0), mult)
+            stack.append((j, child))
+    return tuple(m)
+
+
+# -- random clusters --------------------------------------------------------------
+
+
+def scan_satellite_pairs(cluster):
+    """(parent, other) pairs whose curves still meet, scanning every point."""
+    pairs = []
+    for rec in cluster.points:
+        for other in rec.prox:
+            if not any(
+                rec.index in r.prox and other in r.prox for r in cluster.points
+            ):
+                pairs.append((rec.index, other))
+    return pairs

@@ -203,7 +203,7 @@ def test_linear_element_skips_sympy():
     assert out == ["False", "False"]
 
 
-def test_higher_degree_takes_the_sympy_path():
+def test_higher_degree_squarefree_check_skips_sympy():
     out = _run_isolated(
         "import sys\n"
         "from antinef import parse_poly\n"
@@ -211,4 +211,16 @@ def test_higher_degree_takes_the_sympy_path():
         "print(_is_squarefree(parse_poly('(y - x)^2')),"
         " _is_squarefree(parse_poly('y^2 - x^3')), 'sympy' in sys.modules)\n"
     )
-    assert out == ["False", "True", "True"]
+    assert out == ["False", "True", "False"]
+
+
+def test_demo_scenario_never_imports_sympy(tmp_path):
+    demo = os.path.join(os.path.dirname(os.path.dirname(__file__)), "docs", "demo.scn")
+    out = _run_isolated(
+        "import sys\n"
+        "from antinef.cli import main\n"
+        f"code = main(['run', '--scenario', {demo!r}, '--output', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+    )
+    assert out == ["0", "False"]
+    assert "commutation" in (tmp_path / "out").read_text()
