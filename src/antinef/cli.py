@@ -86,7 +86,7 @@ def _task_nmax(task: Task, override) -> int:
     return override if override is not None else task.nmax
 
 
-def _run_task(task: Task, fmt: str, nmax_override, parallel: bool) -> list[str]:
+def _run_task(task: Task, fmt: str, nmax_override) -> list[str]:
     kind = task.kind
     lines: list[str] = []
     if kind == "intersection_matrix":
@@ -136,7 +136,7 @@ def _run_task(task: Task, fmt: str, nmax_override, parallel: bool) -> list[str]:
         lines.append(f"neg_self_intersection={format_rational(-intersect(env, env))}")
     elif kind == "multiplicity_limit":
         nmax = _task_nmax(task, nmax_override)
-        report = flt.multiplicity_sequence(task.filtration, nmax, parallel)
+        report = flt.multiplicity_sequence(task.filtration, nmax)
         header = ["n", "e_In", "e_In_over_n2"]
         if report.closed_form is not None:
             header.append("closed_form")
@@ -153,9 +153,7 @@ def _run_task(task: Task, fmt: str, nmax_override, parallel: bool) -> list[str]:
         labels = task.labels
         if labels is None:
             labels = tuple(range(nmax + 1))
-        reports = {
-            v: flt.degree_limit(task.filtration, v, nmax, parallel) for v in labels
-        }
+        reports = {v: flt.degree_limit(task.filtration, v, nmax) for v in labels}
         header = ["n"]
         for v in labels:
             header += [f"d_{_label(v)}", f"d_{_label(v)}_over_n"]
@@ -171,7 +169,7 @@ def _run_task(task: Task, fmt: str, nmax_override, parallel: bool) -> list[str]:
             lines.append(f"# {_label(v)} " + _limit_summary(reports[v])[2:])
     elif kind == "commutation":
         nmax = _task_nmax(task, nmax_override)
-        rep = flt.commutation_report(task.filtration, task.element, nmax, parallel)
+        rep = flt.commutation_report(task.filtration, task.element, nmax)
         table = _Table(["n", "sum_v_d", "lim_of_sums_n"])
         for n, value in enumerate(rep.lim_of_sums.values, start=1):
             table.add(n, value * n, value)
@@ -190,7 +188,7 @@ def _run_task(task: Task, fmt: str, nmax_override, parallel: bool) -> list[str]:
         )
     elif kind == "rees_union":
         nmax = _task_nmax(task, nmax_override)
-        rep = flt.rees_union(task.filtration, nmax, parallel)
+        rep = flt.rees_union(task.filtration, nmax)
         table = _Table(["n", "rees_count", "rees_labels"])
         for n, s in enumerate(rep.per_n, start=1):
             table.add(n, len(s), _labels(s))
@@ -215,23 +213,14 @@ def _task_title(index: int, task: Task, nmax_override) -> str:
     return " ".join(bits)
 
 
-def run_scenario(
-    scenario: Scenario,
-    out,
-    fmt: str = "table",
-    nmax_override=None,
-    parallel: bool = False,
-) -> int:
-    """Execute all tasks in order; returns the process exit status.
-
-    ``parallel`` is accepted for compatibility and has no effect.
-    """
+def run_scenario(scenario: Scenario, out, fmt: str = "table", nmax_override=None) -> int:
+    """Execute all tasks in order; returns the process exit status."""
     lines: list[str] = []
     failures = 0
     for index, task in enumerate(scenario.tasks, start=1):
         lines.append(_task_title(index, task, nmax_override))
         try:
-            lines += _run_task(task, fmt, nmax_override, parallel)
+            lines += _run_task(task, fmt, nmax_override)
         except (ValueError, CoordinateError) as exc:
             failures += 1
             lines.append(f"# task {index} ERROR: {exc}")
@@ -329,7 +318,7 @@ def main(argv=None) -> int:
         scenario = parse_scenario(text)
         out, close = _open_output(args.output)
         try:
-            return run_scenario(scenario, out, args.format, None, args.parallel)
+            return run_scenario(scenario, out, args.format)
         finally:
             if close:
                 out.close()
@@ -351,7 +340,7 @@ def main(argv=None) -> int:
         return 2
     out, close = _open_output(args.output)
     try:
-        return run_scenario(scenario, out, args.format, args.nmax, args.parallel)
+        return run_scenario(scenario, out, args.format, args.nmax)
     finally:
         if close:
             out.close()

@@ -70,27 +70,14 @@ class PointRecord:
 
 
 @dataclass(frozen=True)
-class ProximityMatrix:
-    """Unitriangular matrix encoding the proximity relation."""
+class LatticeMatrix:
+    """Square integer matrix of a cluster's lattice data, as row tuples.
 
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-
-@dataclass(frozen=True)
-class IntersectionForm:
-    """Symmetric integer matrix (E_i . E_j) in the strict-transform basis.
-
-    Always equal to -(P^T P) for the cluster's proximity matrix P, hence
-    negative definite; definiteness is certified on demand through
-    :func:`is_negative_definite`, not on construction.
+    Two matrices use it: the unitriangular proximity matrix P, and the
+    symmetric form (E_i . E_j) in the strict-transform basis.  The form is
+    always -(P^T P), hence negative definite; definiteness is certified on
+    demand through :func:`is_negative_definite`, not on construction.
+    Iterating a matrix yields its rows.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -103,11 +90,17 @@ class IntersectionForm:
         i, j = ij
         return self.entries[i][j]
 
+    def __iter__(self):
+        return iter(self.entries)
+
     def row(self, i) -> tuple[int, ...]:
         return self.entries[i]
 
     def is_negative_definite(self) -> bool:
         return is_negative_definite(self)
+
+
+ProximityMatrix = IntersectionForm = LatticeMatrix
 
 
 @dataclass(frozen=True)
@@ -297,7 +290,7 @@ class Cluster:
 
     # -- lattice data -----------------------------------------------------
 
-    def proximity_matrix(self) -> ProximityMatrix:
+    def proximity_matrix(self) -> LatticeMatrix:
         key = ("prox", len(self._points))
         mat = self._cache.get(key)
         if mat is None:
@@ -309,7 +302,7 @@ class Cluster:
                 for j in rec.prox:
                     row[j] = -1
                 rows.append(tuple(row))
-            mat = ProximityMatrix(entries=tuple(rows))
+            mat = LatticeMatrix(entries=tuple(rows))
             self._cache[key] = mat
         return mat
 
@@ -341,7 +334,7 @@ class Cluster:
             self._cache[key] = form
         return form
 
-    def intersection_matrix(self) -> IntersectionForm:
+    def intersection_matrix(self) -> LatticeMatrix:
         """The form -(P^T P) on E_0, ..., E_{n-1} as a dense matrix.
 
         Expanded from :meth:`tree_form` in O(n^2); the divisor layer never
@@ -358,7 +351,7 @@ class Cluster:
                 for j in nbrs:
                     row[j] = 1
                 rows.append(tuple(row))
-            mat = IntersectionForm(entries=tuple(rows))
+            mat = LatticeMatrix(entries=tuple(rows))
             self._cache[key] = mat
         return mat
 
@@ -389,24 +382,15 @@ def new_cluster() -> Cluster:
     return Cluster()
 
 
-def _matrix_entries(mat) -> tuple[tuple, ...]:
-    if isinstance(mat, IntersectionForm):
-        return mat.entries
-    if isinstance(mat, ProximityMatrix):
-        return mat.entries
-    rows = tuple(tuple(row) for row in mat)
-    return rows
-
-
 def is_negative_definite(mat) -> bool:
     """Exact negative definiteness test by leading principal minors.
 
-    Accepts an :class:`IntersectionForm` or any square symmetric matrix of
-    integers or Fractions.  True iff (-1)^k det_k > 0 for every leading
-    principal minor det_k, computed with fraction-free (Bareiss)
-    elimination; no floating point is involved.
+    Accepts a :class:`LatticeMatrix` or any square symmetric matrix of
+    integers or Fractions given as a sequence of rows.  True iff
+    (-1)^k det_k > 0 for every leading principal minor det_k, computed with
+    fraction-free (Bareiss) elimination; no floating point is involved.
     """
-    rows = _matrix_entries(mat)
+    rows = [tuple(row) for row in mat]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")

@@ -118,18 +118,13 @@ class PlaneElement:
         return PlaneElement.from_terms(_pow_terms(self.to_dict(), k))
 
     def __str__(self):
+        """Text that :func:`parse_poly` reads back to an equal element."""
         parts = []
         for (a, b), c in self.terms:
-            mon = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in (("x", a), ("y", b))
-                if e > 0
-            )
-            if mon:
-                mon = "*".join(m for m in [str(c) if c != 1 else "", mon] if m) if c != 1 else mon
-            else:
-                mon = str(c)
-            parts.append(mon)
+            factors = [f"{v}^{e}" if e > 1 else v for v, e in (("x", a), ("y", b)) if e > 0]
+            if c != 1 or not factors:
+                factors.insert(0, str(c))
+            parts.append("*".join(factors))
         return " + ".join(parts)
 
 

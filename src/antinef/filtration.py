@@ -1,11 +1,18 @@
 """Graded families of complete ideals and their limit invariants.
 
-Three family variants are supported:
+The paper writes the limits of a graded family as intersection products on
+a fixed cluster: e(I_n)/n^2 tends to -(env . env) and d_v(I_n)/n to
+-(env . E_v), for a nef envelope env.  A family kind is a subclass of
+:class:`FiltrationSpec`, the one place a new kind plugs in: it builds
+member n and gives its closed forms, the default labels of a
+``degree_limits`` task and the embedding of the graded-law spot check.
+Where the theory gives no closed form a method returns ``None``; the family
+functions then report an estimate (last iterate, Richardson value and an
+empirical rate exponent), and never ask which kind they hold.
 
 * ``QDivisorialSpec`` - the valuation-theoretic family on a fixed cluster
   cut out by an effective rational divisor: member n is the antinef
-  closure of ceil(n * delta).  Its multiplicity and degree limits have
-  exact closed forms through the nef envelope.
+  closure of ceil(n * delta), and env is the nef envelope of delta.
 * ``Example42Spec`` - the built-in growing family: member n lives on a
   cluster with n free points on the first exceptional curve and is the
   antinef divisor (2n+1, 2n+2, ..., 2n+2).  Its limit of summed degree
@@ -15,20 +22,13 @@ Three family variants are supported:
 * ``ExplicitSpec`` - a user-supplied table of (cluster, divisor) pairs;
   no closed forms, estimates only.
 
-Limit reports always carry the exact per-index sequence; the extrapolated
-limit is exact when a closed form applies and is otherwise flagged as an
-estimate (last iterate, Richardson value, and an empirical rate exponent).
-
-One sweep per family: each spec object memoizes its members, so member n is
+One sweep per family: :meth:`FiltrationSpec.member` memoizes, so member n is
 realized (through :func:`realize`) at most once per spec and is shared by
 every task and label that reads the family; a ``QDivisorialSpec`` likewise
-computes the nef envelope of its delta once.  The memo lives exactly as long
-as the spec object, so nothing carries over between scenario parses or CLI
-runs.  It assumes that a spec, its table and its clusters are not mutated
-after the first sweep.  :func:`realize` itself is not cached.  The
-``parallel`` keyword of the family functions is accepted and ignored: with
-shared members a sweep is cheap, and threads running this pure-Python,
-lock-bound code measured no faster.
+computes its nef envelope and closed degrees once.  The memo lives exactly
+as long as the spec object, so nothing carries over between scenario parses
+or CLI runs.  It assumes that a spec, its table and its clusters are not
+mutated after the first sweep.  :func:`realize` itself is not cached.
 """
 
 from __future__ import annotations
@@ -37,13 +37,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .cluster import Cluster, new_cluster
 from .curves import PlaneElement, value_vector, _is_squarefree
 from .divisor import (
     CompleteIdealModel,
     ExcDivisor,
+    _pairings,
     divisor,
     nef_envelope,
     intersect,
@@ -69,11 +70,50 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QDivisorialSpec:
+class FiltrationSpec:
+    """A graded family: the member memo, and the protocol each kind overrides."""
+
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+        """Member n computed afresh; :func:`realize` is the one caller."""
+        raise NotImplementedError
+
+    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+        """Member n, realized on the first request only."""
+        if n not in self._members:
+            self._members[n] = realize(self, n)
+        return self._members[n]
+
+    def closed_multiplicity(self) -> Optional[Fraction]:
+        """The limit of e(I_n)/n^2, or ``None`` without a closed form."""
+        return None
+
+    def closed_degree(self, v: int) -> Optional[Fraction]:
+        """The limit of d_v(I_n)/n, or ``None``; a label with no curve raises."""
+        return None
+
+    def closed_sum_limit(self, vv: Sequence[int], sum_of_limits: Fraction) -> Fraction:
+        """Asked only when every single limit is closed; by default they commute."""
+        return sum_of_limits
+
+    def default_labels(self) -> Optional[tuple[int, ...]]:
+        """Labels for a ``degree_limits`` task naming none; ``None``: v0..v(nmax)."""
+        return None
+
+    def embed(self, k: int, cluster: Cluster) -> CompleteIdealModel:
+        """Member k as a complete ideal on ``cluster``: here its own cluster."""
+        own, model = self.member(k)
+        if own is not cluster:
+            raise ValueError("spot check needs a common cluster across indices")
+        return model
+
+
+@dataclass(frozen=True)
+class QDivisorialSpec(FiltrationSpec):
     """Valuation-theoretic family on a fixed cluster: closure of ceil(n delta)."""
 
     delta: ExcDivisor
-    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.delta.is_effective():
@@ -88,12 +128,29 @@ class QDivisorialSpec:
         """The nef envelope of delta, computed once per spec object."""
         return nef_envelope(self.delta)
 
-    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+    @cached_property
+    def closed_degrees(self) -> tuple[Fraction, ...]:
+        """Every -(envelope . E_v), from one pass over the form."""
+        return tuple(-s for s in _pairings(self.cluster, self.envelope.coeffs))
+
+    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
         return self.cluster, unload((n * self.delta).ceil())
+
+    def closed_multiplicity(self) -> Fraction:
+        return -intersect(self.envelope, self.envelope)
+
+    def closed_degree(self, v: int) -> Fraction:
+        if v >= self.cluster.n_curves:
+            raise ValueError(f"unknown valuation label v{v} on a cluster with "
+                             f"{self.cluster.n_curves} curves")
+        return self.closed_degrees[v]
+
+    def default_labels(self) -> tuple[int, ...]:
+        return tuple(range(self.cluster.n_curves))
 
 
 @dataclass(frozen=True)
-class Example42Spec:
+class Example42Spec(FiltrationSpec):
     """Growing star family: n free points on the first exceptional curve.
 
     ``params`` positions the points; omitted, point i sits at parameter
@@ -102,7 +159,6 @@ class Example42Spec:
     """
 
     params: Optional[tuple[Fraction, ...]] = None
-    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.params is not None:
@@ -122,78 +178,69 @@ class Example42Spec:
             )
         return self.params[i - 1]
 
-    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
         cluster = new_cluster()
         for i in range(1, n + 1):
             cluster.add_free_point(0, self.param(i))
-        coeffs = [2 * n + 1] + [2 * n + 2] * n
-        return cluster, unload(divisor(cluster, coeffs))
+        return cluster, self.embed(n, cluster)
+
+    def closed_multiplicity(self) -> Fraction:
+        return Fraction(4)
+
+    def closed_degree(self, v: int) -> Fraction:
+        return Fraction(1) if v == 0 else Fraction(0)
+
+    def closed_sum_limit(self, vv: Sequence[int], sum_of_limits: Fraction) -> Fraction:
+        return Fraction(2 * vv[0])
+
+    def embed(self, k: int, cluster: Cluster) -> CompleteIdealModel:
+        """Closure of (2k+1, 2k+2, ..., 2k+2) zero-padded to ``cluster``.
+
+        On the cluster of any member n >= k this is the complete ideal I_k.
+        """
+        coeffs = [2 * k + 1] + [2 * k + 2] * k
+        return unload(divisor(cluster, coeffs + [0] * (cluster.n_curves - len(coeffs))))
 
 
 @dataclass(frozen=True)
-class ExplicitSpec:
+class ExplicitSpec(FiltrationSpec):
     """Explicit table n -> (cluster, integer divisor); authors own the growth law."""
 
     table: Mapping[int, tuple[Cluster, ExcDivisor]]
-    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
         if n not in self.table:
             raise ValueError(f"family index {n} missing from the explicit table")
         cluster, d = self.table[n]
         return cluster, unload(d)
 
-
-FiltrationSpec = Union[QDivisorialSpec, Example42Spec, ExplicitSpec]
+    def default_labels(self) -> tuple[int, ...]:
+        any_cluster = next(iter(self.table.values()))[0]
+        return tuple(range(any_cluster.n_curves))
 
 
 def realize(spec: FiltrationSpec, n: int) -> tuple[Cluster, CompleteIdealModel]:
     """The n-th member of the family as a cluster plus complete-ideal model.
 
     Computed afresh on every call; the family functions share members
-    through the spec's memo instead.
+    through :meth:`FiltrationSpec.member` instead.
     """
     if n < 1:
         raise ValueError("family index must be >= 1")
     if not isinstance(spec, FiltrationSpec):
         raise TypeError(f"not a filtration spec: {spec!r}")
-    return spec.member(n)
-
-
-def _member(spec: FiltrationSpec, n: int) -> tuple[Cluster, CompleteIdealModel]:
-    """Member n of ``spec``, realized on the first request only.
-
-    A non-spec has no memo; :func:`realize` then raises its ``TypeError``.
-    """
-    members = getattr(spec, "_members", {})
-    if n not in members:
-        members[n] = realize(spec, n)
-    return members[n]
+    return spec.build(n)
 
 
 def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
     """Check the ideal containment I_n I_m within I_{n+m} at the divisor level.
 
-    On a fixed cluster this is closure(D_n) + closure(D_m) >= closure(D_{n+m})
-    componentwise.  For the growing family, earlier members are transported
-    to the larger cluster by zero-padding and re-closing, which realizes the
-    same complete ideal there.
+    This is closure(D_n) + closure(D_m) >= closure(D_{n+m}) componentwise,
+    with members n and m embedded in the cluster of member n + m.
     """
-    if isinstance(spec, Example42Spec):
-        big, model_big = _member(spec, n + m)
-
-        def embedded(k: int) -> ExcDivisor:
-            coeffs = [2 * k + 1] + [2 * k + 2] * k + [0] * (n + m - k)
-            return unload(divisor(big, coeffs)).divisor
-
-        total = embedded(n) + embedded(m)
-        return total.dominates(model_big.divisor)
-    cluster_n, model_n = _member(spec, n)
-    cluster_m, model_m = _member(spec, m)
-    cluster_nm, model_nm = _member(spec, n + m)
-    if cluster_n is not cluster_m or cluster_n is not cluster_nm:
-        raise ValueError("spot check needs a common cluster across indices")
-    return (model_n.divisor + model_m.divisor).dominates(model_nm.divisor)
+    big, model_big = spec.member(n + m)
+    total = spec.embed(n, big).divisor + spec.embed(m, big).divisor
+    return total.dominates(model_big.divisor)
 
 
 @dataclass(frozen=True)
@@ -201,8 +248,8 @@ class LimitReport:
     """An exact sequence s(1..N) with its extrapolated limit.
 
     ``closed_form`` is set when the limit is known exactly; then
-    ``envelope_constant`` C and ``monotone_from`` n0 certify that
-    |s(n) - L| <= C/n everywhere and is nonincreasing from n0 on.
+    ``envelope_constant`` C and ``monotone_from`` n0 are measured over 1..N,
+    not certified beyond: |s(n) - L| <= C/n and is nonincreasing from n0 on.
     Without a closed form the limit is an estimate: ``last`` and
     ``richardson`` are exact rationals but only approximations of the
     limit, and ``rate_exponent`` is a floating diagnostic.
@@ -267,28 +314,16 @@ def _make_report(values: Sequence[Fraction], closed_form: Optional[Fraction]) ->
 
 def _sweep(spec: FiltrationSpec, nmax: int) -> list[CompleteIdealModel]:
     """Models for n = 1..nmax, in index order, shared through the spec's memo."""
-    return [_member(spec, n)[1] for n in range(1, nmax + 1)]
-
-
-def multiplicity_sequence(
-    spec: FiltrationSpec, nmax: int, parallel: bool = False
-) -> LimitReport:
-    """The sequence e(I_n)/n^2 with its limit.
-
-    Closed forms: -(envelope(delta)^2) for the fixed-cluster family, and 4
-    for the built-in growing family.  ``parallel`` is ignored.
-    """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    return [spec.member(n)[1] for n in range(1, nmax + 1)]
+
+
+def multiplicity_sequence(spec: FiltrationSpec, nmax: int) -> LimitReport:
+    """The sequence e(I_n)/n^2 with its limit, closed where the spec has one."""
     models = _sweep(spec, nmax)
     values = [Fraction(model.multiplicity, n * n) for n, model in enumerate(models, start=1)]
-    closed = None
-    if isinstance(spec, QDivisorialSpec):
-        env = spec.envelope
-        closed = -intersect(env, env)
-    elif isinstance(spec, Example42Spec):
-        closed = Fraction(4)
-    return _make_report(values, closed)
+    return _make_report(values, spec.closed_multiplicity())
 
 
 def parse_label(label) -> int:
@@ -304,32 +339,19 @@ def parse_label(label) -> int:
     return index
 
 
-def degree_limit(
-    spec: FiltrationSpec, label, nmax: int, parallel: bool = False
-) -> LimitReport:
+def degree_limit(spec: FiltrationSpec, label, nmax: int) -> LimitReport:
     """The sequence d_v(D_n)/n for one divisorial valuation v.
 
     Valuations absent from a realized cluster contribute 0 at that index.
-    Closed forms: -(envelope . E_v) for the fixed-cluster family; 1 for the
-    first curve of the growing family and 0 for every other one.
-    ``parallel`` is ignored.
+    The limit is closed where the spec has a closed degree for v.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
     v = parse_label(label)
-    if isinstance(spec, QDivisorialSpec) and v >= spec.cluster.n_curves:
-        raise ValueError(f"unknown valuation label v{v} on a cluster with "
-                         f"{spec.cluster.n_curves} curves")
+    closed = spec.closed_degree(v)
     models = _sweep(spec, nmax)
     values = []
     for n, model in enumerate(models, start=1):
         coeffs = model.degree_coeffs
         values.append(Fraction(coeffs[v], n) if v < len(coeffs) else Fraction(0))
-    closed = None
-    if isinstance(spec, QDivisorialSpec):
-        closed = -intersect(spec.envelope, ExcDivisor.basis(spec.cluster, v))
-    elif isinstance(spec, Example42Spec):
-        closed = Fraction(1) if v == 0 else Fraction(0)
     return _make_report(values, closed)
 
 
@@ -343,58 +365,41 @@ class CommutationReport:
     sum_is_estimate: bool = False
 
 
-def commutation_report(
-    spec: FiltrationSpec, f: PlaneElement, nmax: int, parallel: bool = False
-) -> CommutationReport:
+def commutation_report(spec: FiltrationSpec, f: PlaneElement, nmax: int) -> CommutationReport:
     """Compare lim_n sum_v v(f) d_v(D_n)/n against sum_v v(f) lim_n d_v(D_n)/n.
 
     The element must be squarefree (reducedness proxy) and every realized
     cluster must carry coordinates.  For the growing family the two closed
     forms are 2*ord(f) and ord(f): the operations commute only for units.
-    ``parallel`` is ignored.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
     if not _is_squarefree(f):
         raise ValueError("element is not squarefree")
-    if isinstance(spec, ExplicitSpec):
-        clusters = {id(_member(spec, n)[0]) for n in range(1, nmax + 1)}
-        if len(clusters) > 1:
+    models = _sweep(spec, nmax)
+    big_cluster, _ = spec.member(nmax)
+    # Without closed forms each single limit is estimated from the members'
+    # own coefficients, so curve v must be one valuation in every member.
+    if spec.closed_degree(0) is None:
+        if any(spec.member(n)[0] is not big_cluster for n in range(1, nmax)):
             raise ValueError("commutation needs a fixed cluster for explicit tables")
 
     # One valuation computation on the largest realized cluster covers all
     # indices: values are intrinsic to the valuations.
-    big_cluster, _ = _member(spec, nmax)
     vv = value_vector(big_cluster, f).values
-
-    models = _sweep(spec, nmax)
     values = []
     for n, model in enumerate(models, start=1):
         coeffs = model.degree_coeffs
         total = sum(vv[i] * c for i, c in enumerate(coeffs))
         values.append(Fraction(total, n))
 
-    closed = None
+    sum_of_lims = Fraction(0)
     sum_is_estimate = False
-    if isinstance(spec, Example42Spec):
-        closed = Fraction(2 * vv[0])
-        sum_of_lims = Fraction(vv[0])
-    elif isinstance(spec, QDivisorialSpec):
-        per_curve = [
-            -intersect(spec.envelope, ExcDivisor.basis(spec.cluster, i))
-            for i in range(spec.cluster.n_curves)
-        ]
-        closed = sum((vv[i] * c for i, c in enumerate(per_curve)), Fraction(0))
-        sum_of_lims = closed
-    else:
-        sum_is_estimate = True
-        per_curve = []
-        for i in range(big_cluster.n_curves):
-            rep = degree_limit(spec, i, nmax)
-            per_curve.append(rep.limit_estimate())
-        sum_of_lims = sum(
-            (vv[i] * c for i, c in enumerate(per_curve)), Fraction(0)
-        )
+    for v in range(big_cluster.n_curves):
+        limit = spec.closed_degree(v)
+        if limit is None:
+            limit = degree_limit(spec, v, nmax).limit_estimate()
+            sum_is_estimate = True
+        sum_of_lims += vv[v] * limit
+    closed = None if sum_is_estimate else spec.closed_sum_limit(vv, sum_of_lims)
 
     report = _make_report(values, closed)
     if closed is not None:
@@ -426,18 +431,12 @@ class ReesUnionReport:
     stabilized: bool
 
 
-def rees_union(spec: FiltrationSpec, nmax: int, parallel: bool = False) -> ReesUnionReport:
-    """Rees valuation supports of I_1..I_nmax and their union; ``parallel`` is ignored."""
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
+def rees_union(spec: FiltrationSpec, nmax: int) -> ReesUnionReport:
+    """Rees valuation supports of I_1..I_nmax and their union."""
     models = _sweep(spec, nmax)
     per_n = tuple(model.rees_valuations for model in models)
-    running: list[frozenset[int]] = []
-    acc: frozenset[int] = frozenset()
-    for s in per_n:
-        acc = acc | s
-        running.append(acc)
+    union = frozenset().union(*per_n)
     window = -(-nmax // 4)  # ceil(nmax / 4)
     anchor = nmax - window
-    stabilized = anchor >= 1 and running[anchor - 1] == running[-1]
-    return ReesUnionReport(per_n=per_n, union=running[-1], stabilized=stabilized)
+    stabilized = anchor >= 1 and frozenset().union(*per_n[:anchor]) == union
+    return ReesUnionReport(per_n=per_n, union=union, stabilized=stabilized)

@@ -291,14 +291,7 @@ def _finish_task(sc: Scenario, reader: _SectionReader):
         if tname not in pool:
             raise ScenarioError(f"undefined {target} {tname!r}", tl)
         setattr(task, target, pool[tname])
-        if target == "filtration":
-            task.filtration_name = tname
-        elif target == "element":
-            task.element_name = tname
-        elif target == "cluster":
-            task.cluster_name = tname
-        elif target == "divisor":
-            task.divisor_name = tname
+        setattr(task, f"{target}_name", tname)
     if kind in _NEEDS_NMAX:
         nl, text = reader.single("nmax")
         try:
@@ -316,13 +309,7 @@ def _finish_task(sc: Scenario, reader: _SectionReader):
         except ValueError as exc:
             raise ScenarioError(str(exc), labels[0]) from None
     if kind == "degree_limits" and task.labels is None:
-        spec = task.filtration
-        if isinstance(spec, QDivisorialSpec):
-            task.labels = tuple(range(spec.cluster.n_curves))
-        elif isinstance(spec, ExplicitSpec):
-            any_cluster = next(iter(spec.table.values()))[0]
-            task.labels = tuple(range(any_cluster.n_curves))
-        # the growing family defaults at run time: v0..v(nmax)
+        task.labels = task.filtration.default_labels()  # None: v0..v(nmax) at run time
     sc.tasks.append(task)
 
 

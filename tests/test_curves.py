@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antinef import (
     CoordinateError,
+    PlaneElement,
     PolynomialSyntaxError,
     degree_function,
     divisor,
@@ -66,6 +69,22 @@ class TestParser:
             (1, 1): Fraction(2),
             (0, 2): Fraction(1),
         }
+
+    def test_str_of_mixed_monomial_parses(self):
+        f = parse_poly("3/2*x^2*y + y^3")
+        assert str(f) == "y^3 + 3/2*x^2*y"
+        assert parse_poly(str(f)) == f
+
+
+_exponent = st.integers(min_value=0, max_value=4)
+_coeff = st.fractions(max_denominator=12).filter(lambda c: c != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(_exponent, _exponent), _coeff, min_size=1, max_size=6))
+def test_str_round_trips_through_parse_poly(terms):
+    f = PlaneElement.from_terms(terms)
+    assert parse_poly(str(f)) == f
 
 
 class TestMultiplicityVector:

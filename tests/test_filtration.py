@@ -127,11 +127,6 @@ class TestMultiplicitySequence:
         for k in range(n0 - 1, len(devs) - 1):
             assert devs[k + 1] <= devs[k]
 
-    def test_parallel_sweep_matches(self):
-        seq = multiplicity_sequence(Example42Spec(), 10)
-        par = multiplicity_sequence(Example42Spec(), 10, parallel=True)
-        assert seq.values == par.values
-
 
 class TestDegreeLimit:
     def test_growing_family_first_curve(self):

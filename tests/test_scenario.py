@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antinef import ScenarioError, parse_scenario
 from antinef.filtration import Example42Spec, ExplicitSpec, QDivisorialSpec
@@ -208,3 +210,93 @@ class TestErrors:
             "nmax must be positive",
             7,
         )
+
+
+# A scenario using every section and filtration kind; the fuzz test edits a
+# few of its lines with tokens that are valid somewhere in a scenario and
+# inserts lines of such tokens, so its inputs fail at every depth of the
+# file, not only at the first lines.
+_FUZZ_BASE = """\
+[cluster C]
+point = free parent=0 param=0
+point = satellite parent=1 other=0
+point = free parent=2 param=1
+[cluster D]
+point = free parent=0 param=1/2
+[divisor E on C]
+coeffs = 0 0 1 1/2
+[element F]
+poly = y^2 - x^3
+[filtration G]
+kind = qdivisorial
+divisor = E
+[filtration H]
+kind = qdivisorial
+cluster = D
+delta = 1 1/3
+[filtration X]
+kind = example42
+params = 0 1 5/2
+[filtration T]
+kind = explicit
+entry = 1 C 1 1 2 2
+entry = 2 D 2 2
+[task]
+kind = intersection_matrix
+cluster = C
+[task]
+kind = degree_function
+divisor = E
+element = F
+[task]
+kind = degree_limits
+filtration = G
+nmax = 3
+labels = v0 v2
+[task]
+kind = commutation
+filtration = T
+element = F
+nmax = 2
+[task]
+kind = rees_union
+filtration = X
+nmax = 3
+""".splitlines()
+_TOKENS = [
+    "[", "]", "[task]", "cluster", "divisor", "element", "filtration", "on", "C", "D", "E",
+    "F", "G", "T", "=", "point", "free", "satellite", "parent=0", "parent=3", "parent=x",
+    "param=1/2", "param=1/0", "param=0.5", "param=inf", "other=0", "other=2", "coeffs",
+    "poly", "kind", "qdivisorial", "example42", "explicit", "entry", "delta", "params",
+    "labels", "nmax", "-1", "0", "1", "2", "1/2", "1/0", "-3/4", "x", "y^2", "(x", "+", "*",
+    "v0", "v9", "v-1", "#", "inf", "unload", "degree_limits", "commutation", "rees_union",
+]
+_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=8).map(" ".join)
+# (action, token, word index): keep the line (most often), drop it, or
+# replace one of its words with the token
+_EDIT = st.tuples(st.sampled_from("k" * 18 + "dr"), st.sampled_from(_TOKENS), st.integers(0, 7))
+
+
+def _edited(line, edit):
+    action, token, index = edit
+    if action == "d":
+        return ""
+    words = line.split()
+    if action == "r" and words:
+        words[index % len(words)] = token
+    return " ".join(words)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(_EDIT, min_size=len(_FUZZ_BASE), max_size=len(_FUZZ_BASE)),
+    st.lists(st.tuples(st.integers(0, len(_FUZZ_BASE)), _SOUP), max_size=4),
+)
+def test_token_soup_raises_only_scenario_error(edits, inserts):
+    lines = [_edited(line, edit) for line, edit in zip(_FUZZ_BASE, edits)]
+    for position, soup in inserts:
+        lines.insert(position, soup)
+    try:
+        parse_scenario("\n".join(lines))
+    except ScenarioError:
+        pass

@@ -46,7 +46,7 @@ def assert_shared_members_match_fresh(spec, nmax=NMAX):
     deg0 = degree_limit(spec, 0, nmax)
     rees = rees_union(spec, nmax)
     for n in range(1, nmax + 1):
-        shared_cluster, shared = filtration._member(spec, n)
+        shared_cluster, shared = spec.member(n)
         fresh_cluster, fresh = realize(spec, n)
         assert shared_cluster.tree_form() == fresh_cluster.tree_form()
         assert shared.divisor.coeffs == fresh.divisor.coeffs
