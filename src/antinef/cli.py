@@ -27,12 +27,9 @@ __all__ = ["main", "run_scenario"]
 
 
 class _Table:
-    def __init__(self, header):
+    def __init__(self, header, rows):
         self.header = list(header)
-        self.rows: list[list[str]] = []
-
-    def add(self, *cells):
-        self.rows.append([_cell(c) for c in cells])
+        self.rows = [[_cell(c) for c in row] for row in rows]
 
     def render(self, fmt: str) -> list[str]:
         if fmt == "csv":
@@ -64,6 +61,11 @@ def _labels(indices) -> str:
     return " ".join(_label(i) for i in sorted(indices))
 
 
+def _indexed(*columns):
+    """Rows ``(i, c_0[i], c_1[i], ...)`` of equally long columns."""
+    return ((i, *cells) for i, cells in enumerate(zip(*columns)))
+
+
 def _limit_summary(report: flt.LimitReport) -> str:
     parts = []
     if report.closed_form is not None:
@@ -82,134 +84,137 @@ def _limit_summary(report: flt.LimitReport) -> str:
     return "# limit " + " ".join(parts)
 
 
-def _task_nmax(task: Task, override) -> int:
-    return override if override is not None else task.nmax
+# Each runner takes a task and its resolved nmax (None unless the task takes
+# a filtration) and returns its table, or None, and its summary lines.  The
+# runners look the layer functions up in this module's globals at call time,
+# so code that patches ``antinef.cli.unload`` and the like sees every call.
 
 
-def _run_task(task: Task, fmt: str, nmax_override) -> list[str]:
-    kind = task.kind
-    lines: list[str] = []
-    if kind == "intersection_matrix":
-        mat = task.cluster.intersection_matrix()
-        table = _Table(["i"] + [f"E{j}" for j in range(mat.n)])
-        for i in range(mat.n):
-            table.add(i, *mat.row(i))
-        lines += table.render(fmt)
-    elif kind == "value_vector":
-        vv = value_vector(task.cluster, task.element)
-        table = _Table(["i", "m_i", "v_i"])
-        for i, (m, v) in enumerate(zip(vv.multiplicities, vv.values)):
-            table.add(i, m, v)
-        lines += table.render(fmt)
-    elif kind == "degree_function":
+def _intersection_matrix(task: Task, nmax):
+    mat = task.cluster.intersection_matrix()
+    header = ["i"] + [f"E{j}" for j in range(mat.n)]
+    return _Table(header, ((i, *mat.row(i)) for i in range(mat.n))), []
+
+
+def _value_vector(task: Task, nmax):
+    vv = value_vector(task.cluster, task.element)
+    return _Table(["i", "m_i", "v_i"], _indexed(vv.multiplicities, vv.values)), []
+
+
+def _degree_function(task: Task, nmax):
+    model = unload(task.divisor)
+    vv = value_vector(task.divisor.cluster, task.element)
+    products = [v * d for v, d in zip(vv.values, model.degree_coeffs)]
+    rows = _indexed(vv.values, model.degree_coeffs, products)
+    return _Table(["i", "v_i", "d_i", "v_i*d_i"], rows), [f"degree={sum(products)}"]
+
+
+def _closure(*columns):
+    """Runner of a closure task: a table of the named columns, if any, then e and rees."""
+
+    def run(task: Task, nmax):
         model = unload(task.divisor)
-        vv = value_vector(task.divisor.cluster, task.element)
-        table = _Table(["i", "v_i", "d_i", "v_i*d_i"])
-        total = 0
-        for i, (v, d) in enumerate(zip(vv.values, model.degree_coeffs)):
-            table.add(i, v, d, v * d)
-            total += v * d
-        lines += table.render(fmt)
-        lines.append(f"degree={total}")
-    elif kind in {"unload", "multiplicity", "degree_coefficients", "rees_valuations"}:
-        model = unload(task.divisor)
-        if kind == "unload":
-            table = _Table(["i", "D_i", "Dbar_i", "fixed_i", "d_i"])
-            for i in range(task.divisor.cluster.n_curves):
-                d0 = task.divisor.coeffs[i]
-                d1 = model.divisor.coeffs[i]
-                table.add(i, d0, d1, d1 - d0, model.degree_coeffs[i])
-            lines += table.render(fmt)
-        elif kind == "degree_coefficients":
-            table = _Table(["i", "d_i"])
-            for i, d in enumerate(model.degree_coeffs):
-                table.add(i, d)
-            lines += table.render(fmt)
-        lines.append(f"e={model.multiplicity}")
-        lines.append(f"rees={_labels(model.rees_valuations)}")
-    elif kind == "nef_envelope":
-        env = nef_envelope(task.divisor)
-        table = _Table(["i", "delta_i", "envelope_i"])
-        for i in range(task.divisor.cluster.n_curves):
-            table.add(i, task.divisor.coeffs[i], env.coeffs[i])
-        lines += table.render(fmt)
-        lines.append(f"neg_self_intersection={format_rational(-intersect(env, env))}")
-    elif kind == "multiplicity_limit":
-        nmax = _task_nmax(task, nmax_override)
-        report = flt.multiplicity_sequence(task.filtration, nmax)
-        header = ["n", "e_In", "e_In_over_n2"]
-        if report.closed_form is not None:
-            header.append("closed_form")
-        table = _Table(header)
-        for n, value in enumerate(report.values, start=1):
-            row = [n, value * n * n, value]
-            if report.closed_form is not None:
-                row.append(report.closed_form)
-            table.add(*row)
-        lines += table.render(fmt)
-        lines.append(_limit_summary(report))
-    elif kind == "degree_limits":
-        nmax = _task_nmax(task, nmax_override)
-        labels = task.labels
-        if labels is None:
-            labels = tuple(range(nmax + 1))
-        reports = {v: flt.degree_limit(task.filtration, v, nmax) for v in labels}
-        header = ["n"]
-        for v in labels:
-            header += [f"d_{_label(v)}", f"d_{_label(v)}_over_n"]
-        table = _Table(header)
-        for n in range(1, nmax + 1):
-            row = [n]
-            for v in labels:
-                value = reports[v].values[n - 1]
-                row += [value * n, value]
-            table.add(*row)
-        lines += table.render(fmt)
-        for v in labels:
-            lines.append(f"# {_label(v)} " + _limit_summary(reports[v])[2:])
-    elif kind == "commutation":
-        nmax = _task_nmax(task, nmax_override)
-        rep = flt.commutation_report(task.filtration, task.element, nmax)
-        table = _Table(["n", "sum_v_d", "lim_of_sums_n"])
-        for n, value in enumerate(rep.lim_of_sums.values, start=1):
-            table.add(n, value * n, value)
-        lines += table.render(fmt)
-        lines.append(_limit_summary(rep.lim_of_sums))
-        if rep.lim_of_sums.closed_form is not None:
-            lim_part = format_rational(rep.lim_of_sums.closed_form)
-        else:
-            lim_part = format_float(float(rep.lim_of_sums.limit_estimate())) + "(estimate)"
-        sum_part = format_rational(rep.sum_of_lims)
-        if rep.sum_is_estimate:
-            sum_part += "(estimate)"
-        lines.append(
-            f"commute={'true' if rep.commute else 'false'} "
-            f"lim_of_sums->{lim_part} sum_of_lims={sum_part}"
-        )
-    elif kind == "rees_union":
-        nmax = _task_nmax(task, nmax_override)
-        rep = flt.rees_union(task.filtration, nmax)
-        table = _Table(["n", "rees_count", "rees_labels"])
-        for n, s in enumerate(rep.per_n, start=1):
-            table.add(n, len(s), _labels(s))
-        lines += table.render(fmt)
-        lines.append(
-            f"union={_labels(rep.union)} "
-            f"stabilized={'true' if rep.stabilized else 'false'}"
-        )
-    else:  # pragma: no cover - parser rejects unknown kinds
-        raise ValueError(f"unknown task kind {kind!r}")
-    return lines
+        before, after = task.divisor.coeffs, model.divisor.coeffs
+        cells = {
+            "D_i": before,
+            "Dbar_i": after,
+            "fixed_i": [b - a for a, b in zip(before, after)],
+            "d_i": model.degree_coeffs,
+        }
+        table = None
+        if columns:
+            table = _Table(["i", *columns], _indexed(*(cells[c] for c in columns)))
+        rees = _labels(model.rees_valuations)
+        return table, [f"e={model.multiplicity}", f"rees={rees}"]
+
+    return run
 
 
-def _task_title(index: int, task: Task, nmax_override) -> str:
+def _nef_envelope(task: Task, nmax):
+    env = nef_envelope(task.divisor)
+    rows = _indexed(task.divisor.coeffs, env.coeffs)
+    volume = format_rational(-intersect(env, env))
+    return _Table(["i", "delta_i", "envelope_i"], rows), [f"neg_self_intersection={volume}"]
+
+
+def _multiplicity_limit(task: Task, nmax):
+    report = flt.multiplicity_sequence(task.filtration, nmax)
+    closed = [] if report.closed_form is None else [report.closed_form]
+    header = ["n", "e_In", "e_In_over_n2"] + ["closed_form"] * len(closed)
+    values = enumerate(report.values, start=1)
+    rows = ([n, value * n * n, value, *closed] for n, value in values)
+    return _Table(header, rows), [_limit_summary(report)]
+
+
+def _degree_limits(task: Task, nmax):
+    labels = task.labels
+    if labels is None:
+        labels = tuple(range(nmax + 1))
+    reports = [flt.degree_limit(task.filtration, v, nmax) for v in labels]
+    header = ["n"]
+    for v in labels:
+        header += [f"d_{_label(v)}", f"d_{_label(v)}_over_n"]
+    rows = []
+    for n in range(1, nmax + 1):
+        row = [n]
+        for report in reports:
+            value = report.values[n - 1]
+            row += [value * n, value]
+        rows.append(row)
+    summary = [f"# {_label(v)} " + _limit_summary(r)[2:] for v, r in zip(labels, reports)]
+    return _Table(header, rows), summary
+
+
+def _commutation(task: Task, nmax):
+    rep = flt.commutation_report(task.filtration, task.element, nmax)
+    values = enumerate(rep.lim_of_sums.values, start=1)
+    rows = ((n, value * n, value) for n, value in values)
+    if rep.lim_of_sums.closed_form is not None:
+        lim_part = format_rational(rep.lim_of_sums.closed_form)
+    else:
+        lim_part = format_float(float(rep.lim_of_sums.limit_estimate())) + "(estimate)"
+    sum_part = format_rational(rep.sum_of_lims)
+    if rep.sum_is_estimate:
+        sum_part += "(estimate)"
+    return _Table(["n", "sum_v_d", "lim_of_sums_n"], rows), [
+        _limit_summary(rep.lim_of_sums),
+        f"commute={'true' if rep.commute else 'false'} "
+        f"lim_of_sums->{lim_part} sum_of_lims={sum_part}",
+    ]
+
+
+def _rees_union(task: Task, nmax):
+    rep = flt.rees_union(task.filtration, nmax)
+    rows = ((n, len(s), _labels(s)) for n, s in enumerate(rep.per_n, start=1))
+    return _Table(["n", "rees_count", "rees_labels"], rows), [
+        f"union={_labels(rep.union)} stabilized={'true' if rep.stabilized else 'false'}"
+    ]
+
+
+_RUNNERS = {
+    "intersection_matrix": _intersection_matrix,
+    "value_vector": _value_vector,
+    "degree_function": _degree_function,
+    "unload": _closure("D_i", "Dbar_i", "fixed_i", "d_i"),
+    "nef_envelope": _nef_envelope,
+    "multiplicity": _closure(),
+    "degree_coefficients": _closure("d_i"),
+    "rees_valuations": _closure(),
+    "multiplicity_limit": _multiplicity_limit,
+    "degree_limits": _degree_limits,
+    "commutation": _commutation,
+    "rees_union": _rees_union,
+}
+
+
+def _task_title(index: int, task: Task, nmax) -> str:
     bits = [f"# task {index} {task.kind}"]
-    for attr in ("cluster_name", "divisor_name", "element_name", "filtration_name"):
-        name = getattr(task, attr)
+    for target in ("cluster", "divisor", "element", "filtration"):
+        name = getattr(task, f"{target}_name")
         if name:
-            bits.append(f"{attr.removesuffix('_name')}={name}")
-    if task.nmax is not None:
-        bits.append(f"nmax={_task_nmax(task, nmax_override)}")
+            bits.append(f"{target}={name}")
+    if nmax is not None:
+        bits.append(f"nmax={nmax}")
     return " ".join(bits)
 
 
@@ -218,9 +223,11 @@ def run_scenario(scenario: Scenario, out, fmt: str = "table", nmax_override=None
     lines: list[str] = []
     failures = 0
     for index, task in enumerate(scenario.tasks, start=1):
-        lines.append(_task_title(index, task, nmax_override))
+        nmax = task.nmax if task.nmax is None or nmax_override is None else nmax_override
+        lines.append(_task_title(index, task, nmax))
         try:
-            lines += _run_task(task, fmt, nmax_override)
+            table, summary = _RUNNERS[task.kind](task, nmax)
+            lines += (table.render(fmt) if table else []) + summary
         except (ValueError, CoordinateError) as exc:
             failures += 1
             lines.append(f"# task {index} ERROR: {exc}")
@@ -260,12 +267,6 @@ filtration = EX42
 element = LINE
 nmax = {nmax}
 """
-
-
-def _open_output(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
 _PARALLEL_HELP = "accepted for compatibility; no effect (each family is swept once)"
@@ -310,40 +311,27 @@ def main(argv=None) -> int:
             ok = ok and passed
         return 0 if ok else 1
 
-    if args.command == "example42":
-        if args.nmax < 1:
-            print("error: --nmax must be positive", file=sys.stderr)
-            return 2
-        text = _EXAMPLE42_SCENARIO.format(nmax=args.nmax)
-        scenario = parse_scenario(text)
-        out, close = _open_output(args.output)
-        try:
-            return run_scenario(scenario, out, args.format)
-        finally:
-            if close:
-                out.close()
-
-    # run
-    try:
-        with open(args.scenario, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+    if args.nmax is not None and args.nmax < 1:
+        print("error: --nmax must be positive", file=sys.stderr)
         return 2
+    if args.command == "example42":
+        text = _EXAMPLE42_SCENARIO.format(nmax=args.nmax)
+    else:
+        try:
+            with open(args.scenario, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+            return 2
     try:
         scenario = parse_scenario(text)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.nmax is not None and args.nmax < 1:
-        print("error: --nmax must be positive", file=sys.stderr)
-        return 2
-    out, close = _open_output(args.output)
-    try:
+    if args.output is None:
+        return run_scenario(scenario, sys.stdout, args.format, args.nmax)
+    with open(args.output, "w", encoding="utf-8", newline="\n") as out:
         return run_scenario(scenario, out, args.format, args.nmax)
-    finally:
-        if close:
-            out.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

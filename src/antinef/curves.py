@@ -206,7 +206,7 @@ class _Parser:
     def natural(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an exponent")
@@ -227,7 +227,7 @@ class _Parser:
                 self.error("expected ')'")
             self.take()
             return terms
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self.natural()
             self._skip_ws()
             if self.pos < len(self.text) and self.text[self.pos] == "/":

@@ -34,6 +34,7 @@ mutated after the first sweep.  :func:`realize` itself is not cached.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -330,7 +331,7 @@ def parse_label(label) -> int:
     """Accept a curve index or a label like ``v3``."""
     if isinstance(label, int):
         index = label
-    elif isinstance(label, str) and label.startswith("v") and label[1:].isdigit():
+    elif isinstance(label, str) and re.fullmatch(r"v[0-9]+", label):
         index = int(label[1:])
     else:
         raise ValueError(f"unknown valuation label {label!r}")

@@ -8,23 +8,31 @@ points at infinity on an exceptional line.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 #: Marker for the point at infinity on an exceptional line (direction u = 0).
 INFINITY = float("inf")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``a``, ``-a`` or ``a/b`` into an exact Fraction.
+    """Parse ``a``, ``-a`` or ``a/b`` (ASCII digits) into an exact Fraction.
 
-    Decimal notation is rejected on purpose: exact input only.
+    Decimal and exponent notation are rejected on purpose: exact input only.
+    So are a ``+`` sign and ``_`` digit separators, which ``Fraction`` accepts.
     """
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal literals are not exact, write a/b: {text!r}")
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError(
+            f"malformed rational {text!r}: Invalid literal for Fraction: {text!r}"
+        )
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
 
 

@@ -9,8 +9,10 @@ references must be defined earlier in the file.  See
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from .cluster import Cluster, new_cluster
@@ -28,40 +30,23 @@ from .rationals import parse_param, parse_rational
 
 __all__ = ["Scenario", "Task", "parse_scenario", "TASK_KINDS"]
 
-TASK_KINDS = frozenset(
+#: Every task kind, with the named objects it takes.  A kind that takes a
+#: filtration also needs ``nmax``.
+TASK_KINDS = MappingProxyType(
     {
-        "intersection_matrix",
-        "value_vector",
-        "degree_function",
-        "unload",
-        "nef_envelope",
-        "multiplicity",
-        "degree_coefficients",
-        "rees_valuations",
-        "multiplicity_limit",
-        "degree_limits",
-        "commutation",
-        "rees_union",
+        "intersection_matrix": ("cluster",),
+        "value_vector": ("cluster", "element"),
+        "degree_function": ("divisor", "element"),
+        "unload": ("divisor",),
+        "nef_envelope": ("divisor",),
+        "multiplicity": ("divisor",),
+        "degree_coefficients": ("divisor",),
+        "rees_valuations": ("divisor",),
+        "multiplicity_limit": ("filtration",),
+        "degree_limits": ("filtration",),
+        "commutation": ("filtration", "element"),
+        "rees_union": ("filtration",),
     }
-)
-
-_TASK_TARGETS = {
-    "intersection_matrix": ("cluster",),
-    "value_vector": ("cluster", "element"),
-    "degree_function": ("divisor", "element"),
-    "unload": ("divisor",),
-    "nef_envelope": ("divisor",),
-    "multiplicity": ("divisor",),
-    "degree_coefficients": ("divisor",),
-    "rees_valuations": ("divisor",),
-    "multiplicity_limit": ("filtration",),
-    "degree_limits": ("filtration",),
-    "commutation": ("filtration", "element"),
-    "rees_union": ("filtration",),
-}
-
-_NEEDS_NMAX = frozenset(
-    {"multiplicity_limit", "degree_limits", "commutation", "rees_union"}
 )
 
 
@@ -97,6 +82,24 @@ def _split_kv(line: str, lineno: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _nat(text: str, what: str, lineno: int) -> int:
+    """Read a ``nat`` of the grammar: ASCII digits only, no ``+``, ``_`` or exponent.
+
+    A leading ``-`` is read too, so that the caller's range check names the fault.
+    """
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ScenarioError(f"bad {what} {text!r}", lineno)
+    return int(text)
+
+
+#: Point kind -> the Cluster method that adds it, its point-index options and
+#: its optional ``param`` option, in the method's argument order.
+_POINT_KINDS = {
+    "free": ("add_free_point", ("parent",), ("param",)),
+    "satellite": ("add_satellite_point", ("parent", "other"), ()),
+}
+
+
 def _parse_point_line(scenario_cluster: Cluster, value: str, lineno: int):
     fields = value.split()
     if not fields:
@@ -107,22 +110,15 @@ def _parse_point_line(scenario_cluster: Cluster, value: str, lineno: int):
             raise ScenarioError(f"expected name=value in point options, got {item!r}", lineno)
         k, _, v = item.partition("=")
         opts[k] = v
+    if kind not in _POINT_KINDS:
+        raise ScenarioError(f"unknown point kind {kind!r}", lineno)
+    method, indices, optional = _POINT_KINDS[kind]
     try:
-        if kind == "free":
-            parent = int(opts.pop("parent"))
-            param = parse_param(opts["param"]) if "param" in opts else None
-            opts.pop("param", None)
-            if opts:
-                raise ScenarioError(f"unknown point options {sorted(opts)}", lineno)
-            scenario_cluster.add_free_point(parent, param)
-        elif kind == "satellite":
-            parent = int(opts.pop("parent"))
-            other = int(opts.pop("other"))
-            if opts:
-                raise ScenarioError(f"unknown point options {sorted(opts)}", lineno)
-            scenario_cluster.add_satellite_point(parent, other)
-        else:
-            raise ScenarioError(f"unknown point kind {kind!r}", lineno)
+        args = [_nat(opts.pop(key), key, lineno) for key in indices]
+        args += [parse_param(opts.pop(key)) if key in opts else None for key in optional]
+        if opts:
+            raise ScenarioError(f"unknown point options {sorted(opts)}", lineno)
+        getattr(scenario_cluster, method)(*args)
     except KeyError as exc:
         raise ScenarioError(f"point is missing option {exc}", lineno) from None
     except (ValueError, TypeError) as exc:
@@ -138,9 +134,6 @@ class _SectionReader:
         self.header = header
         self.lineno = lineno
         self.lines: list[tuple[int, str, str]] = []
-
-    def add(self, lineno: int, key: str, value: str):
-        self.lines.append((lineno, key, value))
 
     def single(self, key: str, required: bool = True) -> Optional[tuple[int, str]]:
         hits = [(no, v) for no, k, v in self.lines if k == key]
@@ -170,7 +163,26 @@ def _check_fresh(pool: dict, kind: str, name: str, lineno: int):
         raise ScenarioError(f"duplicate {kind} name {name!r}", lineno)
 
 
-def _finish_cluster(sc: Scenario, name: str, reader: _SectionReader):
+def _named(pool: dict, kind: str, name: str, lineno: int):
+    """The object ``name`` refers to, which an earlier section must define."""
+    if name not in pool:
+        raise ScenarioError(f"undefined {kind} {name!r}", lineno)
+    return pool[name]
+
+
+def _divisor_on(cluster: Cluster, cname: str, text: str, lineno: int, what: str):
+    """The divisor with coefficients ``text`` on ``cluster``, one per curve."""
+    coeffs = _coeff_list(text, lineno)
+    if len(coeffs) != cluster.n_curves:
+        raise ScenarioError(
+            f"{what} has {len(coeffs)} coefficients but cluster "
+            f"{cname!r} has {cluster.n_curves} curves",
+            lineno,
+        )
+    return divisor(cluster, coeffs)
+
+
+def _finish_cluster(sc: Scenario, reader: _SectionReader, name: str):
     _check_fresh(sc.clusters, "cluster", name, reader.lineno)
     reader.known_keys({"point"})
     cluster = new_cluster()
@@ -179,24 +191,15 @@ def _finish_cluster(sc: Scenario, name: str, reader: _SectionReader):
     sc.clusters[name] = cluster
 
 
-def _finish_divisor(sc: Scenario, name: str, cluster_name: str, reader: _SectionReader):
+def _finish_divisor(sc: Scenario, reader: _SectionReader, name: str, cluster_name: str):
     _check_fresh(sc.divisors, "divisor", name, reader.lineno)
     reader.known_keys({"coeffs"})
-    if cluster_name not in sc.clusters:
-        raise ScenarioError(f"undefined cluster {cluster_name!r}", reader.lineno)
+    cluster = _named(sc.clusters, "cluster", cluster_name, reader.lineno)
     lineno, text = reader.single("coeffs")
-    coeffs = _coeff_list(text, lineno)
-    cluster = sc.clusters[cluster_name]
-    if len(coeffs) != cluster.n_curves:
-        raise ScenarioError(
-            f"divisor has {len(coeffs)} coefficients but cluster "
-            f"{cluster_name!r} has {cluster.n_curves} curves",
-            lineno,
-        )
-    sc.divisors[name] = divisor(cluster, coeffs)
+    sc.divisors[name] = _divisor_on(cluster, cluster_name, text, lineno, "divisor")
 
 
-def _finish_element(sc: Scenario, name: str, reader: _SectionReader):
+def _finish_element(sc: Scenario, reader: _SectionReader, name: str):
     _check_fresh(sc.elements, "element", name, reader.lineno)
     reader.known_keys({"poly"})
     lineno, text = reader.single("poly")
@@ -206,124 +209,113 @@ def _finish_element(sc: Scenario, name: str, reader: _SectionReader):
         raise ScenarioError(f"bad polynomial: {exc}", lineno) from None
 
 
-def _finish_filtration(sc: Scenario, name: str, reader: _SectionReader):
+def _qdivisorial_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict:
+    div = reader.single("divisor", required=False)
+    if div is not None:
+        return {"delta": _named(sc.divisors, "divisor", div[1], div[0])}
+    cl, cname = reader.single("cluster")
+    cluster = _named(sc.clusters, "cluster", cname, cl)
+    dl, text = reader.single("delta")
+    return {"delta": _divisor_on(cluster, cname, text, dl, "delta")}
+
+
+def _example42_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict:
+    params = reader.single("params", required=False)
+    if params is None:
+        return {"params": None}
+    return {"params": tuple(_coeff_list(params[1], params[0]))}
+
+
+def _explicit_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict:
+    table = {}
+    for el, key, value in reader.lines:
+        if key != "entry":
+            continue
+        fields = value.split()
+        if len(fields) < 2:
+            raise ScenarioError("entry needs: n cluster-name coefficients", el)
+        n = _nat(fields[0], "index", el)
+        if n < 1:
+            raise ScenarioError("entry index must be positive", el)
+        if n in table:
+            raise ScenarioError(f"duplicate entry index {n}", el)
+        cluster = _named(sc.clusters, "cluster", fields[1], el)
+        d = _divisor_on(cluster, fields[1], " ".join(fields[2:]), el, "entry")
+        table[n] = (cluster, d)
+    if not table:
+        raise ScenarioError("explicit filtration needs at least one entry", lineno)
+    return {"table": table}
+
+
+#: Filtration kind -> (its spec class, the keys its section takes besides
+#: ``kind``, and the reader of the class's arguments from the section).
+_FILTRATION_KINDS = {
+    "qdivisorial": (QDivisorialSpec, {"divisor", "cluster", "delta"}, _qdivisorial_args),
+    "example42": (Example42Spec, {"params"}, _example42_args),
+    "explicit": (ExplicitSpec, {"entry"}, _explicit_args),
+}
+
+
+def _finish_filtration(sc: Scenario, reader: _SectionReader, name: str):
     _check_fresh(sc.filtrations, "filtration", name, reader.lineno)
     lineno, kind = reader.single("kind")
-    if kind == "qdivisorial":
-        reader.known_keys({"kind", "divisor", "cluster", "delta"})
-        div = reader.single("divisor", required=False)
-        if div is not None:
-            dl, dname = div
-            if dname not in sc.divisors:
-                raise ScenarioError(f"undefined divisor {dname!r}", dl)
-            delta = sc.divisors[dname]
-        else:
-            cl, cname = reader.single("cluster")
-            if cname not in sc.clusters:
-                raise ScenarioError(f"undefined cluster {cname!r}", cl)
-            dl, text = reader.single("delta")
-            coeffs = _coeff_list(text, dl)
-            cluster = sc.clusters[cname]
-            if len(coeffs) != cluster.n_curves:
-                raise ScenarioError(
-                    f"delta has {len(coeffs)} coefficients but cluster "
-                    f"{cname!r} has {cluster.n_curves} curves",
-                    dl,
-                )
-            delta = divisor(cluster, coeffs)
-        try:
-            sc.filtrations[name] = QDivisorialSpec(delta=delta)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), lineno) from None
-    elif kind == "example42":
-        reader.known_keys({"kind", "params"})
-        params = reader.single("params", required=False)
-        tup = None
-        if params is not None:
-            pl, text = params
-            tup = tuple(_coeff_list(text, pl))
-        try:
-            sc.filtrations[name] = Example42Spec(params=tup)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), lineno) from None
-    elif kind == "explicit":
-        reader.known_keys({"kind", "entry"})
-        table = {}
-        for el, key, value in reader.lines:
-            if key != "entry":
-                continue
-            fields = value.split()
-            if len(fields) < 2:
-                raise ScenarioError("entry needs: n cluster-name coefficients", el)
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise ScenarioError(f"bad index {fields[0]!r}", el) from None
-            cname = fields[1]
-            if cname not in sc.clusters:
-                raise ScenarioError(f"undefined cluster {cname!r}", el)
-            cluster = sc.clusters[cname]
-            coeffs = _coeff_list(" ".join(fields[2:]), el)
-            if len(coeffs) != cluster.n_curves:
-                raise ScenarioError(
-                    f"entry has {len(coeffs)} coefficients but cluster "
-                    f"{cname!r} has {cluster.n_curves} curves",
-                    el,
-                )
-            table[n] = (cluster, divisor(cluster, coeffs))
-        if not table:
-            raise ScenarioError("explicit filtration needs at least one entry", lineno)
-        sc.filtrations[name] = ExplicitSpec(table=table)
-    else:
+    if kind not in _FILTRATION_KINDS:
         raise ScenarioError(f"unknown filtration kind {kind!r}", lineno)
+    spec, keys, read_args = _FILTRATION_KINDS[kind]
+    reader.known_keys({"kind", *keys})
+    args = read_args(sc, reader, lineno)
+    try:
+        sc.filtrations[name] = spec(**args)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), lineno) from None
 
 
 def _finish_task(sc: Scenario, reader: _SectionReader):
     lineno, kind = reader.single("kind")
     if kind not in TASK_KINDS:
         raise ScenarioError(f"unknown task kind {kind!r}", lineno)
-    allowed = {"kind", "nmax", "labels"} | set(_TASK_TARGETS[kind])
-    reader.known_keys(allowed)
+    targets = TASK_KINDS[kind]
+    reader.known_keys({"kind", "nmax", "labels", *targets})
     task = Task(kind=kind, line=reader.lineno)
-    for target in _TASK_TARGETS[kind]:
+    for target in targets:
         tl, tname = reader.single(target)
-        pool = getattr(sc, target + "s")
-        if tname not in pool:
-            raise ScenarioError(f"undefined {target} {tname!r}", tl)
-        setattr(task, target, pool[tname])
+        setattr(task, target, _named(getattr(sc, target + "s"), target, tname, tl))
         setattr(task, f"{target}_name", tname)
-    if kind in _NEEDS_NMAX:
+    if "filtration" in targets:
         nl, text = reader.single("nmax")
-        try:
-            task.nmax = int(text)
-        except ValueError:
-            raise ScenarioError(f"bad nmax {text!r}", nl) from None
+        task.nmax = _nat(text, "nmax", nl)
         if task.nmax < 1:
             raise ScenarioError("nmax must be positive", nl)
     labels = reader.single("labels", required=False)
-    if labels is not None:
-        if kind != "degree_limits":
+    if kind != "degree_limits":
+        if labels is not None:
             raise ScenarioError("labels only apply to degree_limits tasks", labels[0])
+    elif labels is None:
+        task.labels = task.filtration.default_labels()  # None: v0..v(nmax) at run time
+    else:
         try:
             task.labels = tuple(parse_label(tok) for tok in labels[1].split())
         except ValueError as exc:
             raise ScenarioError(str(exc), labels[0]) from None
-    if kind == "degree_limits" and task.labels is None:
-        task.labels = task.filtration.default_labels()  # None: v0..v(nmax) at run time
     sc.tasks.append(task)
+
+
+#: Section name -> (its header, with the names it binds in capitals, and the
+#: function that builds the section's object from its lines and those names).
+_SECTIONS = {
+    "cluster": ("[cluster NAME]", _finish_cluster),
+    "divisor": ("[divisor NAME on CLUSTER]", _finish_divisor),
+    "element": ("[element NAME]", _finish_element),
+    "filtration": ("[filtration NAME]", _finish_filtration),
+    "task": ("[task]", _finish_task),
+}
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; errors carry line numbers."""
     sc = Scenario()
     reader: Optional[_SectionReader] = None
-    finish = None
-
-    def close_section():
-        nonlocal reader, finish
-        if reader is not None:
-            finish(reader)
-        reader, finish = None, None
+    finish, names = None, ()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -332,47 +324,26 @@ def parse_scenario(text: str) -> Scenario:
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ScenarioError("unterminated section header", lineno)
-            close_section()
+            if reader is not None:
+                finish(sc, reader, *names)
             header = line[1:-1].strip()
             fields = header.split()
             if not fields:
                 raise ScenarioError("empty section header", lineno)
-            section = fields[0]
-            if section == "cluster":
-                if len(fields) != 2:
-                    raise ScenarioError("expected [cluster NAME]", lineno)
-                name = fields[1]
-                reader = _SectionReader(header, lineno)
-                finish = lambda r, n=name: _finish_cluster(sc, n, r)
-            elif section == "divisor":
-                if len(fields) != 4 or fields[2] != "on":
-                    raise ScenarioError("expected [divisor NAME on CLUSTER]", lineno)
-                name, cname = fields[1], fields[3]
-                reader = _SectionReader(header, lineno)
-                finish = lambda r, n=name, c=cname: _finish_divisor(sc, n, c, r)
-            elif section == "element":
-                if len(fields) != 2:
-                    raise ScenarioError("expected [element NAME]", lineno)
-                name = fields[1]
-                reader = _SectionReader(header, lineno)
-                finish = lambda r, n=name: _finish_element(sc, n, r)
-            elif section == "filtration":
-                if len(fields) != 2:
-                    raise ScenarioError("expected [filtration NAME]", lineno)
-                name = fields[1]
-                reader = _SectionReader(header, lineno)
-                finish = lambda r, n=name: _finish_filtration(sc, n, r)
-            elif section == "task":
-                if len(fields) != 1:
-                    raise ScenarioError("expected [task]", lineno)
-                reader = _SectionReader(header, lineno)
-                finish = lambda r: _finish_task(sc, r)
-            else:
-                raise ScenarioError(f"unknown section {section!r}", lineno)
+            if fields[0] not in _SECTIONS:
+                raise ScenarioError(f"unknown section {fields[0]!r}", lineno)
+            shape, finish = _SECTIONS[fields[0]]
+            words = shape[1:-1].split()
+            if len(fields) != len(words) or any(
+                w.islower() and w != f for w, f in zip(words, fields)
+            ):
+                raise ScenarioError(f"expected {shape}", lineno)
+            names = [f for w, f in zip(words, fields) if w.isupper()]
+            reader = _SectionReader(header, lineno)
             continue
         if reader is None:
             raise ScenarioError(f"content outside any section: {line!r}", lineno)
-        key, value = _split_kv(line, lineno)
-        reader.add(lineno, key, value)
-    close_section()
+        reader.lines.append((lineno, *_split_kv(line, lineno)))
+    if reader is not None:
+        finish(sc, reader, *names)
     return sc

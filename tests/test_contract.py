@@ -1,0 +1,108 @@
+"""The public contract and the one table of task kinds.
+
+``antinef.__all__`` is part of the contract next to stdout and the exit
+codes, so it is pinned here.  The task kinds are listed once in
+``scenario.TASK_KINDS``; the CLI's runner table and the grammar document must
+name exactly the same kinds, each with the same targets.
+"""
+
+import os
+import re
+
+import antinef
+from antinef import cli
+from antinef.scenario import TASK_KINDS
+
+GRAMMAR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "scenario-grammar.md"
+)
+
+
+def test_public_names_pinned():
+    assert sorted(antinef.__all__) == [
+        "Cluster",
+        "ClusterStructureError",
+        "CommutationReport",
+        "CompleteIdealModel",
+        "CoordinateError",
+        "Example42Spec",
+        "ExcDivisor",
+        "ExplicitSpec",
+        "FiltrationSpec",
+        "INFINITY",
+        "IntersectionForm",
+        "LimitReport",
+        "PlaneElement",
+        "PointRecord",
+        "PolynomialSyntaxError",
+        "ProximityMatrix",
+        "QDivisorialSpec",
+        "ReesUnionReport",
+        "Scenario",
+        "ScenarioError",
+        "Task",
+        "ValuationVector",
+        "commutation_report",
+        "degree_coefficients",
+        "degree_function",
+        "degree_limit",
+        "divisor",
+        "fixed_part",
+        "intersect",
+        "is_antinef",
+        "is_negative_definite",
+        "monomial_valuation_volume_oracle",
+        "multiplicity",
+        "multiplicity_sequence",
+        "multiplicity_vector",
+        "nef_envelope",
+        "new_cluster",
+        "newton_multiplicity_oracle",
+        "parse_poly",
+        "parse_scenario",
+        "realize",
+        "rees_union",
+        "rees_valuations",
+        "spot_check_graded_law",
+        "unload",
+        "value_vector",
+    ]
+    for name in antinef.__all__:
+        assert hasattr(antinef, name), name
+
+
+def test_every_task_kind_has_one_runner():
+    assert set(cli._RUNNERS) == set(TASK_KINDS)
+
+
+def _grammar_text():
+    with open(GRAMMAR, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def test_grammar_task_kinds_match_the_table():
+    rule = re.search(r"^task-kind\s*=(.*?);", _grammar_text(), re.M | re.S).group(1)
+    kinds = re.findall(r'"(\w+)"', rule)
+    assert len(kinds) == len(set(kinds))
+    assert set(kinds) == set(TASK_KINDS)
+
+
+def test_grammar_argument_table_matches_the_table():
+    text = _grammar_text()
+    table = text[text.index("Task argument requirements:"):]
+    rows = [line for line in table.splitlines() if line.startswith("|")][2:]
+    assert rows
+    documented = {}
+    for row in rows:
+        kinds, needs = (cell.strip() for cell in row.strip("|").split("|"))
+        needs = [need.strip() for need in needs.split(",")]
+        for kind in kinds.split(","):
+            assert kind.strip() not in documented, kind
+            documented[kind.strip()] = needs
+    assert set(documented) == set(TASK_KINDS)
+    for kind, needs in documented.items():
+        targets = tuple(n for n in needs if n not in ("nmax", "optional labels"))
+        assert targets == TASK_KINDS[kind], kind
+        # nmax exactly for the kinds that take a filtration
+        assert ("nmax" in needs) == ("filtration" in targets), kind
+        assert ("optional labels" in needs) == (kind == "degree_limits"), kind

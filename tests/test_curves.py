@@ -55,6 +55,13 @@ class TestParser:
         with pytest.raises(PolynomialSyntaxError):
             parse_poly("x/2")
 
+    @pytest.mark.parametrize("text", ["x + \u0661", "x^\u0662", "x^\u00b2", "x + 1_0", "1e3*x"])
+    def test_only_ascii_digits(self, text):
+        # nat = digit { digit } with digit 0-9: no other script's digits, no
+        # superscripts, separators or exponents
+        with pytest.raises(PolynomialSyntaxError):
+            parse_poly(text)
+
     def test_unbalanced_parenthesis(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_poly("(x + y")

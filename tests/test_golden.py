@@ -4,7 +4,9 @@ The digests were recorded before the family specs took over their own closed
 forms and default labels, so any change to what a run prints, in either
 output format, fails here.  The inline scenario runs every family task on
 each family kind: the explicit tables cover the estimate path and, over two
-clusters, the commutation error row with exit status 1.
+clusters, the commutation error row with exit status 1.  Further pins, taken
+before the task kinds moved into one table, cover one task of every kind, a
+per-task error row, and the ``run --nmax`` override.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import os
 import pytest
 
 from antinef.cli import main
+from antinef.scenario import TASK_KINDS, parse_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(ROOT, "docs", "demo.scn")
@@ -102,6 +105,116 @@ nmax = 3
 """
 
 
+# One task of every kind, in the order of the grammar's task-kind list; the
+# degree_limits task on example42 takes its labels v0..v(nmax) at run time.
+ALL_KINDS_SCENARIO = """\
+[cluster CUSP]
+point = free parent=0 param=0
+point = satellite parent=1 other=0
+point = free parent=2 param=-1/2
+
+[divisor D on CUSP]
+coeffs = 2 1 3 1
+
+[divisor DELTA on CUSP]
+coeffs = 1/2 0 2/3 5/4
+
+[element F]
+poly = y^2 - x^3 + x*y^3
+
+[element LINE]
+poly = y - 2*x
+
+[filtration QD]
+kind = qdivisorial
+divisor = DELTA
+
+[filtration EX]
+kind = example42
+params = 1 -1/3 2
+
+[filtration TAB]
+kind = explicit
+entry = 1 CUSP 1 1 2 1
+entry = 2 CUSP 2 3 5 2
+entry = 3 CUSP 3 4 7 4
+
+[task]
+kind = intersection_matrix
+cluster = CUSP
+
+[task]
+kind = value_vector
+cluster = CUSP
+element = F
+
+[task]
+kind = degree_function
+divisor = D
+element = F
+
+[task]
+kind = unload
+divisor = D
+
+[task]
+kind = nef_envelope
+divisor = DELTA
+
+[task]
+kind = multiplicity
+divisor = D
+
+[task]
+kind = degree_coefficients
+divisor = D
+
+[task]
+kind = rees_valuations
+divisor = D
+
+[task]
+kind = multiplicity_limit
+filtration = QD
+nmax = 4
+
+[task]
+kind = degree_limits
+filtration = EX
+nmax = 3
+
+[task]
+kind = commutation
+filtration = TAB
+element = F
+nmax = 3
+
+[task]
+kind = rees_union
+filtration = QD
+nmax = 4
+"""
+
+# value_vector needs coordinates; a free point without ``param=`` has none,
+# so the task leaves an ERROR row, the next task still runs, and the exit is 1.
+ERROR_ROW_SCENARIO = """\
+[cluster BARE]
+point = free parent=0
+
+[element F]
+poly = y^2 - x^3
+
+[task]
+kind = value_vector
+cluster = BARE
+element = F
+
+[task]
+kind = intersection_matrix
+cluster = BARE
+"""
+
+
 def stdout_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -149,3 +262,33 @@ def test_family_scenario_stdout_pinned(tmp_path, fmt, digest):
     scn = tmp_path / "families.scn"
     scn.write_text(FAMILIES_SCENARIO)
     assert stdout_digest(["run", "--scenario", str(scn), "--format", fmt]) == (1, digest)
+
+
+def test_all_kinds_scenario_runs_every_kind_once():
+    kinds = [task.kind for task in parse_scenario(ALL_KINDS_SCENARIO).tasks]
+    assert kinds == list(TASK_KINDS)
+
+
+@pytest.mark.parametrize(
+    "text, fmt, code, digest",
+    [
+        (ALL_KINDS_SCENARIO, "table", 0, "8e48cf9a5b70356b9676b52a9f14c8452df3f40bb0f7899e3cc58ef0668cebb7"),
+        (ALL_KINDS_SCENARIO, "csv", 0, "2fc29a84ad5adda2f398eda182b9b6fc0245d0bd98a45962b0cb1c1f891344cd"),
+        (ERROR_ROW_SCENARIO, "table", 1, "04b46d68b7aa9917a405eefb1637bae53fd530afafa56008781edd79e5bf9d94"),
+        (ERROR_ROW_SCENARIO, "csv", 1, "ae9fd651cdb0fb11c1aa18a985c6b7a9800f5331e0ebc35124c712c9680a704b"),
+    ],
+    ids=["all-kinds-table", "all-kinds-csv", "error-row-table", "error-row-csv"],
+)
+def test_task_kind_stdout_pinned(tmp_path, text, fmt, code, digest):
+    scn = tmp_path / "kinds.scn"
+    scn.write_text(text)
+    assert stdout_digest(["run", "--scenario", str(scn), "--format", fmt]) == (code, digest)
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("table", "556005f2d1a3740f5962c40733b83bed914e217775dd4723bc392a64fedbb456"), ("csv", "b0c008629201ee2d0f54b0a29d3d500e91e75b4100246337489a71428b735568")],
+)
+def test_run_nmax_override_stdout_pinned(fmt, digest):
+    argv = ["run", "--scenario", DEMO, "--nmax", "5", "--format", fmt]
+    assert stdout_digest(argv) == (0, digest)

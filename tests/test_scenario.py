@@ -116,7 +116,8 @@ delta = 0 1/2
 
 
 class TestErrors:
-    def expect_error(self, text, match, line):
+    @staticmethod
+    def expect_error(text, match, line):
         with pytest.raises(ScenarioError, match=match) as info:
             parse_scenario(text)
         assert info.value.line == line
@@ -210,6 +211,95 @@ class TestErrors:
             "nmax must be positive",
             7,
         )
+
+
+_EXPLICIT = "[cluster C]\npoint = free parent=0 param=0\n\n[filtration G]\nkind = explicit\n"
+_EXAMPLE42_TASK = "[filtration G]\nkind = example42\n\n[task]\nkind = rees_union\nfiltration = G\n"
+
+
+class TestEntryIndices:
+    """An explicit table names each member index once, and every index is >= 1."""
+
+    def expect_error(self, entries, match, line):
+        TestErrors.expect_error(_EXPLICIT + entries, match, line)
+
+    def test_repeated_index_rejected_on_its_line(self):
+        self.expect_error("entry = 2 C 1 1\nentry = 2 C 5 5\n", "duplicate entry index 2", 7)
+
+    def test_zero_index_rejected(self):
+        self.expect_error("entry = 1 C 1 1\nentry = 0 C 1 1\n", "entry index must be positive", 7)
+
+    def test_negative_index_rejected(self):
+        self.expect_error("entry = -3 C 1 1\n", "entry index must be positive", 6)
+
+    @pytest.mark.parametrize("index", ["+2", "1_0", "1e1", "x"])
+    def test_non_nat_index_rejected(self, index):
+        self.expect_error(f"entry = {index} C 1 1\n", "bad index", 6)
+
+    def test_distinct_positive_indices_kept(self):
+        sc = parse_scenario(_EXPLICIT + "entry = 3 C 3 3\nentry = 1 C 1 1\n")
+        assert sorted(sc.filtrations["G"].table) == [1, 3]
+
+
+class TestNumberGrammar:
+    """rational = [ "-" ] nat [ "/" nat ], nat = digit { digit }, nothing more."""
+
+    @pytest.mark.parametrize("token", ["1e3", "1E-2", "1_0", "+2", "1/+2", "\u0661", "2/1_0"])
+    def test_non_grammar_rationals_rejected(self, token):
+        TestErrors.expect_error(
+            f"[cluster C]\npoint = free parent=0 param=0\n\n[divisor D on C]\ncoeffs = 1 {token}\n",
+            "malformed rational",
+            5,
+        )
+
+    @pytest.mark.parametrize("token", ["1e3", "1_0", "+2"])
+    def test_non_grammar_param_rejected(self, token):
+        TestErrors.expect_error(
+            f"[cluster C]\npoint = free parent=0 param={token}\n", "malformed rational", 2
+        )
+
+    @pytest.mark.parametrize("token", ["1e3", "1_0", "+2"])
+    def test_non_grammar_example42_params_rejected(self, token):
+        TestErrors.expect_error(
+            f"[filtration G]\nkind = example42\nparams = 0 {token}\n", "malformed rational", 3
+        )
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", "1e1", "3.0", "\u0663"])
+    def test_non_nat_nmax_rejected(self, token):
+        TestErrors.expect_error(_EXAMPLE42_TASK + f"nmax = {token}\n", "bad nmax", 7)
+
+    def test_zero_nmax_rejected(self):
+        TestErrors.expect_error(_EXAMPLE42_TASK + "nmax = 0\n", "nmax must be positive", 7)
+
+    @pytest.mark.parametrize(
+        "point, what",
+        [
+            ("free parent=+0", "parent"),
+            ("free parent=0_0 param=1", "parent"),
+            ("satellite parent=1 other=+0", "other"),
+            ("satellite parent=1_0 other=0", "parent"),
+            ("free parent=x", "parent"),
+        ],
+    )
+    def test_non_nat_point_index_rejected(self, point, what):
+        TestErrors.expect_error(
+            f"[cluster C]\npoint = free parent=0 param=0\npoint = {point}\n", f"bad {what}", 3
+        )
+
+    @pytest.mark.parametrize("label", ["v+1", "v1_0", "v\u0661", "v"])
+    def test_non_nat_label_rejected(self, label):
+        TestErrors.expect_error(
+            _EXAMPLE42_TASK.replace("rees_union", "degree_limits")
+            + f"nmax = 3\nlabels = v0 {label}\n",
+            "unknown valuation label",
+            8,
+        )
+
+    @given(st.fractions(max_denominator=10**6).filter(lambda f: abs(f) < 10**9))
+    def test_str_of_a_fraction_parses_back(self, value):
+        # the form perfbench/gen.py writes its parameters in
+        sc = parse_scenario(f"[cluster C]\npoint = free parent=0 param={value}\n")
+        assert sc.clusters["C"].point(1).param == value
 
 
 # A scenario using every section and filtration kind; the fuzz test edits a
