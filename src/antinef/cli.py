@@ -20,7 +20,7 @@ from . import filtration as flt
 from .curves import value_vector
 from .divisor import intersect, nef_envelope, unload
 from .errors import CoordinateError, ScenarioError
-from .rationals import format_float, format_rational
+from .rationals import format_float, format_rational, parse_integer
 from .scenario import Scenario, Task, parse_scenario
 
 __all__ = ["main", "run_scenario"]
@@ -269,6 +269,14 @@ nmax = {nmax}
 """
 
 
+def _integer(text: str) -> int:
+    """An integer option, read as strictly as the scenario grammar reads one."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 _PARALLEL_HELP = "accepted for compatibility; no effect (each family is swept once)"
 
 
@@ -286,20 +294,24 @@ def main(argv=None) -> int:
     p_run.add_argument("--scenario", required=True, help="scenario file path")
     p_run.add_argument("--format", choices=["table", "csv"], default="table")
     p_run.add_argument("--output", default=None, help="output path (default stdout)")
-    p_run.add_argument("--nmax", type=int, default=None, help="override task n ranges")
+    p_run.add_argument("--nmax", type=_integer, default=None, help="override task n ranges")
     p_run.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     p_ex = sub.add_parser("example42", help="run the built-in growing family")
-    p_ex.add_argument("--nmax", type=int, default=10)
+    p_ex.add_argument("--nmax", type=_integer, default=10)
     p_ex.add_argument("--format", choices=["table", "csv"], default="csv")
     p_ex.add_argument("--output", default=None)
     p_ex.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     p_self = sub.add_parser("selftest", help="seeded randomized closure-law checks")
-    p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--trials", type=int, default=200)
+    p_self.add_argument("--seed", type=_integer, default=0)
+    p_self.add_argument("--trials", type=_integer, default=200)
 
     args = parser.parse_args(argv)
+    for option in ("nmax", "trials"):
+        if getattr(args, option, None) is not None and getattr(args, option) < 1:
+            print(f"error: --{option} must be positive", file=sys.stderr)
+            return 2
 
     if args.command == "selftest":
         from .selfcheck import run_selftest
@@ -311,9 +323,6 @@ def main(argv=None) -> int:
             ok = ok and passed
         return 0 if ok else 1
 
-    if args.nmax is not None and args.nmax < 1:
-        print("error: --nmax must be positive", file=sys.stderr)
-        return 2
     if args.command == "example42":
         text = _EXAMPLE42_SCENARIO.format(nmax=args.nmax)
     else:

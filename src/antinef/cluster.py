@@ -33,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ClusterStructureError
-from .rationals import INFINITY, format_param
+from .rationals import INFINITY, format_param, parse_param
 
 __all__ = [
     "PointRecord",
@@ -74,9 +75,9 @@ class LatticeMatrix:
     """Square integer matrix of a cluster's lattice data, as row tuples.
 
     Two matrices use it: the unitriangular proximity matrix P, and the
-    symmetric form (E_i . E_j) in the strict-transform basis.  The form is
-    always -(P^T P), hence negative definite; definiteness is certified on
-    demand through :func:`is_negative_definite`, not on construction.
+    symmetric form (E_i . E_j) in the strict-transform basis, both built
+    afresh on each request.  The form is always -(P^T P), hence negative
+    definite; :func:`is_negative_definite` certifies that on demand.
     Iterating a matrix yields its rows.
     """
 
@@ -96,9 +97,6 @@ class LatticeMatrix:
     def row(self, i) -> tuple[int, ...]:
         return self.entries[i]
 
-    def is_negative_definite(self) -> bool:
-        return is_negative_definite(self)
-
 
 ProximityMatrix = IntersectionForm = LatticeMatrix
 
@@ -117,17 +115,11 @@ class TreeForm:
 
 def _as_param(value):
     """Normalize a user-supplied parameter to Fraction | INFINITY | None."""
-    if value is None:
-        return None
-    if value == INFINITY:
-        return INFINITY
-    if isinstance(value, Fraction):
+    if value is None or value == INFINITY or isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        from .rationals import parse_param
-
         return parse_param(value)
     # floats other than the INFINITY marker would smuggle in inexact values
     raise TypeError(f"unsupported parameter type: {value!r}")
@@ -148,7 +140,8 @@ class Cluster:
         # on its curve (parameter -> the point sitting there).
         self._children: list[list[int]] = [[]]
         self._taken: list[dict] = [{}]
-        self._cache: dict = {}
+        # The memoized tree form; every insert resets it.
+        self._tree: Optional[TreeForm] = None
 
     # -- basic views ------------------------------------------------------
 
@@ -189,15 +182,11 @@ class Cluster:
         prec = self._points[parent]
         if param is not None:
             u_curve, v_curve = prec.axis_curves
-            if param == INFINITY and u_curve is not None:
+            crossing = u_curve if param == INFINITY else v_curve if param == 0 else None
+            if crossing is not None:
                 raise ClusterStructureError(
-                    f"parameter inf on curve {parent} is the crossing with curve "
-                    f"{u_curve}; add a satellite point instead"
-                )
-            if param == 0 and v_curve is not None:
-                raise ClusterStructureError(
-                    f"parameter 0 on curve {parent} is the crossing with curve "
-                    f"{v_curve}; add a satellite point instead"
+                    f"parameter {format_param(param)} on curve {parent} is the crossing "
+                    f"with curve {crossing}; add a satellite point instead"
                 )
             j = self._taken[parent].get(param)
             if j is not None:
@@ -228,7 +217,7 @@ class Cluster:
         self._taken.append({})
         if position is not None:
             self._taken[parent].setdefault(position, index)
-        self._cache.clear()
+        self._tree = None
 
     def add_satellite_point(self, parent: int, other: int) -> int:
         """Append the point where the curves of ``parent`` and ``other`` cross.
@@ -291,23 +280,10 @@ class Cluster:
     # -- lattice data -----------------------------------------------------
 
     def proximity_matrix(self) -> LatticeMatrix:
-        key = ("prox", len(self._points))
-        mat = self._cache.get(key)
-        if mat is None:
-            n = len(self._points)
-            rows = []
-            for i, rec in enumerate(self._points):
-                row = [0] * n
-                row[i] = 1
-                for j in rec.prox:
-                    row[j] = -1
-                rows.append(tuple(row))
-            mat = LatticeMatrix(entries=tuple(rows))
-            self._cache[key] = mat
-        return mat
+        return _dense([1] * len(self._points), [rec.prox for rec in self._points], -1)
 
     def tree_form(self) -> TreeForm:
-        """The form -(P^T P) as a weighted tree, in O(n).
+        """The form -(P^T P) as a weighted tree, in O(n), kept until the next insert.
 
         Column i of P holds 1 at row i and -1 at each row k proximate to i,
         so E_i . E_i = -(1 + #{k proximate to i}) and, for i < j,
@@ -316,9 +292,7 @@ class Cluster:
         blown up where their curves cross: their edge drops to 0 and the
         satellite joins both curves instead.
         """
-        key = ("tree", len(self._points))
-        form = self._cache.get(key)
-        if form is None:
+        if self._tree is None:
             diag = [-1] * len(self._points)
             nbrs: list[set[int]] = [set() for _ in self._points]
             for rec in self._points:
@@ -330,9 +304,8 @@ class Cluster:
                     a, b = rec.prox
                     nbrs[a].discard(b)
                     nbrs[b].discard(a)
-            form = TreeForm(diag=tuple(diag), nbrs=tuple(tuple(sorted(s)) for s in nbrs))
-            self._cache[key] = form
-        return form
+            self._tree = TreeForm(diag=tuple(diag), nbrs=tuple(tuple(sorted(s)) for s in nbrs))
+        return self._tree
 
     def intersection_matrix(self) -> LatticeMatrix:
         """The form -(P^T P) on E_0, ..., E_{n-1} as a dense matrix.
@@ -340,20 +313,8 @@ class Cluster:
         Expanded from :meth:`tree_form` in O(n^2); the divisor layer never
         calls it.
         """
-        key = ("inter", len(self._points))
-        mat = self._cache.get(key)
-        if mat is None:
-            form = self.tree_form()
-            rows = []
-            for i, (d, nbrs) in enumerate(zip(form.diag, form.nbrs)):
-                row = [0] * len(form.diag)
-                row[i] = d
-                for j in nbrs:
-                    row[j] = 1
-                rows.append(tuple(row))
-            mat = LatticeMatrix(entries=tuple(rows))
-            self._cache[key] = mat
-        return mat
+        form = self.tree_form()
+        return _dense(form.diag, form.nbrs, 1)
 
     def values_from_multiplicities(self, m: Sequence[int]) -> tuple[int, ...]:
         """Solve P v = m by forward substitution: v_i = m_i + sum of v_j over
@@ -377,6 +338,18 @@ class Cluster:
         return f"Cluster({len(self._points)} points)"
 
 
+def _dense(diag, others, value) -> LatticeMatrix:
+    """Rows with ``diag[i]`` on the diagonal and ``value`` in each column of ``others[i]``."""
+    rows = []
+    for i, (d, cols) in enumerate(zip(diag, others)):
+        row = [0] * len(diag)
+        row[i] = d
+        for j in cols:
+            row[j] = value
+        rows.append(tuple(row))
+    return LatticeMatrix(entries=tuple(rows))
+
+
 def new_cluster() -> Cluster:
     """A cluster holding only the origin of the base surface."""
     return Cluster()
@@ -386,9 +359,11 @@ def is_negative_definite(mat) -> bool:
     """Exact negative definiteness test by leading principal minors.
 
     Accepts a :class:`LatticeMatrix` or any square symmetric matrix of
-    integers or Fractions given as a sequence of rows.  True iff
-    (-1)^k det_k > 0 for every leading principal minor det_k, computed with
-    fraction-free (Bareiss) elimination; no floating point is involved.
+    integers or Fractions given as a sequence of rows, first scaled to
+    integers by the lcm of its denominators (a positive factor keeps
+    definiteness).  True iff (-1)^k det_k > 0 for every leading principal
+    minor det_k, computed with one fraction-free (Bareiss) elimination on
+    integers; no floating point is involved.
     """
     rows = [tuple(row) for row in mat]
     n = len(rows)
@@ -398,31 +373,16 @@ def is_negative_definite(mat) -> bool:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    if n == 0:
-        return True
-    exact_ints = all(isinstance(x, int) for row in rows for x in row)
-    if exact_ints:
-        a = [list(r) for r in rows]
-        prev = 1
-        for k in range(n):
-            minor = a[k][k]  # after k rounds this is det of the (k+1)-leading block
-            if minor == 0 or (minor > 0) == (k % 2 == 0):
-                # wrong sign: need (-1)^(k+1) * minor > 0, i.e. minor sign = (-1)^(k+1)
-                return False
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * minor - a[i][k] * a[k][j]) // prev
-            prev = minor
-        return True
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    a = [[int(x * scale) for x in row] for row in rows]
+    prev = 1
     for k in range(n):
-        pivot = a[k][k]
-        det *= pivot
-        if det == 0 or (det > 0) == (k % 2 == 0):
+        minor = a[k][k]  # after k rounds this is det of the (k+1)-leading block
+        if minor == 0 or (minor > 0) == (k % 2 == 0):
+            # wrong sign: need (-1)^(k+1) * minor > 0, i.e. minor sign = (-1)^(k+1)
             return False
         for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * minor - a[i][k] * a[k][j]) // prev
+        prev = minor
     return True

@@ -200,16 +200,16 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            return _pow_terms(base, self.natural())
+            return _pow_terms(base, self.natural("an exponent"))
         return base
 
-    def natural(self) -> int:
+    def natural(self, what: str) -> int:
         self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
-            self.error("expected an exponent")
+            self.error(f"expected {what}")
         return int(self.text[start : self.pos])
 
     def atom(self) -> Terms:
@@ -228,11 +228,11 @@ class _Parser:
             self.take()
             return terms
         if "0" <= ch <= "9":
-            num = self.natural()
+            num = self.natural("a numerator")
             self._skip_ws()
             if self.pos < len(self.text) and self.text[self.pos] == "/":
                 self.pos += 1
-                den = self.natural()
+                den = self.natural("a denominator")
                 if den == 0:
                     self.error("zero denominator")
                 value = Fraction(num, den)

@@ -199,15 +199,16 @@ class CompleteIdealModel:
     @staticmethod
     def from_antinef(d: ExcDivisor) -> "CompleteIdealModel":
         ints = d.as_integers()
-        pair = _pairings(d.cluster, ints)
-        if any(s > 0 for s in pair):
-            raise ValueError("divisor is not antinef")
-        e = -sum(c * s for c, s in zip(ints, pair))
-        return CompleteIdealModel(
-            divisor=ExcDivisor(d.cluster, tuple(Fraction(c) for c in ints)),
-            degree_coeffs=tuple(-s for s in pair),
-            multiplicity=e,
-        )
+        return _model(d.cluster, ints, _pairings(d.cluster, ints))
+
+
+def _model(cluster: Cluster, coeffs: Sequence[int], pair: Sequence[int]) -> CompleteIdealModel:
+    """Model of the integer divisor ``coeffs`` with pairings ``pair``; e = -sum c_i (D . E_i)."""
+    return CompleteIdealModel(
+        divisor=ExcDivisor(cluster, tuple(Fraction(c) for c in coeffs)),
+        degree_coeffs=tuple(-s for s in pair),
+        multiplicity=-sum(c * s for c, s in zip(coeffs, pair)),
+    )
 
 
 def _raise(
@@ -281,12 +282,7 @@ def unload(
         coeffs = [max(c, e) for c, e in zip(coeffs, ceiling)]
         pair = _pairings(cluster, coeffs)
         _raise(form, coeffs, pair, select)
-    e = -sum(c * s for c, s in zip(coeffs, pair))
-    return CompleteIdealModel(
-        divisor=ExcDivisor(cluster, tuple(Fraction(c) for c in coeffs)),
-        degree_coeffs=tuple(-s for s in pair),
-        multiplicity=e,
-    )
+    return _model(cluster, coeffs, pair)
 
 
 def multiplicity(d: ExcDivisor) -> int:

@@ -17,6 +17,13 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 INFINITY = float("inf")
 
 
+def parse_integer(text: str) -> int:
+    """Parse ``a`` or ``-a`` in ASCII digits; unlike ``int``, reject ``+``, ``_`` and blanks."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``a``, ``-a`` or ``a/b`` (ASCII digits) into an exact Fraction.
 

@@ -9,7 +9,6 @@ references must be defined earlier in the file.  See
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -26,7 +25,7 @@ from .filtration import (
     QDivisorialSpec,
     parse_label,
 )
-from .rationals import parse_param, parse_rational
+from .rationals import parse_integer, parse_param, parse_rational
 
 __all__ = ["Scenario", "Task", "parse_scenario", "TASK_KINDS"]
 
@@ -87,9 +86,10 @@ def _nat(text: str, what: str, lineno: int) -> int:
 
     A leading ``-`` is read too, so that the caller's range check names the fault.
     """
-    if re.fullmatch(r"-?[0-9]+", text) is None:
-        raise ScenarioError(f"bad {what} {text!r}", lineno)
-    return int(text)
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise ScenarioError(f"bad {what} {text!r}", lineno) from None
 
 
 #: Point kind -> the Cluster method that adds it, its point-index options and

@@ -116,23 +116,23 @@ def assert_envelope_laws(rng: random.Random, cluster: Cluster, delta: ExcDivisor
     )
 
 
+#: The law suites: name, seed offset, largest cluster, divisor generator, law.
+_SUITES = (
+    ("unloading_closure_laws", 0, 10, random_integer_divisor, assert_unloading_laws),
+    ("nef_envelope_laws", 1, 8, random_effective_divisor, assert_envelope_laws),
+)
+
+
 def run_selftest(seed: int, trials: int) -> list[tuple[str, bool, str]]:
     """Run the randomized law suites; returns (name, passed, detail) rows."""
     results = []
-    rng = random.Random(seed)
-    try:
-        for _ in range(trials):
-            cluster = random_cluster(rng, max_points=10)
-            assert_unloading_laws(rng, cluster, random_integer_divisor(rng, cluster))
-        results.append(("unloading_closure_laws", True, f"{trials} instances"))
-    except AssertionError as exc:
-        results.append(("unloading_closure_laws", False, str(exc)))
-    rng = random.Random(seed + 1)
-    try:
-        for _ in range(trials):
-            cluster = random_cluster(rng, max_points=8)
-            assert_envelope_laws(rng, cluster, random_effective_divisor(rng, cluster))
-        results.append(("nef_envelope_laws", True, f"{trials} instances"))
-    except AssertionError as exc:
-        results.append(("nef_envelope_laws", False, str(exc)))
+    for name, offset, max_points, generate, law in _SUITES:
+        rng = random.Random(seed + offset)
+        try:
+            for _ in range(trials):
+                cluster = random_cluster(rng, max_points=max_points)
+                law(rng, cluster, generate(rng, cluster))
+            results.append((name, True, f"{trials} instances"))
+        except AssertionError as exc:
+            results.append((name, False, str(exc)))
     return results

@@ -11,6 +11,9 @@ binomial expansion done term by term, as the package did before it moved
 to integer Taylor shifts.
 
 The random-cluster generator: the satellite-pair scan over every point.
+
+The definiteness test: Gaussian elimination on ``Fraction`` entries, as the
+package ran it on rational matrices before it scaled them to integers.
 """
 
 from fractions import Fraction
@@ -170,3 +173,32 @@ def scan_satellite_pairs(cluster):
             ):
                 pairs.append((rec.index, other))
     return pairs
+
+
+# -- definiteness ---------------------------------------------------------------
+
+
+def fraction_leading_minors(rows):
+    """Yield det_1, det_2, ... of the leading blocks, as the running product of the
+    pivots of Gaussian elimination on Fractions; stop after the first zero."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = a[k][k]
+        det *= pivot
+        yield det
+        if det == 0:
+            return
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+
+
+def fraction_negative_definite(rows) -> bool:
+    """True iff (-1)^k det_k > 0 for every leading principal minor det_k."""
+    return all(
+        det != 0 and (det > 0) == (k % 2 == 0)
+        for k, det in enumerate(fraction_leading_minors(rows), start=1)
+    )

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from antinef.cli import main
 
 CUSP_SCENARIO = """\
@@ -63,6 +65,40 @@ class TestExample42:
 
     def test_bad_nmax(self, capsys):
         assert main(["example42", "--nmax", "0"]) == 2
+
+
+def exit_code(argv) -> int:
+    """``main``'s status, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestIntegerOptions:
+    """Integer options are read like a ``nat`` of the scenario grammar."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example42", "--nmax", "1_0"],
+            ["example42", "--nmax", "+5"],
+            ["example42", "--nmax", "\u0665"],  # ARABIC-INDIC DIGIT FIVE
+            ["selftest", "--trials", "0"],
+            ["selftest", "--trials", "-5"],
+        ],
+    )
+    def test_rejected_with_exit_2_and_no_output(self, argv, capsys):
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["example42", "--nmax", "-3"], "nmax"), (["selftest", "--trials", "-5"], "trials")],
+    )
+    def test_nonpositive_count_message(self, argv, option, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --{option} must be positive\n"
 
 
 class TestRun:
@@ -213,6 +249,32 @@ class TestAllTaskKinds:
         assert main(["run", "--scenario", str(scn), "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "degree=2" in out and "," not in out.splitlines()[1]
+
+
+NOT_SQUAREFREE_SCENARIO = """\
+[cluster LINE]
+point = free parent=0 param=1
+
+[divisor D on LINE]
+coeffs = 1 2
+
+[element SQUARE]
+poly = (y - x)^2
+
+[task]
+kind = degree_function
+divisor = D
+element = SQUARE
+"""
+
+
+def test_degree_function_task_takes_a_non_squarefree_element(tmp_path):
+    """Unlike the library function, the task runs no squarefree check."""
+    scn = tmp_path / "square.scn"
+    scn.write_text(NOT_SQUAREFREE_SCENARIO)
+    code, data = run_cli(["run", "--scenario", str(scn)], tmp_path)
+    assert code == 0
+    assert data.decode().splitlines()[-2] == "degree=4"
 
 
 class TestSelftest:

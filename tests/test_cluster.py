@@ -15,6 +15,7 @@ from antinef import (
 )
 from antinef.selfcheck import random_cluster, valid_satellite_pairs
 from helpers import chain_cluster, cusp_cluster, star_cluster
+from oracles import fraction_leading_minors, fraction_negative_definite
 
 
 class TestConstruction:
@@ -143,6 +144,27 @@ class TestMatrices:
             assert p[i, 0] == -1
             assert p[i, i] == 1
 
+    def test_views_follow_inserts(self):
+        # The tree form is memoized; an insert must drop it, so every view
+        # taken after the insert matches a cluster built with the new points.
+        rng = random.Random(11)
+        for _ in range(30):
+            c = random_cluster(rng, max_points=8)
+            c.tree_form(), c.intersection_matrix(), c.proximity_matrix()
+            parent = rng.randrange(len(c))
+            free = c.add_free_point(parent)
+            c.add_satellite_point(free, parent)
+            fresh = new_cluster()
+            for rec in c.points[1:]:
+                if rec.kind == "free":
+                    fresh.add_free_point(rec.parent, rec.param)
+                else:
+                    other = next(j for j in rec.prox if j != rec.parent)
+                    fresh.add_satellite_point(rec.parent, other)
+            assert c.tree_form() == fresh.tree_form()
+            assert c.intersection_matrix() == fresh.intersection_matrix()
+            assert c.proximity_matrix() == fresh.proximity_matrix()
+
     def test_free_point_drops_parent_self_intersection_by_one(self):
         rng = random.Random(7)
         for _ in range(40):
@@ -179,6 +201,37 @@ class TestNegativeDefiniteness:
     def test_fraction_entries(self):
         assert is_negative_definite([[Fraction(-1), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1)]])
         assert not is_negative_definite([[Fraction(-1), Fraction(1)], [Fraction(1), Fraction(-1)]])
+
+    def test_agrees_with_fraction_elimination(self):
+        # Cluster forms stay negative definite under D M D for a positive
+        # rational diagonal D (denominators 7 and 11); raising their last
+        # diagonal entry by -det_n/det_{n-1} makes them exactly semidefinite,
+        # and by more makes them indefinite.  Random integer matrices give
+        # every outcome.
+        rng = random.Random(8)
+        verdicts = []
+        for _ in range(100):
+            form = random_cluster(rng, max_points=8).intersection_matrix().entries
+            scale = [Fraction(rng.randint(1, 30), rng.choice((1, 2, 7, 11, 77))) for _ in form]
+            m = [[x * scale[i] * scale[j] for j, x in enumerate(row)] for i, row in enumerate(form)]
+            minors = [Fraction(1), *fraction_leading_minors(m)]
+            threshold = -minors[-1] / minors[-2]
+            semidefinite = [row[:] for row in m]
+            semidefinite[-1][-1] += threshold
+            indefinite = [row[:] for row in m]
+            indefinite[-1][-1] += threshold + Fraction(1, rng.choice((7, 11)))
+            n = rng.randint(1, 5)
+            ints = [[0] * n for _ in range(n)]
+            for i in range(n):
+                ints[i][i] = rng.randint(-9, 2)
+                for j in range(i):
+                    ints[i][j] = ints[j][i] = rng.randint(-3, 3)
+            for mat in (m, semidefinite, indefinite, ints):
+                verdict = is_negative_definite(mat)
+                assert verdict == fraction_negative_definite(mat)
+                verdicts.append(verdict)
+            assert verdicts[-4] and not verdicts[-3] and not verdicts[-2]
+        assert verdicts[3::4].count(True) >= 10 and verdicts[3::4].count(False) >= 10
 
     def test_all_cluster_forms_negative_definite(self):
         rng = random.Random(123)

@@ -62,6 +62,20 @@ class TestParser:
         with pytest.raises(PolynomialSyntaxError):
             parse_poly(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2/", "expected a denominator (at position 2)"),
+            ("1/ + x", "expected a denominator (at position 3)"),
+            ("x^", "expected an exponent (at position 2)"),
+            ("x^y", "expected an exponent (at position 2)"),
+        ],
+    )
+    def test_missing_number_is_named(self, text, message):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_poly(text)
+        assert str(info.value) == message
+
     def test_unbalanced_parenthesis(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_poly("(x + y")
