@@ -24,9 +24,10 @@ Conventions
 * Free points may carry a parameter t in Q or ``inf`` locating them on the
   parent's exceptional line.  The blowup charts are fixed: a finite t maps
   parent coordinates (U, V) to (u, u(t + v)), and t = inf maps them to
-  (uv, v).  Satellite positions are forced by the structure and carry no
-  parameter.  Parameters are optional; clusters without them support every
-  lattice operation but refuse curve evaluation.
+  (uv, v).  A satellite's position is forced by the structure and recorded
+  as its parameter: ``inf`` on the parent's u-axis curve, 0 on its v-axis
+  curve.  Free-point parameters are optional; clusters without them support
+  every lattice operation but refuse curve evaluation.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ class PointRecord:
     axes of the local chart centered at the point: ``(curve on u-axis,
     curve on v-axis)``, either entry possibly absent.  ``crossing_axis`` is
     set for satellites only and names the parent-chart axis ("u" or "v")
-    carrying the second proximity curve; it selects the blowup chart.
+    carrying the second proximity curve.
     """
 
     index: int
     parent: Optional[int]
     prox: tuple[int, ...]
     kind: str  # "origin" | "free" | "satellite"
-    param: object = None  # Fraction | INFINITY | None
+    param: object = None  # Fraction | INFINITY | None; a satellite's is its position
     axis_curves: tuple[Optional[int], Optional[int]] = (None, None)
     crossing_axis: Optional[str] = None
 
@@ -180,6 +181,7 @@ class Cluster:
         self._check_parent(parent)
         param = _as_param(param)
         prec = self._points[parent]
+        index = len(self._points)
         if param is not None:
             u_curve, v_curve = prec.axis_curves
             crossing = u_curve if param == INFINITY else v_curve if param == 0 else None
@@ -188,13 +190,12 @@ class Cluster:
                     f"parameter {format_param(param)} on curve {parent} is the crossing "
                     f"with curve {crossing}; add a satellite point instead"
                 )
-            j = self._taken[parent].get(param)
-            if j is not None:
+            j = self._taken[parent].setdefault(param, index)
+            if j != index:
                 raise ClusterStructureError(
                     f"coincident point: parameter {format_param(param)} on curve "
                     f"{parent} is already taken by point {j}"
                 )
-        index = len(self._points)
         axis = (parent, None) if param != INFINITY else (None, parent)
         self._points.append(
             PointRecord(
@@ -206,17 +207,14 @@ class Cluster:
                 axis_curves=axis,
             )
         )
-        self._record_child(parent, param)
+        self._record_child(parent)
         return index
 
-    def _record_child(self, parent: int, position):
+    def _record_child(self, parent: int):
         """Register the point just appended as a child of ``parent``."""
-        index = len(self._points) - 1
-        self._children[parent].append(index)
+        self._children[parent].append(len(self._points) - 1)
         self._children.append([])
         self._taken.append({})
-        if position is not None:
-            self._taken[parent].setdefault(position, index)
         self._tree = None
 
     def add_satellite_point(self, parent: int, other: int) -> int:
@@ -252,10 +250,10 @@ class Cluster:
                 )
         u_curve, v_curve = prec.axis_curves
         if other == u_curve:
-            crossing_axis = "u"
+            crossing_axis, position = "u", INFINITY
             axis = (other, parent)  # chart (uv, v): E_other on u, E_parent on v
         elif other == v_curve:
-            crossing_axis = "v"
+            crossing_axis, position = "v", Fraction(0)
             axis = (parent, other)  # chart (u, uv): E_parent on u, E_other on v
         else:  # unreachable given the prox check; guards chart bookkeeping
             raise ClusterStructureError(
@@ -268,13 +266,13 @@ class Cluster:
                 parent=parent,
                 prox=tuple(sorted((other, parent))),
                 kind="satellite",
-                param=None,
+                param=position,
                 axis_curves=axis,
                 crossing_axis=crossing_axis,
             )
         )
-        # the satellite's position on the curve of ``parent``
-        self._record_child(parent, INFINITY if crossing_axis == "u" else Fraction(0))
+        self._taken[parent][position] = index
+        self._record_child(parent)
         return index
 
     # -- lattice data -----------------------------------------------------

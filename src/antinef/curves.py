@@ -10,8 +10,10 @@ computations that go through the intersection form.
 Chart conventions match :mod:`antinef.cluster`: at a free point with finite
 parameter t the previous coordinates are (u, u(t + v)) and the exceptional
 curve of the blown-up point is u = 0; at parameter ``inf`` they are (uv, v)
-with the exceptional curve v = 0.  Satellite points use the same two charts
-with the position forced to the crossing.
+with the exceptional curve v = 0.  A satellite's recorded parameter is its
+position on its parent's curve (``inf`` or 0), so it takes the same charts.
+The parser keeps integer coefficients as ``int``; only an a/b literal brings
+in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "monomial_valuation_volume_oracle",
 ]
 
-Terms = dict[tuple[int, int], Fraction]
+Terms = dict[tuple[int, int], int | Fraction]
 IntTerms = dict[tuple[int, int], int]
 
 
@@ -45,8 +47,8 @@ def _trim(terms: Terms) -> Terms:
     return {k: c for k, c in terms.items() if c != 0}
 
 
-def _mul_terms(f, g):
-    """Product of two term dicts, both ``Terms`` or both ``IntTerms``."""
+def _mul_terms(f: Terms, g: Terms) -> Terms:
+    """Product of two term dicts."""
     out = {}
     for (a1, b1), c1 in f.items():
         for (a2, b2), c2 in g.items():
@@ -62,7 +64,7 @@ def _clear_denominators(terms: Terms) -> tuple[IntTerms, int]:
 
 
 def _pow_terms(f: Terms, k: int) -> Terms:
-    """f^k by square-and-multiply on integers: (den f)^k, divided by den^k."""
+    """f^k by square-and-multiply on integers: (den f)^k, divided by den^k if den > 1."""
     base, den = _clear_denominators(f)
     out: IntTerms = {(0, 0): 1}
     e = k
@@ -72,6 +74,8 @@ def _pow_terms(f: Terms, k: int) -> Terms:
         e >>= 1
         if e:
             base = _mul_terms(base, base)
+    if den == 1:
+        return out
     scale = den**k
     return {key: Fraction(c, scale) for key, c in out.items()}
 
@@ -79,7 +83,7 @@ def _pow_terms(f: Terms, k: int) -> Terms:
 def _add_terms(f: Terms, g: Terms, sign: int = 1) -> Terms:
     out = dict(f)
     for k, c in g.items():
-        out[k] = out.get(k, Fraction(0)) + sign * c
+        out[k] = out.get(k, 0) + sign * c
     return _trim(out)
 
 
@@ -91,12 +95,13 @@ class PlaneElement:
 
     @staticmethod
     def from_terms(terms: Terms) -> "PlaneElement":
-        terms = _trim(terms)
+        """The element with these terms, each coefficient made a ``Fraction``."""
+        terms = {k: Fraction(c) for k, c in terms.items() if c != 0}
         if not terms:
             raise ValueError("zero is not a plane element (its values are infinite)")
         return PlaneElement(terms=tuple(sorted(terms.items())))
 
-    def to_dict(self) -> Terms:
+    def to_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
 
     def order(self) -> int:
@@ -216,10 +221,10 @@ class _Parser:
         ch = self.peek()
         if ch == "x":
             self.take()
-            return {(1, 0): Fraction(1)}
+            return {(1, 0): 1}
         if ch == "y":
             self.take()
-            return {(0, 1): Fraction(1)}
+            return {(0, 1): 1}
         if ch == "(":
             self.take()
             terms = self.expr()
@@ -228,16 +233,14 @@ class _Parser:
             self.take()
             return terms
         if "0" <= ch <= "9":
-            num = self.natural("a numerator")
+            value = self.natural("a numerator")
             self._skip_ws()
             if self.pos < len(self.text) and self.text[self.pos] == "/":
                 self.pos += 1
                 den = self.natural("a denominator")
                 if den == 0:
                     self.error("zero denominator")
-                value = Fraction(num, den)
-            else:
-                value = Fraction(num)
+                value = Fraction(value, den)
             return {(0, 0): value} if value != 0 else {}
         if ch == "":
             self.error("unexpected end of input")
@@ -250,12 +253,10 @@ def parse_poly(text: str) -> PlaneElement:
     Grammar: variables x and y, operators + - * ^, parentheses, integer and
     a/b rational literals (the slash is part of the literal, there is no
     division operator).  Whitespace is insignificant.  The zero polynomial
-    is rejected: its value vector would be infinite.
+    is rejected by :meth:`PlaneElement.from_terms`: its value vector would
+    be infinite.
     """
-    terms = _Parser(text).parse()
-    if not _trim(terms):
-        raise ValueError("the zero polynomial is not a valid plane element")
-    return PlaneElement.from_terms(terms)
+    return PlaneElement.from_terms(_Parser(text).parse())
 
 
 # -- blowup substitutions ---------------------------------------------------
@@ -338,22 +339,16 @@ def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
             continue  # unit: the strict transform misses this point and its subtree
         m[i] = mult
         for j in cluster.children(i):
-            rec = cluster.point(j)
-            if rec.kind == "free":
-                if rec.param is None:
-                    raise CoordinateError(
-                        f"point {j} has no recorded parameter but the strict "
-                        f"transform reaches its exceptional line"
-                    )
-                if rec.param == INFINITY:
-                    child = _blow_infinity(terms, mult)
-                else:
-                    child = _blow_finite(terms, rec.param, mult)
-            else:  # satellite: position forced by the crossing
-                if rec.crossing_axis == "u":
-                    child = _blow_infinity(terms, mult)
-                else:
-                    child = _blow_finite(terms, Fraction(0), mult)
+            param = cluster.point(j).param
+            if param is None:
+                raise CoordinateError(
+                    f"point {j} has no recorded parameter but the strict "
+                    f"transform reaches its exceptional line"
+                )
+            if param == INFINITY:
+                child = _blow_infinity(terms, mult)
+            else:
+                child = _blow_finite(terms, param, mult)
             stack.append((j, child))
     return tuple(m)
 
@@ -445,12 +440,7 @@ def _is_squarefree(f: PlaneElement) -> bool:
     2 d e + 1 points, usually one.  (x0 = 0 is left out: any two branches
     through the origin meet there, so it would rarely decide.)  The content
     and every specialization go through :func:`_prs_gcd`.
-
-    A nonzero element of total degree <= 1 is a unit or irreducible, hence
-    squarefree, and is answered at once.
     """
-    if all(a + b <= 1 for (a, b), _ in f.terms):
-        return True
     terms = _integer_terms(f)
     d = max(b for _, b in terms)
     e = max(a for a, _ in terms)

@@ -100,6 +100,33 @@ class TestConstruction:
         with pytest.raises(ClusterStructureError):
             c.add_free_point(2, 0)
 
+    def test_rejected_coincident_point_leaves_the_slot_to_its_owner(self):
+        c = new_cluster()
+        c.add_free_point(0, Fraction(1, 2))
+        for _ in range(2):
+            with pytest.raises(ClusterStructureError, match="taken by point 1"):
+                c.add_free_point(0, Fraction(1, 2))
+        assert len(c) == 2 and c.children(0) == (1,)
+        assert c.add_free_point(0, Fraction(1, 3)) == 2
+
+    @pytest.mark.parametrize(
+        "first, position, other_slot",
+        [(0, INFINITY, 0), (INFINITY, 0, INFINITY)],
+        ids=["u-crossing", "v-crossing"],
+    )
+    def test_satellite_records_its_position(self, first, position, other_slot):
+        c = new_cluster()
+        p1 = c.add_free_point(0, first)
+        p2 = c.add_satellite_point(p1, 0)
+        rec = c.point(p2)
+        assert rec.crossing_axis == ("u" if position == INFINITY else "v")
+        assert rec.param == position
+        # the satellite's slot on E1 is a crossing, so no free point takes it
+        with pytest.raises(ClusterStructureError, match="crossing"):
+            c.add_free_point(p1, position)
+        # the other slot on E1 is free
+        assert c.point(c.add_free_point(p1, other_slot)).param == other_slot
+
 
 class TestMatrices:
     def test_chain_intersection(self):

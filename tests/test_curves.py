@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinef import (
+    INFINITY,
     CoordinateError,
     PlaneElement,
     PolynomialSyntaxError,
@@ -18,9 +19,11 @@ from antinef import (
     new_cluster,
     newton_multiplicity_oracle,
     parse_poly,
+    unload,
     value_vector,
 )
 from helpers import cusp_cluster, star_cluster, star_family_divisor
+from test_integer_curves import _random_coordinatized_cluster
 
 
 class TestParser:
@@ -95,6 +98,58 @@ class TestParser:
         f = parse_poly("3/2*x^2*y + y^3")
         assert str(f) == "y^3 + 3/2*x^2*y"
         assert parse_poly(str(f)) == f
+
+
+def _random_poly_tokens(rng, depth=3):
+    """Tokens of random polynomial text; ``int`` tokens are integer literals.
+
+    The text mixes integer literals, a/b literals (some with denominator 1 or
+    not in lowest terms), unary signs, products, powers and parentheses.
+    """
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.random()
+        if pick < 0.4:
+            return [rng.choice("xy")]
+        if pick < 0.8:
+            return [rng.randint(0, 12)]
+        return [f"{rng.randint(0, 12)}/{rng.randint(1, 6)}"]
+    pick = rng.random()
+    left = _random_poly_tokens(rng, depth - 1)
+    if pick < 0.2:
+        return ["(", *left, ")", f"^{rng.randint(0, 4)}"]
+    if pick < 0.3:
+        return [rng.choice("+-"), *left]
+    op = rng.choice("+-*")
+    return ["(", *left, op, *_random_poly_tokens(rng, depth - 1), ")"]
+
+
+def _render(tokens, as_fraction):
+    return " ".join(
+        (f"{t}/1" if as_fraction else str(t)) if isinstance(t, int) else t for t in tokens
+    )
+
+
+def test_integer_literals_agree_with_fraction_literals():
+    """Integer literals (int arithmetic) against the same text with k/1 (Fraction)."""
+    rng = random.Random(9)
+    parsed = zero = 0
+    for _ in range(400):
+        tokens = _random_poly_tokens(rng)
+        outcomes = []
+        for as_fraction in (False, True):
+            try:
+                outcomes.append(parse_poly(_render(tokens, as_fraction)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], _render(tokens, False)
+        if isinstance(outcomes[0], str):
+            assert "zero" in outcomes[0]
+            zero += 1
+            continue
+        parsed += 1
+        for f in outcomes:
+            assert all(type(c) is Fraction for _, c in f.terms)
+    assert parsed >= 300 and zero >= 5
 
 
 _exponent = st.integers(min_value=0, max_value=4)
@@ -296,6 +351,25 @@ class TestNewtonOracle:
             )
         )
         assert twice_area == 2 * area
+
+
+def test_newton_oracle_matches_unloading_on_monomial_clusters():
+    """On a monomial cluster the complete ideal of D is monomial: its
+    multiplicity is the doubled co-area of the Newton region cut out by
+    v_i(x) a + v_i(y) b >= Dbar_i, with Dbar the antinef closure of D."""
+    rng = random.Random(5)
+    checked = satellites = 0
+    for _ in range(150):
+        c = _random_coordinatized_cluster(rng, 14, params=(0, INFINITY))
+        satellites += sum(rec.kind == "satellite" for rec in c.points)
+        vx = value_vector(c, parse_poly("x")).values
+        vy = value_vector(c, parse_poly("y")).values
+        for _ in range(3):
+            model = unload(divisor(c, [rng.randint(0, 6) for _ in range(len(c))]))
+            region = list(zip(vx, vy, model.divisor.coeffs))
+            assert model.multiplicity == newton_multiplicity_oracle(region)
+            checked += model.multiplicity > 0
+    assert checked >= 300 and satellites >= 150
 
 
 class TestVolumeOracle:

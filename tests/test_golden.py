@@ -6,7 +6,9 @@ output format, fails here.  The inline scenario runs every family task on
 each family kind: the explicit tables cover the estimate path and, over two
 clusters, the commutation error row with exit status 1.  Further pins, taken
 before the task kinds moved into one table, cover one task of every kind, a
-per-task error row, and the ``run --nmax`` override.
+per-task error row, and the ``run --nmax`` override.  The mixed-literal
+scenario was pinned while the parser still read every integer literal as a
+``Fraction``.
 """
 
 import contextlib
@@ -215,6 +217,80 @@ cluster = BARE
 """
 
 
+# Elements that mix integer and a/b literals (including 3/1, 10/5, 4/6 and a
+# zero term) on a cluster with one satellite of each crossing, so both the
+# integer and the Fraction parse paths and both satellite charts feed
+# value_vector, degree_function and commutation on a qdivisorial family.
+MIXED_LITERALS_SCENARIO = """\
+[cluster MIX]
+point = free parent=0 param=1/2
+point = satellite parent=1 other=0
+point = free parent=2 param=-3/2
+point = free parent=0 param=inf
+point = satellite parent=4 other=0
+point = free parent=5 param=3/4
+
+[divisor D on MIX]
+coeffs = 4 5 10 12 5 10 12
+
+[element F]
+poly = (y - 1/2*x)^2 + 3/2*x^3 - 7*x^2*y^2
+
+[element G]
+poly = 4/6*x^2 - 8/9*y^3 + 5*x*y^3
+
+[element H]
+poly = (2*x - 1/3*y)^3 - 3/1*y^4 + 0*x + 10/5*x^5
+
+[filtration QD]
+kind = qdivisorial
+cluster = MIX
+delta = 2 5/2 5 11/2 5/2 5 11/2
+
+[task]
+kind = value_vector
+cluster = MIX
+element = F
+
+[task]
+kind = value_vector
+cluster = MIX
+element = G
+
+[task]
+kind = value_vector
+cluster = MIX
+element = H
+
+[task]
+kind = degree_function
+divisor = D
+element = F
+
+[task]
+kind = degree_function
+divisor = D
+element = G
+
+[task]
+kind = degree_function
+divisor = D
+element = H
+
+[task]
+kind = commutation
+filtration = QD
+element = F
+nmax = 4
+
+[task]
+kind = commutation
+filtration = QD
+element = G
+nmax = 4
+"""
+
+
 def stdout_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -292,3 +368,16 @@ def test_task_kind_stdout_pinned(tmp_path, text, fmt, code, digest):
 def test_run_nmax_override_stdout_pinned(fmt, digest):
     argv = ["run", "--scenario", DEMO, "--nmax", "5", "--format", fmt]
     assert stdout_digest(argv) == (0, digest)
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("table", "cc6018cd829b247f093466570c3ef012d4d19412a680201868c0d32e528b482d"),
+        ("csv", "a63a52135d4d93e2651c2fc500fc858214516ada0072db781ae1df1a4d75268d"),
+    ],
+)
+def test_mixed_literals_stdout_pinned(tmp_path, fmt, digest):
+    scn = tmp_path / "mixed.scn"
+    scn.write_text(MIXED_LITERALS_SCENARIO)
+    assert stdout_digest(["run", "--scenario", str(scn), "--format", fmt]) == (0, digest)

@@ -31,8 +31,8 @@ PARAMS = (
 MAX_DEGREE = 24
 
 
-def _random_coordinatized_cluster(rng, max_points=12):
-    """Free points at 0, ``inf`` and rational parameters, plus satellites."""
+def _random_coordinatized_cluster(rng, max_points=12, params=PARAMS):
+    """Free points at ``params`` (0, ``inf`` and rationals), plus satellites."""
     c = new_cluster()
     target = rng.randint(2, max_points)
     while len(c) < target:
@@ -43,7 +43,7 @@ def _random_coordinatized_cluster(rng, max_points=12):
         # lean towards the newest point, so paths get deep
         parent = len(c) - 1 if rng.random() < 0.5 else rng.randrange(len(c))
         try:
-            c.add_free_point(parent, rng.choice(PARAMS))
+            c.add_free_point(parent, rng.choice(params))
         except ClusterStructureError:
             pass  # position taken, or a crossing
     return c
