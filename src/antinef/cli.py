@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import filtration as flt
 from .curves import value_vector
 from .divisor import intersect, nef_envelope, unload
-from .errors import CoordinateError, ScenarioError
+from .errors import ScenarioError
 from .rationals import format_float, format_rational, parse_integer
 from .scenario import Scenario, Task, parse_scenario
 
@@ -29,7 +28,7 @@ __all__ = ["main", "run_scenario"]
 class _Table:
     def __init__(self, header, rows):
         self.header = list(header)
-        self.rows = [[_cell(c) for c in row] for row in rows]
+        self.rows = [[c if isinstance(c, str) else format_rational(c) for c in row] for row in rows]
 
     def render(self, fmt: str) -> list[str]:
         if fmt == "csv":
@@ -41,16 +40,6 @@ class _Table:
         def pad(cells):
             return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
         return [pad(self.header)] + [pad(r) for r in self.rows]
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, (int, Fraction)):
-        return format_rational(value)
-    return str(value)
 
 
 def _label(i: int) -> str:
@@ -228,7 +217,7 @@ def run_scenario(scenario: Scenario, out, fmt: str = "table", nmax_override=None
         try:
             table, summary = _RUNNERS[task.kind](task, nmax)
             lines += (table.render(fmt) if table else []) + summary
-        except (ValueError, CoordinateError) as exc:
+        except ValueError as exc:
             failures += 1
             lines.append(f"# task {index} ERROR: {exc}")
         lines.append("")

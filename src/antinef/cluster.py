@@ -38,7 +38,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ClusterStructureError
-from .rationals import INFINITY, format_param, parse_param
+from .rationals import INFINITY, exact, format_param, parse_param
 
 __all__ = [
     "PointRecord",
@@ -118,12 +118,9 @@ def _as_param(value):
     """Normalize a user-supplied parameter to Fraction | INFINITY | None."""
     if value is None or value == INFINITY or isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return parse_param(value)
-    # floats other than the INFINITY marker would smuggle in inexact values
-    raise TypeError(f"unsupported parameter type: {value!r}")
+    return Fraction(exact(value, "parameter"))
 
 
 class Cluster:
@@ -240,14 +237,6 @@ class Cluster:
                 f"curves {parent} and {other} do not meet (point {parent} is not "
                 f"proximate to {other})"
             )
-        # Only a satellite is proximate to two points, and its parent is the
-        # more recent of them, so a separating point is a child of ``parent``.
-        for j in self._children[parent]:
-            if other in self._points[j].prox:
-                raise ClusterStructureError(
-                    f"curves {parent} and {other} were separated by blowing up "
-                    f"point {j}"
-                )
         u_curve, v_curve = prec.axis_curves
         if other == u_curve:
             crossing_axis, position = "u", INFINITY
@@ -260,6 +249,12 @@ class Cluster:
                 f"curve {other} does not pass through the chart of point {parent}"
             )
         index = len(self._points)
+        # A free point never sits at a crossing, so only a satellite holds this slot.
+        j = self._taken[parent].setdefault(position, index)
+        if j != index:
+            raise ClusterStructureError(
+                f"curves {parent} and {other} were separated by blowing up point {j}"
+            )
         self._points.append(
             PointRecord(
                 index=index,
@@ -271,7 +266,6 @@ class Cluster:
                 crossing_axis=crossing_axis,
             )
         )
-        self._taken[parent][position] = index
         self._record_child(parent)
         return index
 
@@ -357,13 +351,14 @@ def is_negative_definite(mat) -> bool:
     """Exact negative definiteness test by leading principal minors.
 
     Accepts a :class:`LatticeMatrix` or any square symmetric matrix of
-    integers or Fractions given as a sequence of rows, first scaled to
-    integers by the lcm of its denominators (a positive factor keeps
-    definiteness).  True iff (-1)^k det_k > 0 for every leading principal
-    minor det_k, computed with one fraction-free (Bareiss) elimination on
-    integers; no floating point is involved.
+    integers, Fractions or ``a/b`` strings (each read by :func:`exact`)
+    given as a sequence of rows, first scaled to integers by the lcm of its
+    denominators (a positive factor keeps definiteness).  True iff
+    (-1)^k det_k > 0 for every leading principal minor det_k, computed with
+    one fraction-free (Bareiss) elimination on integers; no floating point
+    is involved.
     """
-    rows = [tuple(row) for row in mat]
+    rows = [[exact(x, "matrix entry") for x in row] for row in mat]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")

@@ -26,7 +26,7 @@ from typing import Iterable
 from .cluster import Cluster
 from .divisor import ExcDivisor, unload
 from .errors import CoordinateError, PolynomialSyntaxError
-from .rationals import INFINITY
+from .rationals import INFINITY, exact
 
 __all__ = [
     "PlaneElement",
@@ -95,8 +95,9 @@ class PlaneElement:
 
     @staticmethod
     def from_terms(terms: Terms) -> "PlaneElement":
-        """The element with these terms, each coefficient made a ``Fraction``."""
-        terms = {k: Fraction(c) for k, c in terms.items() if c != 0}
+        """The element with these terms, each read by ``exact`` and made a ``Fraction``."""
+        read = ((k, exact(c, "coefficient")) for k, c in terms.items())
+        terms = {k: Fraction(c) for k, c in read if c != 0}
         if not terms:
             raise ValueError("zero is not a plane element (its values are infinite)")
         return PlaneElement(terms=tuple(sorted(terms.items())))
@@ -508,7 +509,7 @@ def newton_multiplicity_oracle(region: Iterable[tuple]) -> int:
     """
     cuts = []
     for a, b, c in region:
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        a, b, c = (Fraction(exact(t, "inequality coefficient")) for t in (a, b, c))
         if a < 0 or b < 0:
             raise ValueError(f"inequality ({a}, {b}, {c}) opens away from the quadrant")
         if c <= 0:

@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .cluster import Cluster, TreeForm
 from .errors import ClusterStructureError
+from .rationals import exact
 
 #: Raise steps per curve that :func:`unload` spends before its warm start.
 _WARM_START_STEPS = 16
@@ -53,19 +54,6 @@ __all__ = [
 ]
 
 
-def _coerce_coeffs(cluster: Cluster, coeffs) -> tuple[Fraction, ...]:
-    coeffs = list(coeffs)
-    if any(isinstance(c, float) for c in coeffs):
-        raise TypeError("float coefficients are not exact; pass Fraction, int, or 'a/b'")
-    out = tuple(Fraction(c) for c in coeffs)
-    if len(out) != cluster.n_curves:
-        raise ValueError(
-            f"divisor has {len(out)} coefficients but the cluster has "
-            f"{cluster.n_curves} exceptional curves"
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class ExcDivisor:
     """Exceptional divisor with exact rational coefficients."""
@@ -73,17 +61,29 @@ class ExcDivisor:
     cluster: Cluster
     coeffs: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        """Read each coefficient by ``exact`` into a ``Fraction``, one per curve."""
+        coeffs = tuple(
+            c if type(c) is Fraction else Fraction(exact(c, "coefficient")) for c in self.coeffs
+        )
+        if len(coeffs) != self.cluster.n_curves:
+            raise ValueError(
+                f"divisor has {len(coeffs)} coefficients but the cluster has "
+                f"{self.cluster.n_curves} exceptional curves"
+            )
+        object.__setattr__(self, "coeffs", coeffs)
+
     @staticmethod
     def zero(cluster: Cluster) -> "ExcDivisor":
-        return ExcDivisor(cluster, tuple(Fraction(0) for _ in range(cluster.n_curves)))
+        return ExcDivisor(cluster, (0,) * cluster.n_curves)
 
     @staticmethod
     def basis(cluster: Cluster, i: int) -> "ExcDivisor":
         """The basis divisor E_i."""
         if not 0 <= i < cluster.n_curves:
             raise ValueError(f"no exceptional curve with index {i}")
-        coeffs = [Fraction(0)] * cluster.n_curves
-        coeffs[i] = Fraction(1)
+        coeffs = [0] * cluster.n_curves
+        coeffs[i] = 1
         return ExcDivisor(cluster, tuple(coeffs))
 
     def _check_same(self, other: "ExcDivisor"):
@@ -102,18 +102,18 @@ class ExcDivisor:
         return ExcDivisor(self.cluster, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar) -> "ExcDivisor":
-        s = Fraction(scalar)
+        s = exact(scalar, "scalar")
         return ExcDivisor(self.cluster, tuple(s * a for a in self.coeffs))
 
     __mul__ = __rmul__
 
     def ceil(self) -> "ExcDivisor":
         """Componentwise ceiling to an integer divisor."""
-        return ExcDivisor(self.cluster, tuple(Fraction(math.ceil(a)) for a in self.coeffs))
+        return ExcDivisor(self.cluster, tuple(math.ceil(a) for a in self.coeffs))
 
     def floor(self) -> "ExcDivisor":
         """Componentwise floor to an integer divisor."""
-        return ExcDivisor(self.cluster, tuple(Fraction(math.floor(a)) for a in self.coeffs))
+        return ExcDivisor(self.cluster, tuple(math.floor(a) for a in self.coeffs))
 
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.coeffs)
@@ -139,8 +139,8 @@ class ExcDivisor:
 
 
 def divisor(cluster: Cluster, coeffs) -> ExcDivisor:
-    """Build an :class:`ExcDivisor`, coercing ints/strings to Fractions."""
-    return ExcDivisor(cluster, _coerce_coeffs(cluster, coeffs))
+    """The :class:`ExcDivisor` with these coefficients: ints, Fractions or ``a/b`` strings."""
+    return ExcDivisor(cluster, tuple(coeffs))
 
 
 def intersect(d1: ExcDivisor, d2: ExcDivisor) -> Fraction:
@@ -205,7 +205,7 @@ class CompleteIdealModel:
 def _model(cluster: Cluster, coeffs: Sequence[int], pair: Sequence[int]) -> CompleteIdealModel:
     """Model of the integer divisor ``coeffs`` with pairings ``pair``; e = -sum c_i (D . E_i)."""
     return CompleteIdealModel(
-        divisor=ExcDivisor(cluster, tuple(Fraction(c) for c in coeffs)),
+        divisor=ExcDivisor(cluster, tuple(coeffs)),
         degree_coeffs=tuple(-s for s in pair),
         multiplicity=-sum(c * s for c, s in zip(coeffs, pair)),
     )

@@ -9,6 +9,10 @@ class CoordinateError(ValueError):
     """An operation needs a point coordinate that was never recorded."""
 
 
+class InexactNumberError(TypeError, ValueError):
+    """A value that is not an exact number (a float, say) where one is needed."""
+
+
 class PolynomialSyntaxError(ValueError):
     """Polynomial text failed to parse; carries the offending position."""
 

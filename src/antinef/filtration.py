@@ -51,6 +51,7 @@ from .divisor import (
     intersect,
     unload,
 )
+from .rationals import exact
 
 __all__ = [
     "QDivisorialSpec",
@@ -163,9 +164,8 @@ class Example42Spec(FiltrationSpec):
 
     def __post_init__(self):
         if self.params is not None:
-            if any(isinstance(p, float) for p in self.params):
-                raise ValueError("point parameters must be rational")
-            object.__setattr__(self, "params", tuple(Fraction(p) for p in self.params))
+            params = tuple(Fraction(exact(p, "parameter")) for p in self.params)
+            object.__setattr__(self, "params", params)
             if len(set(self.params)) != len(self.params):
                 raise ValueError("point parameters must be pairwise distinct")
 
@@ -264,10 +264,6 @@ class LimitReport:
     envelope_constant: Optional[Fraction] = None
     monotone_from: Optional[int] = None
 
-    @property
-    def nmax(self) -> int:
-        return len(self.values)
-
     def limit_estimate(self) -> Fraction:
         if self.closed_form is not None:
             return self.closed_form
@@ -329,15 +325,11 @@ def multiplicity_sequence(spec: FiltrationSpec, nmax: int) -> LimitReport:
 
 def parse_label(label) -> int:
     """Accept a curve index or a label like ``v3``."""
-    if isinstance(label, int):
-        index = label
-    elif isinstance(label, str) and re.fullmatch(r"v[0-9]+", label):
-        index = int(label[1:])
-    else:
-        raise ValueError(f"unknown valuation label {label!r}")
-    if index < 0:
-        raise ValueError(f"unknown valuation label {label!r}")
-    return index
+    if isinstance(label, str) and re.fullmatch(r"v[0-9]+", label):
+        return int(label[1:])
+    if isinstance(label, int) and label >= 0:
+        return label
+    raise ValueError(f"unknown valuation label {label!r}")
 
 
 def degree_limit(spec: FiltrationSpec, label, nmax: int) -> LimitReport:

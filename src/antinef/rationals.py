@@ -3,13 +3,16 @@
 Every number the tool emits is either an exact rational rendered as
 ``a/b`` (or a bare integer) or an explicitly ``~``-prefixed floating
 diagnostic.  Parsing accepts exactly those exact forms plus ``inf`` for
-points at infinity on an exceptional line.
+points at infinity on an exceptional line.  :func:`exact` reads every
+number handed to the library.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+from .errors import InexactNumberError
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -46,9 +49,24 @@ def parse_rational(text: str) -> Fraction:
 def parse_param(text: str):
     """Parse a free-point parameter: a rational or ``inf``."""
     text = text.strip()
-    if text in ("inf", "oo"):
+    if text == "inf":
         return INFINITY
     return parse_rational(text)
+
+
+def exact(value, what: str):
+    """An ``int`` or ``Fraction`` as it is, or a ``str`` read by :func:`parse_rational`.
+
+    Anything else, a float above all, raises :class:`InexactNumberError`
+    naming ``what`` the value was meant to be.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise InexactNumberError(
+        f"unsupported {what} {value!r}: not exact; write an int, a Fraction or an a/b rational"
+    )
 
 
 def format_rational(value) -> str:

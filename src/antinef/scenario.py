@@ -17,7 +17,7 @@ from typing import Optional
 from .cluster import Cluster, new_cluster
 from .curves import PlaneElement, parse_poly
 from .divisor import ExcDivisor, divisor
-from .errors import PolynomialSyntaxError, ScenarioError
+from .errors import ScenarioError
 from .filtration import (
     Example42Spec,
     ExplicitSpec,
@@ -121,7 +121,7 @@ def _parse_point_line(scenario_cluster: Cluster, value: str, lineno: int):
         getattr(scenario_cluster, method)(*args)
     except KeyError as exc:
         raise ScenarioError(f"point is missing option {exc}", lineno) from None
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(str(exc), lineno) from None
@@ -205,7 +205,7 @@ def _finish_element(sc: Scenario, reader: _SectionReader, name: str):
     lineno, text = reader.single("poly")
     try:
         sc.elements[name] = parse_poly(text)
-    except (PolynomialSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"bad polynomial: {exc}", lineno) from None
 
 

@@ -127,6 +127,49 @@ class TestConstruction:
         # the other slot on E1 is free
         assert c.point(c.add_free_point(p1, other_slot)).param == other_slot
 
+    def test_separated_pairs_name_their_satellite_at_either_crossing(self):
+        c = cusp_cluster()  # point 2 is the satellite of (1, 0); E0 on u, E1 on v
+        assert c.add_satellite_point(2, 1) == 3  # v-crossing, position 0 on E2
+        assert c.add_satellite_point(2, 0) == 4  # u-crossing, position inf on E2
+        assert [c.point(i).crossing_axis for i in (3, 4)] == ["v", "u"]
+        assert c.add_free_point(2, 5) == 5
+        children, form = c.children(2), c.tree_form()
+        for other, owner in ((1, 3), (0, 4)):
+            for _ in range(2):
+                message = f"separated by blowing up point {owner}$"
+                with pytest.raises(ClusterStructureError, match=message):
+                    c.add_satellite_point(2, other)
+            assert len(c) == 6 and c.children(2) == children
+            assert c.tree_form() is form
+        # each slot still belongs to its satellite: a free point there is a crossing
+        for position in (0, INFINITY):
+            with pytest.raises(ClusterStructureError, match="crossing"):
+                c.add_free_point(2, position)
+        assert c.children(2) == (3, 4, 5)
+
+    def test_satellite_inserts_agree_with_the_children_scan(self):
+        # valid_satellite_pairs scans the children of each point for the
+        # satellite that separated a pair; the insert looks up the slot instead
+        rng = random.Random(23)
+        tried = rejected = 0
+        for _ in range(150):
+            c = random_cluster(rng, max_points=9)
+            for _ in range(6):
+                parent = rng.randrange(len(c))
+                for other in c.point(parent).prox:
+                    valid = (parent, other) in valid_satellite_pairs(c)
+                    children = c.children(parent)
+                    tried += 1
+                    try:
+                        c.add_satellite_point(parent, other)
+                    except ClusterStructureError as exc:
+                        rejected += 1
+                        assert not valid and "separated" in str(exc)
+                        assert c.children(parent) == children
+                    else:
+                        assert valid
+        assert tried > 500 and rejected > 100
+
 
 class TestMatrices:
     def test_chain_intersection(self):

@@ -1,5 +1,6 @@
 """Scenario grammar: parsing, validation, line-numbered errors."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinef import ScenarioError, parse_scenario
+from antinef.cli import main
 from antinef.filtration import Example42Spec, ExplicitSpec, QDivisorialSpec
 
 CUSP_SCENARIO = """\
@@ -300,6 +302,54 @@ class TestNumberGrammar:
         # the form perfbench/gen.py writes its parameters in
         sc = parse_scenario(f"[cluster C]\npoint = free parent=0 param={value}\n")
         assert sc.clusters["C"].point(1).param == value
+
+
+_CLUSTER = "[cluster C]\npoint = free parent=0 param=0\n"
+
+
+class TestParseErrorMessages:
+    """Each parse error names its fault and the line it sits on."""
+
+    @pytest.mark.parametrize(
+        "text, match, line",
+        [
+            ("[cluster C]\npoint =\n", "empty point definition", 2),
+            ("[cluster C]\npoint = free parent=0 tint=2\n", r"unknown point options \['tint'\]", 2),
+            ("[cluster C]\npoint = free param=1\n", "point is missing option 'parent'", 2),
+            (_CLUSTER + "point = satellite parent=1\n", "point is missing option 'other'", 3),
+            ("\n[element F]\npoly = x +\n", "bad polynomial: unexpected end of input", 3),
+            ("[element F]\npoly = 1/0*x\n", r"bad polynomial: zero denominator \(at position 3\)", 2),
+            (_EXPLICIT + "entry = 1\n", "entry needs: n cluster-name coefficients", 6),
+            ("[filtration G]\n# no entries\nkind = explicit\n", "needs at least one entry", 3),
+            (
+                _CLUSTER + "[filtration G]\nkind = qdivisorial\ncluster = C\ndelta = 1 -1\n",
+                "the generating divisor must be effective",
+                4,
+            ),
+            ("[filtration G]\nkind = example42\nparams = 1 2 1\n", "pairwise distinct", 2),
+            ("[ ]\n", "empty section header", 1),
+            ("\n[divisor D C]\ncoeffs = 1\n", re.escape("expected [divisor NAME on CLUSTER]"), 2),
+            ("[cluster C]\npoint = free parent=0 param=1/0\n", "malformed rational '1/0'", 2),
+            (_CLUSTER + "[divisor D on C]\ncoeffs = 1 1/0\n", "malformed rational '1/0'", 4),
+        ],
+    )
+    def test_message_and_line(self, text, match, line):
+        TestErrors.expect_error(text, match, line)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[element F]\npoly = 1/0*x\n", "line 2: bad polynomial: zero denominator"),
+            ("[ ]\n", "line 1: empty section header"),
+        ],
+    )
+    def test_run_exits_2_with_empty_stdout(self, text, message, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        assert main(["run", "--scenario", str(scn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
 
 # A scenario using every section and filtration kind; the fuzz test edits a
