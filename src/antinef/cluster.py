@@ -55,20 +55,38 @@ __all__ = [
 class PointRecord:
     """One point of the constellation.
 
-    ``axis_curves`` records which exceptional curves are the two coordinate
-    axes of the local chart centered at the point: ``(curve on u-axis,
-    curve on v-axis)``, either entry possibly absent.  ``crossing_axis`` is
-    set for satellites only and names the parent-chart axis ("u" or "v")
+    Stored: ``index``; ``parent`` (None for the origin); ``prox``, the sorted
+    indices of the points it is proximate to; ``param``, its position on the
+    parent's curve.  Derived from those: ``kind`` ("origin", "free" or
+    "satellite"); ``axis_curves``, the exceptional curves that are the two
+    coordinate axes of the local chart centered at the point, as ``(curve on
+    u-axis, curve on v-axis)``, either entry possibly absent; and, for
+    satellites only, ``crossing_axis``, the parent-chart axis ("u" or "v")
     carrying the second proximity curve.
     """
 
     index: int
     parent: Optional[int]
     prox: tuple[int, ...]
-    kind: str  # "origin" | "free" | "satellite"
     param: object = None  # Fraction | INFINITY | None; a satellite's is its position
-    axis_curves: tuple[Optional[int], Optional[int]] = (None, None)
-    crossing_axis: Optional[str] = None
+
+    @property
+    def kind(self) -> str:
+        return "origin" if self.parent is None else "free" if len(self.prox) == 1 else "satellite"
+
+    @property
+    def axis_curves(self) -> tuple[Optional[int], Optional[int]]:
+        if len(self.prox) == 2:
+            other = self.prox[0]  # the parent is the more recent of the two
+            if self.param == INFINITY:
+                return (other, self.parent)  # chart (uv, v): E_other on u, E_parent on v
+            return (self.parent, other)  # chart (u, uv): E_parent on u, E_other on v
+        # a free point has its parent's curve on one axis; the origin has none
+        return (None, self.parent) if self.param == INFINITY else (self.parent, None)
+
+    @property
+    def crossing_axis(self) -> Optional[str]:
+        return ("u" if self.param == INFINITY else "v") if len(self.prox) == 2 else None
 
 
 @dataclass(frozen=True)
@@ -131,8 +149,7 @@ class Cluster:
     """
 
     def __init__(self):
-        origin = PointRecord(index=0, parent=None, prox=(), kind="origin")
-        self._points: list[PointRecord] = [origin]
+        self._points: list[PointRecord] = [PointRecord(index=0, parent=None, prox=())]
         # Kept up to date on insert, so adding a point is O(1) amortized:
         # each point's children in creation order, and the positions taken
         # on its curve (parameter -> the point sitting there).
@@ -177,42 +194,21 @@ class Cluster:
         """
         self._check_parent(parent)
         param = _as_param(param)
-        prec = self._points[parent]
-        index = len(self._points)
         if param is not None:
-            u_curve, v_curve = prec.axis_curves
+            u_curve, v_curve = self._points[parent].axis_curves
             crossing = u_curve if param == INFINITY else v_curve if param == 0 else None
             if crossing is not None:
                 raise ClusterStructureError(
                     f"parameter {format_param(param)} on curve {parent} is the crossing "
                     f"with curve {crossing}; add a satellite point instead"
                 )
-            j = self._taken[parent].setdefault(param, index)
-            if j != index:
+            j = self._taken[parent].setdefault(param, len(self._points))
+            if j != len(self._points):
                 raise ClusterStructureError(
                     f"coincident point: parameter {format_param(param)} on curve "
                     f"{parent} is already taken by point {j}"
                 )
-        axis = (parent, None) if param != INFINITY else (None, parent)
-        self._points.append(
-            PointRecord(
-                index=index,
-                parent=parent,
-                prox=(parent,),
-                kind="free",
-                param=param,
-                axis_curves=axis,
-            )
-        )
-        self._record_child(parent)
-        return index
-
-    def _record_child(self, parent: int):
-        """Register the point just appended as a child of ``parent``."""
-        self._children[parent].append(len(self._points) - 1)
-        self._children.append([])
-        self._taken.append({})
-        self._tree = None
+        return self._append(parent, (parent,), param)
 
     def add_satellite_point(self, parent: int, other: int) -> int:
         """Append the point where the curves of ``parent`` and ``other`` cross.
@@ -237,36 +233,24 @@ class Cluster:
                 f"curves {parent} and {other} do not meet (point {parent} is not "
                 f"proximate to {other})"
             )
-        u_curve, v_curve = prec.axis_curves
-        if other == u_curve:
-            crossing_axis, position = "u", INFINITY
-            axis = (other, parent)  # chart (uv, v): E_other on u, E_parent on v
-        elif other == v_curve:
-            crossing_axis, position = "v", Fraction(0)
-            axis = (parent, other)  # chart (u, uv): E_parent on u, E_other on v
-        else:  # unreachable given the prox check; guards chart bookkeeping
-            raise ClusterStructureError(
-                f"curve {other} does not pass through the chart of point {parent}"
-            )
-        index = len(self._points)
+        # Each proximity curve is a chart axis: E_other is on the u-axis (inf) or the v-axis (0).
+        position = INFINITY if other == prec.axis_curves[0] else Fraction(0)
         # A free point never sits at a crossing, so only a satellite holds this slot.
-        j = self._taken[parent].setdefault(position, index)
-        if j != index:
+        j = self._taken[parent].setdefault(position, len(self._points))
+        if j != len(self._points):
             raise ClusterStructureError(
                 f"curves {parent} and {other} were separated by blowing up point {j}"
             )
-        self._points.append(
-            PointRecord(
-                index=index,
-                parent=parent,
-                prox=tuple(sorted((other, parent))),
-                kind="satellite",
-                param=position,
-                axis_curves=axis,
-                crossing_axis=crossing_axis,
-            )
-        )
-        self._record_child(parent)
+        return self._append(parent, (other, parent), position)
+
+    def _append(self, parent: int, prox: tuple[int, ...], param) -> int:
+        """Append a point on the curve of ``parent``; the caller has claimed its slot, if any."""
+        index = len(self._points)
+        self._points.append(PointRecord(index, parent, prox, param))
+        self._children[parent].append(index)
+        self._children.append([])
+        self._taken.append({})
+        self._tree = None
         return index
 
     # -- lattice data -----------------------------------------------------
@@ -292,7 +276,7 @@ class Cluster:
                     diag[i] -= 1
                     nbrs[i].add(rec.index)
                     nbrs[rec.index].add(i)
-                if rec.kind == "satellite":
+                if len(rec.prox) == 2:
                     a, b = rec.prox
                     nbrs[a].discard(b)
                     nbrs[b].discard(a)

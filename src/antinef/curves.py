@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable
 
 from .cluster import Cluster
 from .divisor import ExcDivisor, unload
 from .errors import CoordinateError, PolynomialSyntaxError
-from .rationals import INFINITY, exact
+from .rationals import INFINITY, exact, integer
 
 __all__ = [
     "PlaneElement",
@@ -119,7 +120,7 @@ class PlaneElement:
         return PlaneElement.from_terms(_mul_terms(self.to_dict(), other.to_dict()))
 
     def __pow__(self, k: int) -> "PlaneElement":
-        if k < 0:
+        if integer(k, "exponent k") < 0:
             raise ValueError("negative powers are not plane elements")
         return PlaneElement.from_terms(_pow_terms(self.to_dict(), k))
 
@@ -356,26 +357,20 @@ def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ValuationVector:
-    """Divisorial values v_i(f) together with the multiplicities m_i."""
+    """Multiplicities m_i of the strict transforms of f; the values v_i(f) are derived."""
 
     cluster: Cluster
-    values: tuple[int, ...]
     multiplicities: tuple[int, ...]
 
-    def __post_init__(self):
-        expected = self.cluster.values_from_multiplicities(self.multiplicities)
-        if expected != self.values:
-            raise ValueError("values and multiplicities disagree")
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """Divisorial values v_i(f), solved from the multiplicities by P v = m."""
+        return self.cluster.values_from_multiplicities(self.multiplicities)
 
 
 def value_vector(cluster: Cluster, f: PlaneElement) -> ValuationVector:
     """Values of ``f`` along every exceptional curve of the cluster."""
-    m = multiplicity_vector(cluster, f)
-    return ValuationVector(
-        cluster=cluster,
-        values=cluster.values_from_multiplicities(m),
-        multiplicities=m,
-    )
+    return ValuationVector(cluster, multiplicity_vector(cluster, f))
 
 
 # -- squarefree test ---------------------------------------------------------
@@ -566,10 +561,10 @@ def monomial_valuation_volume_oracle(p: int, q: int, nmax: int) -> list[Fraction
     Term n is 2 * #{(alpha, beta) >= 0 : p alpha + q beta < n} / n^2,
     an exact rational; the sequence converges to 1/(p*q) at rate O(1/n).
     """
-    if p < 1 or q < 1:
+    if integer(p, "weight p") < 1 or integer(q, "weight q") < 1:
         raise ValueError("weights must be positive integers")
     out = []
-    for n in range(1, nmax + 1):
+    for n in range(1, integer(nmax, "nmax") + 1):
         count = 0
         beta = 0
         while q * beta < n:

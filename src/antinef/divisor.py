@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .cluster import Cluster, TreeForm
 from .errors import ClusterStructureError
-from .rationals import exact
+from .rationals import exact, integer
 
 #: Raise steps per curve that :func:`unload` spends before its warm start.
 _WARM_START_STEPS = 16
@@ -80,7 +80,7 @@ class ExcDivisor:
     @staticmethod
     def basis(cluster: Cluster, i: int) -> "ExcDivisor":
         """The basis divisor E_i."""
-        if not 0 <= i < cluster.n_curves:
+        if not 0 <= integer(i, "curve index i") < cluster.n_curves:
             raise ValueError(f"no exceptional curve with index {i}")
         coeffs = [0] * cluster.n_curves
         coeffs[i] = 1

@@ -51,7 +51,7 @@ from .divisor import (
     intersect,
     unload,
 )
-from .rationals import exact
+from .rationals import exact, integer
 
 __all__ = [
     "QDivisorialSpec",
@@ -226,7 +226,7 @@ def realize(spec: FiltrationSpec, n: int) -> tuple[Cluster, CompleteIdealModel]:
     Computed afresh on every call; the family functions share members
     through :meth:`FiltrationSpec.member` instead.
     """
-    if n < 1:
+    if integer(n, "family index n") < 1:
         raise ValueError("family index must be >= 1")
     if not isinstance(spec, FiltrationSpec):
         raise TypeError(f"not a filtration spec: {spec!r}")
@@ -311,7 +311,7 @@ def _make_report(values: Sequence[Fraction], closed_form: Optional[Fraction]) ->
 
 def _sweep(spec: FiltrationSpec, nmax: int) -> list[CompleteIdealModel]:
     """Models for n = 1..nmax, in index order, shared through the spec's memo."""
-    if nmax < 1:
+    if integer(nmax, "nmax") < 1:
         raise ValueError("nmax must be >= 1")
     return [spec.member(n)[1] for n in range(1, nmax + 1)]
 

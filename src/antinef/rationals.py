@@ -4,7 +4,7 @@ Every number the tool emits is either an exact rational rendered as
 ``a/b`` (or a bare integer) or an explicitly ``~``-prefixed floating
 diagnostic.  Parsing accepts exactly those exact forms plus ``inf`` for
 points at infinity on an exceptional line.  :func:`exact` reads every
-number handed to the library.
+number handed to the library, and :func:`integer` every count and index.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ def exact(value, what: str):
     raise InexactNumberError(
         f"unsupported {what} {value!r}: not exact; write an int, a Fraction or an a/b rational"
     )
+
+
+def integer(value, what: str) -> int:
+    """An ``int`` as it is; anything else, a float, a ``Fraction`` or a ``str``,
+    raises :class:`InexactNumberError` naming ``what`` the value was meant to be."""
+    if isinstance(value, int):
+        return value
+    raise InexactNumberError(f"unsupported {what} {value!r}: not an integer")
 
 
 def format_rational(value) -> str:

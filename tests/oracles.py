@@ -12,6 +12,9 @@ to integer Taylor shifts.
 
 The random-cluster generator: the satellite-pair scan over every point.
 
+The point records: each point's kind, chart axes and crossing axis, replayed
+with the rules the inserts applied when the record stored them.
+
 The definiteness test: Gaussian elimination on ``Fraction`` entries, as the
 package ran it on rational matrices before it scaled them to integers.
 """
@@ -173,6 +176,37 @@ def scan_satellite_pairs(cluster):
             ):
                 pairs.append((rec.index, other))
     return pairs
+
+
+# -- point records ---------------------------------------------------------------
+
+
+def replay_chart_fields(cluster) -> list[tuple]:
+    """``(kind, axis_curves, crossing_axis)`` of every point, in creation order.
+
+    A free point has its parent's curve on the u-axis, or on the v-axis at
+    ``inf``.  A satellite takes its axes from the parent's chart: the other
+    curve on the parent's u-axis gives chart (uv, v) and crossing axis "u",
+    on its v-axis chart (u, uv) and "v".  A satellite's recorded position is
+    not read.
+    """
+    fields = []
+    for rec in cluster.points:
+        parent = rec.parent
+        if parent is None:
+            fields.append(("origin", (None, None), None))
+        elif rec.prox == (parent,):
+            axes = (None, parent) if rec.param == INFINITY else (parent, None)
+            fields.append(("free", axes, None))
+        else:
+            (other,) = set(rec.prox) - {parent}
+            u_curve, v_curve = fields[parent][1]
+            if other == u_curve:
+                fields.append(("satellite", (other, parent), "u"))
+            else:
+                assert other == v_curve, f"curve {other} misses the chart of point {parent}"
+                fields.append(("satellite", (parent, other), "v"))
+    return fields
 
 
 # -- definiteness ---------------------------------------------------------------

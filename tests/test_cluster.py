@@ -1,6 +1,8 @@
 """Lattice core: proximity, intersection forms, value/multiplicity duality."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,15 @@ from hypothesis import strategies as st
 from antinef import (
     ClusterStructureError,
     INFINITY,
+    PointRecord,
+    ValuationVector,
     is_negative_definite,
     new_cluster,
 )
 from antinef.selfcheck import random_cluster, valid_satellite_pairs
 from helpers import chain_cluster, cusp_cluster, star_cluster
-from oracles import fraction_leading_minors, fraction_negative_definite
+from oracles import fraction_leading_minors, fraction_negative_definite, replay_chart_fields
+from test_integer_curves import _random_coordinatized_cluster
 
 
 class TestConstruction:
@@ -169,6 +174,63 @@ class TestConstruction:
                     else:
                         assert valid
         assert tried > 500 and rejected > 100
+
+
+def _try_insert(c, insert, *args):
+    """The message of a refused insert, or "" if it was accepted.
+
+    A refused insert must leave the cluster as it was: its size, every
+    point's children, the memoized tree form and the owner of every slot
+    (read from the private slot tables).
+    """
+    size, children = len(c), [c.children(i) for i in range(len(c))]
+    slots, form = [dict(t) for t in c._taken], c.tree_form()
+    try:
+        insert(*args)
+    except ClusterStructureError as exc:
+        assert (len(c), [c.children(i) for i in range(len(c))]) == (size, children)
+        assert [dict(t) for t in c._taken] == slots and c.tree_form() is form
+        return str(exc)
+    return ""
+
+
+class TestDerivedFields:
+    """A record stores only index, parent, prox and param; kind, axis_curves
+    and crossing_axis are derived, and must equal the insert-time rules."""
+
+    def test_stored_fields(self):
+        names = [f.name for f in dataclasses.fields(PointRecord)]
+        assert names == ["index", "parent", "prox", "param"]
+        names = [f.name for f in dataclasses.fields(ValuationVector)]
+        assert names == ["cluster", "multiplicities"]
+
+    def test_derived_fields_match_the_replayed_inserts(self):
+        rng = random.Random(20261018)
+        crossings, refusals = Counter(), Counter()
+        for _ in range(200):
+            c = _random_coordinatized_cluster(rng)
+            points, expected = c.points, replay_chart_fields(c)
+            for rec, fields in zip(points, expected):
+                assert (rec.kind, rec.axis_curves, rec.crossing_axis) == fields
+                crossings[fields[2]] += 1
+            # each taken position is refused again, naming the point sitting there
+            for rec, (kind, _, _) in zip(points, expected):
+                if kind == "satellite":
+                    message = _try_insert(c, c.add_satellite_point, rec.parent, rec.prox[0])
+                    assert message.endswith(f"separated by blowing up point {rec.index}")
+                    refusals["separated"] += 1
+                elif kind == "free" and rec.param is not None:
+                    message = _try_insert(c, c.add_free_point, rec.parent, rec.param)
+                    assert message.endswith(f"already taken by point {rec.index}")
+                    refusals["coincident"] += 1
+            # a free point at 0 or inf is a crossing exactly when a curve lies on that axis
+            for rec, (_, (u_curve, v_curve), _) in zip(points, expected):
+                for position, curve in ((0, v_curve), (INFINITY, u_curve)):
+                    message = _try_insert(c, c.add_free_point, rec.index, position)
+                    assert ("crossing" in message) == (curve is not None), message
+                    refusals["crossing"] += "crossing" in message
+        assert crossings["u"] >= 50 and crossings["v"] >= 50
+        assert min(refusals.values()) >= 200, refusals
 
 
 class TestMatrices:

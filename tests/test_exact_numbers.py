@@ -8,6 +8,7 @@ above all, refused with ``InexactNumberError``, which is both a
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,14 @@ from antinef import (
     INFINITY,
     divisor,
     is_negative_definite,
+    monomial_valuation_volume_oracle,
+    multiplicity_sequence,
     nef_envelope,
     new_cluster,
     newton_multiplicity_oracle,
+    parse_poly,
+    realize,
+    rees_union,
     unload,
 )
 from antinef.cli import main
@@ -98,6 +104,29 @@ class TestEntryPoints:
             ExcDivisor(cusp_cluster(), (1, 2))
         with pytest.raises(ValueError, match="divisor has 1 " + message):
             divisor(cusp_cluster(), ["1"])
+
+
+#: Each library entry point that takes a count or an index, fed ``x`` there,
+#: with the name its error gives the argument.
+INTEGER_ARGUMENTS = {
+    "multiplicity_sequence": (lambda x: multiplicity_sequence(Example42Spec(), x), "nmax"),
+    "rees_union": (lambda x: rees_union(Example42Spec(), x), "nmax"),
+    "realize": (lambda x: realize(Example42Spec(), x), "family index n"),
+    "oracle p": (lambda x: monomial_valuation_volume_oracle(x, 2, 3), "weight p"),
+    "oracle q": (lambda x: monomial_valuation_volume_oracle(2, x, 3), "weight q"),
+    "oracle nmax": (lambda x: monomial_valuation_volume_oracle(2, 3, x), "nmax"),
+    "power": (lambda x: parse_poly("x+y") ** x, "exponent k"),
+    "basis": (lambda x: ExcDivisor.basis(cusp_cluster(), x), "curve index i"),
+}
+
+
+@pytest.mark.parametrize("call, name", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+@pytest.mark.parametrize("value", [2.5, 2.0, Fraction(3), "3"], ids=repr)
+def test_counts_and_indices_must_be_integers(call, name, value):
+    message = f"unsupported {name} {re.escape(repr(value))}: not an integer"
+    with pytest.raises(InexactNumberError, match=message) as info:
+        call(value)
+    assert isinstance(info.value, TypeError) and isinstance(info.value, ValueError)
 
 
 class TestReader:
