@@ -20,7 +20,7 @@ from .curves import value_vector
 from .divisor import intersect, nef_envelope, unload
 from .errors import ScenarioError
 from .rationals import format_float, format_rational, parse_integer
-from .scenario import Scenario, Task, parse_scenario
+from .scenario import MAX_NMAX, Scenario, Task, parse_scenario
 
 __all__ = ["main", "run_scenario"]
 
@@ -283,7 +283,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--scenario", required=True, help="scenario file path")
     p_run.add_argument("--format", choices=["table", "csv"], default="table")
     p_run.add_argument("--output", default=None, help="output path (default stdout)")
-    p_run.add_argument("--nmax", type=_integer, default=None, help="override task n ranges")
+    p_run.add_argument(
+        "--nmax", type=_integer, default=None, help=f"override task n ranges (1..{MAX_NMAX})"
+    )
     p_run.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     p_ex = sub.add_parser("example42", help="run the built-in growing family")
@@ -301,6 +303,9 @@ def main(argv=None) -> int:
         if getattr(args, option, None) is not None and getattr(args, option) < 1:
             print(f"error: --{option} must be positive", file=sys.stderr)
             return 2
+    if getattr(args, "nmax", None) is not None and args.nmax > MAX_NMAX:
+        print(f"error: --nmax must be at most {MAX_NMAX}", file=sys.stderr)
+        return 2
 
     if args.command == "selftest":
         from .selfcheck import run_selftest

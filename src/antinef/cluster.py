@@ -178,6 +178,21 @@ class Cluster:
     def children(self, i: int) -> tuple[int, ...]:
         return tuple(self._children[i])
 
+    def copy(self) -> Cluster:
+        """An independent cluster with the same points, in O(n).
+
+        The frozen point records are shared; the children lists and taken
+        slots are copied, so inserting into either cluster leaves the other
+        as it was.  The memoized tree form is carried over and, as always,
+        reset by the next insert.
+        """
+        other = Cluster.__new__(Cluster)
+        other._points = self._points.copy()
+        other._children = [kids.copy() for kids in self._children]
+        other._taken = [slots.copy() for slots in self._taken]
+        other._tree = self._tree
+        return other
+
     # -- construction -----------------------------------------------------
 
     def _check_parent(self, parent: int):

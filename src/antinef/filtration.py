@@ -25,10 +25,13 @@ empirical rate exponent), and never ask which kind they hold.
 One sweep per family: :meth:`FiltrationSpec.member` memoizes, so member n is
 realized (through :func:`realize`) at most once per spec and is shared by
 every task and label that reads the family; a ``QDivisorialSpec`` likewise
-computes its nef envelope and closed degrees once.  The memo lives exactly
-as long as the spec object, so nothing carries over between scenario parses
-or CLI runs.  It assumes that a spec, its table and its clusters are not
-mutated after the first sweep.  :func:`realize` itself is not cached.
+computes its nef envelope and closed degrees once, and an ``Example42Spec``
+grows member n's cluster from a copy of member n-1's, so a sweep to N
+inserts N points, not N(N+1)/2.  The memo lives exactly as long as the spec
+object, so nothing carries over between scenario parses or CLI runs.  It
+assumes that a spec, its table and its clusters are not mutated after the
+first sweep.  :func:`realize` itself is not cached: every call returns a
+new member.
 """
 
 from __future__ import annotations
@@ -78,7 +81,11 @@ class FiltrationSpec:
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
-        """Member n computed afresh; :func:`realize` is the one caller."""
+        """Member n as a new object; :func:`realize` is the one caller.
+
+        A kind may start from a member already in the memo, but never asks
+        :meth:`member` for one: that would recurse once per missing index.
+        """
         raise NotImplementedError
 
     def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
@@ -158,6 +165,11 @@ class Example42Spec(FiltrationSpec):
     ``params`` positions the points; omitted, point i sits at parameter
     i - 1 (any pairwise distinct choice works).  A finite tuple caps the
     realizable index.
+
+    Member n's cluster is a copy of the memoized member n-1's plus point n,
+    or a new star when member n-1 is not memoized.  Each member keeps its
+    own ``Cluster``: divisors compare clusters by identity, and E_0's
+    self-intersection counts the later points.
     """
 
     params: Optional[tuple[Fraction, ...]] = None
@@ -180,8 +192,9 @@ class Example42Spec(FiltrationSpec):
         return self.params[i - 1]
 
     def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
-        cluster = new_cluster()
-        for i in range(1, n + 1):
+        previous = self._members.get(n - 1)
+        cluster = new_cluster() if previous is None else previous[0].copy()
+        for i in range(len(cluster), n + 1):
             cluster.add_free_point(0, self.param(i))
         return cluster, self.embed(n, cluster)
 
@@ -223,8 +236,10 @@ class ExplicitSpec(FiltrationSpec):
 def realize(spec: FiltrationSpec, n: int) -> tuple[Cluster, CompleteIdealModel]:
     """The n-th member of the family as a cluster plus complete-ideal model.
 
-    Computed afresh on every call; the family functions share members
-    through :meth:`FiltrationSpec.member` instead.
+    Every call returns a new cluster and model; the family functions share
+    members through :meth:`FiltrationSpec.member` instead.  An
+    ``Example42Spec`` grows the new cluster from a copy of the memoized
+    member n-1's cluster when there is one.
     """
     if integer(n, "family index n") < 1:
         raise ValueError("family index must be >= 1")

@@ -27,7 +27,11 @@ from .filtration import (
 )
 from .rationals import parse_integer, parse_param, parse_rational
 
-__all__ = ["Scenario", "Task", "parse_scenario", "TASK_KINDS"]
+__all__ = ["Scenario", "Task", "parse_scenario", "TASK_KINDS", "MAX_NMAX"]
+
+#: The largest ``nmax`` a task or the CLI accepts.  A sweep to N keeps its N
+#: members alive, O(N^2) data in all (about 160 MB at N = 800).
+MAX_NMAX = 1000
 
 #: Every task kind, with the named objects it takes.  A kind that takes a
 #: filtration also needs ``nmax``.
@@ -286,6 +290,8 @@ def _finish_task(sc: Scenario, reader: _SectionReader):
         task.nmax = _nat(text, "nmax", nl)
         if task.nmax < 1:
             raise ScenarioError("nmax must be positive", nl)
+        if task.nmax > MAX_NMAX:
+            raise ScenarioError(f"nmax must be at most {MAX_NMAX}", nl)
     labels = reader.single("labels", required=False)
     if kind != "degree_limits":
         if labels is not None:

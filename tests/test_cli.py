@@ -100,6 +100,21 @@ class TestIntegerOptions:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: --{option} must be positive\n"
 
+    @pytest.mark.parametrize("command", ["example42", "run"])
+    def test_nmax_above_the_limit(self, command, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text(CUSP_SCENARIO)
+        argv = [command, "--nmax", "1001"] + (["--scenario", str(scn)] if command == "run" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --nmax must be at most 1000\n")
+
+    def test_scenario_nmax_above_the_limit(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text(CUSP_SCENARIO.replace("nmax = 12", "nmax = 1001"))
+        assert main(["run", "--scenario", str(scn)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "nmax must be at most 1000" in err
+
 
 class TestRun:
     def test_scenario_roundtrip(self, tmp_path):

@@ -11,7 +11,7 @@ import re
 
 import antinef
 from antinef import cli
-from antinef.scenario import TASK_KINDS
+from antinef.scenario import MAX_NMAX, TASK_KINDS
 
 GRAMMAR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "scenario-grammar.md"
@@ -106,3 +106,7 @@ def test_grammar_argument_table_matches_the_table():
         # nmax exactly for the kinds that take a filtration
         assert ("nmax" in needs) == ("filtration" in targets), kind
         assert ("optional labels" in needs) == (kind == "degree_limits"), kind
+
+
+def test_grammar_states_the_nmax_limit():
+    assert f"must lie in\n1..{MAX_NMAX} (`scenario.MAX_NMAX`)" in _grammar_text()

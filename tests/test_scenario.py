@@ -273,6 +273,9 @@ class TestNumberGrammar:
     def test_zero_nmax_rejected(self):
         TestErrors.expect_error(_EXAMPLE42_TASK + "nmax = 0\n", "nmax must be positive", 7)
 
+    def test_nmax_above_the_limit_rejected(self):
+        TestErrors.expect_error(_EXAMPLE42_TASK + "nmax = 1001\n", "nmax must be at most 1000", 7)
+
     @pytest.mark.parametrize(
         "point, what",
         [

@@ -1,9 +1,12 @@
 """One sweep per family: shared members, call counts, O(1) cluster insertion.
 
 The family functions read members through the spec's memo; these tests hold
-every shared member equal to a fresh ``realize``, pin how often ``realize``
-and ``nef_envelope`` run, and check that the constant-time insertion
-bookkeeping in ``Cluster`` still rejects what the old sibling scan rejected.
+every shared member equal to an independent build, pin how often
+``realize``, ``nef_envelope`` and ``add_free_point`` run, and check that the
+constant-time insertion bookkeeping in ``Cluster`` still rejects what the
+old sibling scan rejected.  The independent build is a fresh ``realize`` for
+the kinds on fixed clusters.  An example42 ``realize`` grows its cluster
+from the memoized member n-1, so there the test builds each star itself.
 """
 
 import io
@@ -17,6 +20,7 @@ import pytest
 
 import antinef
 from antinef import (
+    Cluster,
     Example42Spec,
     ExplicitSpec,
     QDivisorialSpec,
@@ -28,6 +32,8 @@ from antinef import (
     parse_poly,
     realize,
     rees_union,
+    spot_check_graded_law,
+    unload,
 )
 from antinef import filtration
 from antinef.cli import _EXAMPLE42_SCENARIO, run_scenario
@@ -40,15 +46,21 @@ from helpers import chain_cluster, cusp_cluster
 NMAX = 16
 
 
-def assert_shared_members_match_fresh(spec, nmax=NMAX):
-    """Sweep through the family functions, then compare every member."""
+def assert_shared_members_match_fresh(spec, nmax=NMAX, fresh_member=None):
+    """Sweep through the family functions, then compare every member with
+    ``fresh_member(n)``, by default a fresh ``realize``."""
+    fresh_member = fresh_member or (lambda n: realize(spec, n))
     mult = multiplicity_sequence(spec, nmax)
     deg0 = degree_limit(spec, 0, nmax)
     rees = rees_union(spec, nmax)
     for n in range(1, nmax + 1):
         shared_cluster, shared = spec.member(n)
-        fresh_cluster, fresh = realize(spec, n)
+        fresh_cluster, fresh = fresh_member(n)
         assert shared_cluster.tree_form() == fresh_cluster.tree_form()
+        assert shared_cluster.points == fresh_cluster.points  # parent, prox and param
+        assert [shared_cluster.children(i) for i in range(len(shared_cluster))] == [
+            fresh_cluster.children(i) for i in range(len(fresh_cluster))
+        ]
         assert shared.divisor.coeffs == fresh.divisor.coeffs
         assert shared.degree_coeffs == fresh.degree_coeffs
         assert shared.multiplicity == fresh.multiplicity
@@ -68,11 +80,34 @@ def test_qdivisorial_members_match_fresh_realize():
         assert_shared_members_match_fresh(QDivisorialSpec(delta=delta))
 
 
+def star_member(params, n):
+    """Member n of example42 built without the spec: a new star, one insert
+    per point, and the closure of (2n+1, 2n+2, ..., 2n+2) on it."""
+    cluster = new_cluster()
+    for param in params[:n]:
+        cluster.add_free_point(0, param)
+    return cluster, unload(divisor(cluster, [2 * n + 1] + [2 * n + 2] * n))
+
+
 def test_example42_members_match_fresh_realize():
-    assert_shared_members_match_fresh(Example42Spec())
-    params = [Fraction(k, 3) - 2 for k in range(NMAX)]
-    random.Random(7).shuffle(params)
-    assert_shared_members_match_fresh(Example42Spec(params=tuple(params)))
+    assert_shared_members_match_fresh(
+        Example42Spec(), fresh_member=lambda n: star_member([Fraction(i) for i in range(NMAX)], n)
+    )
+    rng = random.Random(7)
+    for _ in range(5):
+        params = set()
+        while len(params) < NMAX:
+            params.add(Fraction(rng.randint(-40, 40), rng.choice([1, 2, 7, 11, 13, 49, 143])))
+        params = sorted(params)
+        rng.shuffle(params)
+        spec = Example42Spec(params=tuple(params))
+        assert_shared_members_match_fresh(spec, fresh_member=lambda n: star_member(params, n))
+        # each member keeps its own cluster; a realize on a new spec agrees
+        assert len({id(spec.member(n)[0]) for n in range(1, NMAX + 1)}) == NMAX
+        cold_cluster, cold = realize(Example42Spec(params=tuple(params)), NMAX)
+        warm_cluster, warm = spec.member(NMAX)
+        assert cold_cluster.points == warm_cluster.points
+        assert cold.divisor.coeffs == warm.divisor.coeffs
 
 
 def test_explicit_members_match_fresh_realize():
@@ -91,6 +126,49 @@ def test_memo_belongs_to_the_spec_object():
     assert first == second
     assert sorted(first._members) == [1, 2, 3]
     assert second._members == {}
+
+
+@pytest.fixture
+def free_point_calls(monkeypatch):
+    calls = []
+    original = Cluster.add_free_point
+
+    def counting(self, parent, param=None):
+        calls.append(parent)
+        return original(self, parent, param)
+
+    monkeypatch.setattr(Cluster, "add_free_point", counting)
+    return calls
+
+
+def test_example42_sweep_inserts_each_point_once(free_point_calls):
+    spec = Example42Spec()
+    multiplicity_sequence(spec, 40)
+    for v in (0, 1, 40):
+        degree_limit(spec, v, 40)
+    rees_union(spec, 40)
+    commutation_report(spec, parse_poly("y - 3*x"), 40)
+    assert len(free_point_calls) == 40
+
+
+def test_example42_realize_on_a_new_spec_inserts_n_points(free_point_calls):
+    for n in (1, 2, 17, 40):
+        free_point_calls.clear()
+        cluster, _ = realize(Example42Spec(), n)
+        assert len(free_point_calls) == n == len(cluster) - 1
+
+
+def test_example42_cold_member_builds_no_earlier_member(free_point_calls):
+    spec = Example42Spec()
+    spec.member(30)
+    assert sorted(spec._members) == [30] and len(free_point_calls) == 30
+
+
+def test_example42_spot_check_on_a_new_spec(free_point_calls):
+    for n, m in [(1, 1), (1, 2), (2, 3), (5, 7), (10, 3)]:
+        free_point_calls.clear()
+        assert spot_check_graded_law(Example42Spec(), n, m)
+        assert len(free_point_calls) == n + m
 
 
 @pytest.fixture
