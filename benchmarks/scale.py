@@ -1,4 +1,4 @@
-"""Scale ladder of the ``example42`` CLI: how its time and memory grow with nmax.
+"""Scale ladders: how the time and memory of a run grow with its size.
 
 Usage, from the root of a checkout::
 
@@ -6,24 +6,34 @@ Usage, from the root of a checkout::
     python3 benchmarks/scale.py --src src --column change --out BENCH.json
     python3 benchmarks/scale.py --quick --out quick.json
 
-Each repeat of a rung N runs ``antinef example42 --nmax N`` in a fresh
-interpreter that imports the package from ``--src``.  The child times
-``main`` (the import is not timed) and reports its own peak RSS from
-``resource.getrusage(RUSAGE_SELF)``; this script hashes the child's stdout.
-Seconds are scaled by the kernel of ``perfbench/reference.py``, timed in
-this process (which never imports the package) just before each repeat:
+The ladders (``LADDERS``):
+
+* ``example42`` - ``antinef example42 --nmax N`` through the CLI, N in 100,
+  200, 400 and 800;
+* ``unload`` and ``nef_envelope`` - one call on a seeded n-point cluster
+  with satellites, n in 250, 500 and 1000, on an effective integer divisor
+  with 20% of its coefficients in 1..10^6 and the rest 0.
+
+Each repeat of a rung runs ``scale_child.py`` in a fresh interpreter that
+imports the package from ``--src``.  The child times only the measured call
+(not the import, nor building the seeded input) and reports its own peak
+RSS (Linux ``VmHWM``, else ``ru_maxrss``); this script hashes the
+child's stdout, which is the CLI's output or the printed result.  Seconds
+are scaled by the kernel of ``perfbench/reference.py``, timed in this
+process (which never imports the package) just before each repeat:
 scaled = wall * REFERENCE_SECONDS / kernel, the seconds on a machine as
 fast as the reference one.
 
-Per rung the column records the min and median scaled seconds over the
+Per rung a column records the min and median scaled seconds over the
 repeats, the highest peak RSS, and the sha256 of stdout, which must be the
 same in every repeat.  Once a rung's median exceeds ``CAP_SECONDS`` scaled
 seconds, the larger rungs are recorded as ``capped`` and not run.  Per
 column it records the log-log slope between the two largest rungs run, the
 checkout's ``git describe``, the Python version and the median kernel time.
 
-``--out`` is merged: the named column is written, and the other columns
-already in the file are kept, so parent and change come from two runs.
+``--out`` is merged: the named column of each ladder run is written, and
+everything else already in the file is kept, so parent and change come
+from two runs.
 """
 
 from __future__ import annotations
@@ -40,31 +50,39 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+CHILD = os.path.join(HERE, "scale_child.py")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from reference import REFERENCE_SECONDS, seconds as kernel_seconds  # noqa: E402
 
-RUNGS, REPEATS = (100, 200, 400, 800), 5
-QUICK_RUNGS, QUICK_REPEATS = (100, 200), 3
+#: name -> (what one repeat runs, rungs, quick rungs)
+LADDERS = {
+    "example42": (
+        "antinef example42 --nmax N, one fresh interpreter per repeat",
+        (100, 200, 400, 800),
+        (100, 200),
+    ),
+    "unload": (
+        "unload(D) on a seeded n-point cluster with satellites; D effective, "
+        "20% of its coefficients in 1..10^6, the rest 0",
+        (250, 500, 1000),
+        (250, 500),
+    ),
+    "nef_envelope": (
+        "nef_envelope(D) on the unload ladder's cluster and divisor",
+        (250, 500, 1000),
+        (250, 500),
+    ),
+}
+REPEATS, QUICK_REPEATS = 5, 3
 CAP_SECONDS = 30.0  # scaled; a rung whose median exceeds it caps the larger rungs
 
-CHILD = """\
-import json, resource, sys, time
-from antinef.cli import main
-start = time.perf_counter()
-code = main(["example42", "--nmax", sys.argv[1]])
-sys.stdout.flush()
-wall = time.perf_counter() - start
-rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"code": code, "wall_s": wall, "peak_rss_kb": rss_kb}), file=sys.stderr)
-"""
 
-
-def repeat(src: str, n: int, timeout: float) -> dict:
-    """One fresh child at nmax ``n``: its wall seconds, peak RSS and stdout digest."""
+def repeat(src: str, name: str, n: int, timeout: float) -> dict:
+    """One fresh child at size ``n``: its wall seconds, peak RSS and stdout digest."""
     kernel = min(kernel_seconds() for _ in range(3))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(n)],
+        [sys.executable, CHILD, name, str(n)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         timeout=timeout,
@@ -74,7 +92,7 @@ def repeat(src: str, n: int, timeout: float) -> dict:
     if proc.returncode == 0:
         report = json.loads(proc.stderr.decode().strip().splitlines()[-1])
     if report.get("code") != 0:
-        raise RuntimeError(f"nmax {n} failed:\n{proc.stderr.decode(errors='replace')}")
+        raise RuntimeError(f"{name} {n} failed:\n{proc.stderr.decode(errors='replace')}")
     return {
         "scaled_s": report["wall_s"] * REFERENCE_SECONDS / kernel,
         "kernel_s": kernel,
@@ -83,17 +101,17 @@ def repeat(src: str, n: int, timeout: float) -> dict:
     }
 
 
-def ladder(src: str, rungs, repeats: int, cap: float) -> dict:
-    """The column for one checkout: every rung, its slope and provenance."""
+def ladder(src: str, name: str, rungs, repeats: int, cap: float) -> dict:
+    """The column of one ladder for one checkout: every rung, its slope and provenance."""
     rows, kernels, capped = [], [], False
     for n in rungs:
         if capped:
             rows.append({"n": n, "status": "capped"})
             continue
-        runs = [repeat(src, n, timeout=60 + 20 * cap) for _ in range(repeats)]
+        runs = [repeat(src, name, n, timeout=60 + 20 * cap) for _ in range(repeats)]
         digests = {r["sha256"] for r in runs}
         if len(digests) != 1:
-            raise RuntimeError(f"nmax {n}: stdout differs between repeats")
+            raise RuntimeError(f"{name} {n}: stdout differs between repeats")
         times = [r["scaled_s"] for r in runs]
         kernels += [r["kernel_s"] for r in runs]
         rows.append({
@@ -106,7 +124,7 @@ def ladder(src: str, rungs, repeats: int, cap: float) -> dict:
             "sha256": digests.pop(),
         })
         capped = statistics.median(times) > cap
-        print(f"nmax {n}: median {rows[-1]['median_s']} scaled s, "
+        print(f"{name} {n}: median {rows[-1]['median_s']} scaled s, "
               f"{rows[-1]['peak_rss_mb']} MB", file=sys.stderr)
     ran = [row for row in rows if row["status"] == "ok"]
     slope = None
@@ -138,20 +156,23 @@ def main(argv=None) -> int:
     parser.add_argument("--column", default="change", help="column name in --out")
     parser.add_argument("--out", required=True, help="JSON file to write or merge into")
     parser.add_argument("--quick", action="store_true",
-                        help=f"only nmax {QUICK_RUNGS}, {QUICK_REPEATS} repeats: under 10 s")
+                        help=f"only the two smallest rungs, {QUICK_REPEATS} repeats: under 10 s")
     args = parser.parse_args(argv)
-    rungs, repeats = (QUICK_RUNGS, QUICK_REPEATS) if args.quick else (RUNGS, REPEATS)
 
     data = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as handle:
             data = json.load(handle)
     data.update({
-        "ladder": "antinef example42 --nmax N, one fresh interpreter per repeat",
         "unit": "scaled s = wall s * reference_s / kernel s; peak RSS in MB",
         "reference_s": REFERENCE_SECONDS,
     })
-    data.setdefault("columns", {})[args.column] = ladder(args.src, rungs, repeats, CAP_SECONDS)
+    for name, (what, rungs, quick_rungs) in LADDERS.items():
+        column = ladder(args.src, name, quick_rungs if args.quick else rungs,
+                        QUICK_REPEATS if args.quick else REPEATS, CAP_SECONDS)
+        entry = data.setdefault("ladders", {}).setdefault(name, {})
+        entry["what"] = what
+        entry.setdefault("columns", {})[args.column] = column
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1)
         handle.write("\n")

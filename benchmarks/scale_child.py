@@ -1,0 +1,92 @@
+"""One repeat of one rung of ``scale.py``, in a fresh interpreter.
+
+Usage: ``PYTHONPATH=<src> python3 benchmarks/scale_child.py LADDER N``.
+
+Only the measured call is timed, not the import or the seeded input.  The
+result goes to stdout, for ``scale.py`` to hash; the wall seconds and the
+peak RSS go to stderr as one JSON line.  The peak RSS is Linux's ``VmHWM``
+where there is one: ``ru_maxrss`` also counts the process that started
+this one as it was just before ``exec``, so it never reads below the size
+of ``scale.py`` itself.  Only the public API is used, so
+any checkout of the package can be measured.
+"""
+
+import json
+import random
+import resource
+import sys
+import time
+
+from antinef import ClusterStructureError, divisor, nef_envelope, new_cluster, unload
+from antinef.cli import main
+
+#: Share of the divisor ladders' coefficients that are nonzero, and their bound.
+SHARE, TOP = 0.2, 10**6
+
+
+def seeded_cluster(n: int):
+    """n points: free points leaning towards the newest one, and satellites."""
+    rng = random.Random(n)
+    cluster = new_cluster()
+    while len(cluster) < n:
+        parent = len(cluster) - 1 if rng.random() < 0.5 else rng.randrange(len(cluster))
+        prox = cluster.point(parent).prox
+        if prox and rng.random() < 0.3:
+            try:
+                cluster.add_satellite_point(parent, prox[-1])
+                continue
+            except ClusterStructureError:
+                pass  # that crossing is already blown up
+        cluster.add_free_point(parent)
+    return cluster
+
+
+def seeded_divisor(n: int):
+    """An effective integer divisor: 20% of its coefficients in 1..10^6, the rest 0."""
+    cluster = seeded_cluster(n)
+    rng = random.Random(-n)
+    return divisor(cluster, [rng.randint(1, TOP) if rng.random() < SHARE else 0 for _ in range(n)])
+
+
+def prepare(ladder: str, n: int):
+    """The call to time, and the function that prints its result."""
+    if ladder == "example42":
+        return lambda: main(["example42", "--nmax", str(n)]), lambda code: code
+    d = seeded_divisor(n)
+    if ladder == "unload":
+        def show(model):
+            print(*model.divisor.as_integers())
+            print(*model.degree_coeffs)
+            print(model.multiplicity)
+            return 0
+
+        return lambda: unload(d), show
+    if ladder == "nef_envelope":
+        return lambda: nef_envelope(d), lambda env: print(*env.coeffs) or 0
+    raise SystemExit(f"unknown ladder {ladder!r}")
+
+
+def peak_rss_kb() -> int:
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+def run(ladder: str, n: int) -> None:
+    call, show = prepare(ladder, n)
+    start = time.perf_counter()
+    result = call()
+    sys.stdout.flush()
+    wall = time.perf_counter() - start
+    code = show(result)
+    sys.stdout.flush()
+    print(json.dumps({"code": code, "wall_s": wall, "peak_rss_kb": peak_rss_kb()}), file=sys.stderr)
+
+
+if __name__ == "__main__":
+    run(sys.argv[1], int(sys.argv[2]))

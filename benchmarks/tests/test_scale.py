@@ -21,7 +21,8 @@ import scale  # noqa: E402
 
 def test_quick_ladder_schema_and_merge(tmp_path):
     out = tmp_path / "bench.json"
-    out.write_text(json.dumps({"columns": {"parent": {"kept": True}}}))
+    kept = {"what": "old", "columns": {"parent": {"kept": True}}}
+    out.write_text(json.dumps({"ladders": {"unload": kept, "other": {"kept": True}}}))
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, SCRIPT, "--quick", "--src", SRC, "--column", "change", "--out", str(out)],
@@ -30,21 +31,27 @@ def test_quick_ladder_schema_and_merge(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert time.monotonic() - start < 10
     data = json.loads(out.read_text())
-    assert data["columns"]["parent"] == {"kept": True}
     assert data["reference_s"] > 0 and "scaled" in data["unit"]
-    column = data["columns"]["change"]
-    assert set(column) == {"git", "python", "kernel_median_s", "cap_s", "slope", "rungs"}
-    assert column["kernel_median_s"] > 0 and column["slope"] > 0
-    rungs = column["rungs"]
-    assert [r["n"] for r in rungs] == [100, 200]
-    for r in rungs:
-        assert r["status"] == "ok" and r["repeats"] >= 3
-        assert 0 < r["min_s"] <= r["median_s"] and r["peak_rss_mb"] > 0
-        assert len(r["sha256"]) == 64
-    assert rungs[0]["sha256"] != rungs[1]["sha256"]
+    ladders = data["ladders"]
+    assert ladders["other"] == {"kept": True}
+    assert ladders["unload"]["columns"]["parent"] == {"kept": True}
+    assert set(ladders) == set(scale.LADDERS) | {"other"}
+    for name, (what, _rungs, quick_rungs) in scale.LADDERS.items():
+        assert ladders[name]["what"] == what
+        column = ladders[name]["columns"]["change"]
+        assert set(column) == {"git", "python", "kernel_median_s", "cap_s", "slope", "rungs"}
+        assert column["kernel_median_s"] > 0 and column["slope"] > 0
+        rungs = column["rungs"]
+        assert [r["n"] for r in rungs] == list(quick_rungs)
+        for r in rungs:
+            assert r["status"] == "ok" and r["repeats"] >= 3
+            assert 0 < r["min_s"] <= r["median_s"] and r["peak_rss_mb"] > 0
+            assert len(r["sha256"]) == 64
+        assert rungs[0]["sha256"] != rungs[1]["sha256"]
 
 
 def test_cap_stops_the_ladder():
-    column = scale.ladder(SRC, (100, 200, 400), repeats=3, cap=0)
-    assert [r["status"] for r in column["rungs"]] == ["ok", "capped", "capped"]
-    assert column["slope"] is None
+    for name, rungs in (("example42", (100, 200, 400)), ("unload", (250, 500, 1000))):
+        column = scale.ladder(SRC, name, rungs, repeats=3, cap=0)
+        assert [r["status"] for r in column["rungs"]] == ["ok", "capped", "capped"]
+        assert column["slope"] is None

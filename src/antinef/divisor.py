@@ -1,8 +1,12 @@
 """Exact arithmetic of exceptional Q-divisors on a cluster resolution.
 
 Divisors live in the strict-transform basis E_0, ..., E_{n-1} with exact
-rational coefficients.  The central operations are the two antinef
-closures:
+rational coefficients, stored as integer numerators over one positive
+common denominator (1 for an integral divisor).  Every operation runs on
+those integers, so the integral paths, :func:`unload` and
+:class:`CompleteIdealModel` above all, build no ``Fraction``;
+``ExcDivisor.coeffs`` is a ``Fraction`` view built on its first read.  The
+central operations are the two antinef closures:
 
 * :func:`unload` - the least *integer* antinef divisor dominating an
   integer divisor, computed by the classical fixpoint that keeps raising
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .cluster import Cluster, TreeForm
@@ -54,24 +59,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ExcDivisor:
-    """Exceptional divisor with exact rational coefficients."""
+    """Exceptional divisor with exact rational coefficients.
+
+    The coefficients are stored as integer numerators ``_nums`` over one
+    positive common denominator ``_den``, the lcm of their reduced
+    denominators, so the form is canonical and equality and hashing go by
+    value; an integral divisor has ``_den == 1``.  All arithmetic runs on
+    the numerators.  ``coeffs``, the tuple of ``Fraction`` coefficients, is
+    built on its first read and kept.
+    """
 
     cluster: Cluster
-    coeffs: tuple[Fraction, ...]
+    _nums: tuple[int, ...]
+    _den: int
 
-    def __post_init__(self):
-        """Read each coefficient by ``exact`` into a ``Fraction``, one per curve."""
-        coeffs = tuple(
-            c if type(c) is Fraction else Fraction(exact(c, "coefficient")) for c in self.coeffs
-        )
-        if len(coeffs) != self.cluster.n_curves:
+    def __init__(self, cluster: Cluster, coeffs):
+        """Read each coefficient by ``exact``, one per curve."""
+        values = [exact(c, "coefficient") for c in coeffs]
+        if len(values) != cluster.n_curves:
             raise ValueError(
-                f"divisor has {len(coeffs)} coefficients but the cluster has "
-                f"{self.cluster.n_curves} exceptional curves"
+                f"divisor has {len(values)} coefficients but the cluster has "
+                f"{cluster.n_curves} exceptional curves"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        den = math.lcm(*(c.denominator for c in values))
+        nums = tuple(c.numerator * (den // c.denominator) for c in values)
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _of(cls, cluster: Cluster, nums: tuple[int, ...], den: int = 1) -> "ExcDivisor":
+        """The divisor ``nums / den``, already canonical: no reading, no check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "cluster", cluster)
+        object.__setattr__(out, "_nums", nums)
+        object.__setattr__(out, "_den", den)
+        return out
+
+    @classmethod
+    def _reduced(cls, cluster: Cluster, nums: tuple[int, ...], den: int) -> "ExcDivisor":
+        """The divisor ``nums / den`` for any ``den > 0``, brought to canonical form."""
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums, den = tuple(a // g for a in nums), den // g
+        return cls._of(cluster, nums, den)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction``s, built on the first read."""
+        return tuple(Fraction(a, self._den) for a in self._nums)
 
     @staticmethod
     def zero(cluster: Cluster) -> "ExcDivisor":
@@ -90,49 +129,69 @@ class ExcDivisor:
         if other.cluster is not self.cluster:
             raise ValueError("divisors live on different clusters")
 
-    def __add__(self, other: "ExcDivisor") -> "ExcDivisor":
+    def _combine(self, other: "ExcDivisor", sign: int) -> "ExcDivisor":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_same(other)
-        return ExcDivisor(self.cluster, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self._den, other._den
+        den = da * db // math.gcd(da, db)
+        fa, fb = den // da, sign * (den // db)
+        nums = tuple(a * fa + b * fb for a, b in zip(self._nums, other._nums))
+        return ExcDivisor._reduced(self.cluster, nums, den)
+
+    def __add__(self, other: "ExcDivisor") -> "ExcDivisor":
+        if not isinstance(other, ExcDivisor):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExcDivisor") -> "ExcDivisor":
-        self._check_same(other)
-        return ExcDivisor(self.cluster, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if not isinstance(other, ExcDivisor):
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ExcDivisor":
-        return ExcDivisor(self.cluster, tuple(-a for a in self.coeffs))
+        return ExcDivisor._of(self.cluster, tuple(-a for a in self._nums), self._den)
 
     def __rmul__(self, scalar) -> "ExcDivisor":
         s = exact(scalar, "scalar")
-        return ExcDivisor(self.cluster, tuple(s * a for a in self.coeffs))
+        p = s.numerator
+        nums = tuple(p * a for a in self._nums)
+        return ExcDivisor._reduced(self.cluster, nums, s.denominator * self._den)
 
     __mul__ = __rmul__
 
     def ceil(self) -> "ExcDivisor":
         """Componentwise ceiling to an integer divisor."""
-        return ExcDivisor(self.cluster, tuple(math.ceil(a) for a in self.coeffs))
+        den = self._den
+        if den == 1:
+            return self
+        return ExcDivisor._of(self.cluster, tuple(-(-a // den) for a in self._nums))
 
     def floor(self) -> "ExcDivisor":
         """Componentwise floor to an integer divisor."""
-        return ExcDivisor(self.cluster, tuple(math.floor(a) for a in self.coeffs))
+        den = self._den
+        if den == 1:
+            return self
+        return ExcDivisor._of(self.cluster, tuple(a // den for a in self._nums))
 
     def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.coeffs)
+        return self._den == 1
 
     def is_effective(self) -> bool:
-        return all(a >= 0 for a in self.coeffs)
+        return all(a >= 0 for a in self._nums)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self._nums)
 
     def dominates(self, other: "ExcDivisor") -> bool:
-        """Componentwise >=."""
+        """Componentwise >=, by cross-multiplying the positive denominators."""
         self._check_same(other)
-        return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
+        da, db = self._den, other._den
+        return all(a * db >= b * da for a, b in zip(self._nums, other._nums))
 
     def as_integers(self) -> tuple[int, ...]:
-        if not self.is_integral():
+        if self._den != 1:
             raise ValueError("divisor has non-integer coefficients")
-        return tuple(int(a) for a in self.coeffs)
+        return self._nums
 
     def __repr__(self):
         return "ExcDivisor(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -146,8 +205,8 @@ def divisor(cluster: Cluster, coeffs) -> ExcDivisor:
 def intersect(d1: ExcDivisor, d2: ExcDivisor) -> Fraction:
     """Exact intersection product D1 . D2."""
     d1._check_same(d2)
-    pair = _pairings(d1.cluster, d2.coeffs)
-    return sum((a * s for a, s in zip(d1.coeffs, pair) if a), Fraction(0))
+    pair = _pairings(d1.cluster, d2._nums)
+    return Fraction(sum(a * s for a, s in zip(d1._nums, pair) if a), d1._den * d2._den)
 
 
 def _pairings(cluster: Cluster, coeffs: Sequence) -> list:
@@ -161,7 +220,7 @@ def _pairings(cluster: Cluster, coeffs: Sequence) -> list:
 
 def is_antinef(d: ExcDivisor) -> bool:
     """True iff (D . E_i) <= 0 for every exceptional curve."""
-    return all(s <= 0 for s in _pairings(d.cluster, d.coeffs))
+    return all(s <= 0 for s in _pairings(d.cluster, d._nums))
 
 
 @dataclass(frozen=True)
@@ -180,8 +239,8 @@ class CompleteIdealModel:
     def __post_init__(self):
         if any(d < 0 for d in self.degree_coeffs):
             raise ValueError("divisor is not antinef")
-        coeffs = self.divisor.coeffs
-        if any(c != 0 for c in coeffs):
+        coeffs = self.divisor._nums
+        if any(coeffs):
             if any(c <= 0 for c in coeffs):
                 raise ValueError(
                     "nonzero antinef divisor must have full positive support"
@@ -205,7 +264,7 @@ class CompleteIdealModel:
 def _model(cluster: Cluster, coeffs: Sequence[int], pair: Sequence[int]) -> CompleteIdealModel:
     """Model of the integer divisor ``coeffs`` with pairings ``pair``; e = -sum c_i (D . E_i)."""
     return CompleteIdealModel(
-        divisor=ExcDivisor(cluster, tuple(coeffs)),
+        divisor=ExcDivisor._of(cluster, tuple(coeffs)),
         degree_coeffs=tuple(-s for s in pair),
         multiplicity=-sum(c * s for c, s in zip(coeffs, pair)),
     )
@@ -223,7 +282,9 @@ def _raise(
     ``pair`` holds the pairings (D . E_i) of ``coeffs`` and is kept up to
     date.  Raising curve i changes only its own pairing, which drops to
     <= 0, and those of its neighbours, so the violated set is updated in
-    O(degree) per step.  Returns True once the divisor is antinef.
+    O(degree) per step.  Returns True once the divisor is antinef.  A
+    ``select`` pick outside the violated set raises ``ValueError``: raising
+    nothing, the loop would never end.
     """
     violated = {i for i, s in enumerate(pair) if s > 0}
     steps = 0
@@ -231,7 +292,12 @@ def _raise(
         if steps == limit:
             return False
         steps += 1
-        i = min(violated) if select is None else select(sorted(violated))
+        if select is None:
+            i = min(violated)
+        else:
+            i = select(sorted(violated))
+            if i not in violated:
+                raise ValueError(f"select picked {i!r}, which is not a violated curve index")
         step = -(-pair[i] // -form.diag[i])  # ceil(pair_i / -m_ii), both positive
         coeffs[i] += step
         pair[i] += step * form.diag[i]
@@ -254,7 +320,7 @@ def unload(
     termination and the result is independent of the order in which
     violated indices are processed; ``select`` picks among them (defaults
     to the smallest index) and exists so that order independence can be
-    exercised directly.
+    exercised directly.  A pick that is not violated raises ``ValueError``.
 
     ``d`` must be integral but need not be effective: the closure of any
     divisor with no positive part is the zero divisor.
@@ -277,7 +343,7 @@ def unload(
     coeffs = list(d.as_integers())
     pair = _pairings(cluster, coeffs)
     if not _raise(form, coeffs, pair, select, _WARM_START_STEPS * len(coeffs)):
-        positive = divisor(cluster, [max(c, 0) for c in d.coeffs])
+        positive = ExcDivisor._of(cluster, tuple(max(c, 0) for c in d._nums))
         ceiling = nef_envelope(positive).ceil().as_integers()
         coeffs = [max(c, e) for c, e in zip(coeffs, ceiling)]
         pair = _pairings(cluster, coeffs)
@@ -305,7 +371,7 @@ def fixed_part(d: ExcDivisor) -> ExcDivisor:
     return unload(d).divisor - d
 
 
-def _solve_active(form: TreeForm, delta: Sequence[Fraction], active: set[int]) -> list[Fraction]:
+def _solve_active(form: TreeForm, delta: Sequence[int], active: set[int]) -> list:
     """Solve (D . E_i) = 0 for i in ``active`` with D = delta off the set.
 
     Returns all n coefficients of D.  The active curves induce a forest of
@@ -370,19 +436,22 @@ def nef_envelope(delta: ExcDivisor) -> ExcDivisor:
     rounds.  :func:`unload` relies on the result lying above ``delta``, so
     that is checked on every call.
     """
-    if any(c < 0 for c in delta.coeffs):
+    if not delta.is_effective():
         raise ValueError("nef envelope needs an effective divisor")
     cluster = delta.cluster
     form = cluster.tree_form()
-    active = {i for i, c in enumerate(delta.coeffs) if c == 0}
+    # Solved for the integer divisor den * delta, then scaled back by 1/den.
+    nums = delta._nums
+    active = {i for i, c in enumerate(nums) if c == 0}
     while True:
-        coeffs = _solve_active(form, delta.coeffs, active)
+        coeffs = _solve_active(form, nums, active)
         pair = _pairings(cluster, coeffs)
         violated = [i for i, s in enumerate(pair) if s > 0 and i not in active]
         if not violated:
             break
         active.update(violated)
-    out = ExcDivisor(cluster, tuple(coeffs))
+    scaled = ExcDivisor(cluster, tuple(coeffs))
+    out = ExcDivisor._reduced(cluster, scaled._nums, scaled._den * delta._den)
     if not out.dominates(delta):
         raise RuntimeError("active-set solve dipped below the input")
     return out

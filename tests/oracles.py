@@ -10,6 +10,10 @@ The curves layer: blowup charts on exact ``Fraction`` coefficients, with the
 binomial expansion done term by term, as the package did before it moved
 to integer Taylor shifts.
 
+The divisor coefficients: every coefficient a ``Fraction``, as the package
+stored them before it moved to integer numerators over one denominator;
+pairings by the dense form, ceilings by ``math.ceil``.
+
 The random-cluster generator: the satellite-pair scan over every point.
 
 The point records: each point's kind, chart axes and crossing axis, replayed
@@ -19,6 +23,7 @@ The definiteness test: Gaussian elimination on ``Fraction`` entries, as the
 package ran it on rational matrices before it scaled them to integers.
 """
 
+import math
 from fractions import Fraction
 
 from antinef.rationals import INFINITY
@@ -101,6 +106,47 @@ def cold_unload(cluster, coeffs, select=None) -> tuple[tuple[int, ...], tuple[in
         for j in range(n):
             if m[i][j]:
                 pair[j] += step * m[i][j]
+
+
+# -- divisor coefficients as Fractions ----------------------------------------
+
+
+def fraction_coeffs(values) -> tuple[Fraction, ...]:
+    """Each value as a reduced ``Fraction``; text such as ``"2/4"`` reads as 1/2."""
+    return tuple(Fraction(v) for v in values)
+
+
+def fraction_pairings(cluster, coeffs) -> list[Fraction]:
+    """All (D . E_i) by the dense form."""
+    return [sum((m * c for m, c in zip(row, coeffs)), Fraction(0)) for row in dense_form(cluster)]
+
+
+def fraction_intersect(cluster, a, b) -> Fraction:
+    return sum((x * s for x, s in zip(a, fraction_pairings(cluster, b))), Fraction(0))
+
+
+def fraction_dominates(a, b) -> bool:
+    return all(x >= y for x, y in zip(a, b))
+
+
+def fraction_ceil(a) -> tuple[Fraction, ...]:
+    return tuple(Fraction(math.ceil(x)) for x in a)
+
+
+def fraction_floor(a) -> tuple[Fraction, ...]:
+    return tuple(Fraction(math.floor(x)) for x in a)
+
+
+def fraction_add(a, b) -> tuple[Fraction, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def fraction_sub(a, b) -> tuple[Fraction, ...]:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def fraction_scale(scalar, a) -> tuple[Fraction, ...]:
+    return tuple(Fraction(scalar) * x for x in a)
 
 
 # -- curves layer ---------------------------------------------------------------
