@@ -103,7 +103,7 @@ def _closure(*columns):
 
     def run(task: Task, nmax):
         model = unload(task.divisor)
-        before, after = task.divisor.coeffs, model.divisor.coeffs
+        before, after = task.divisor.as_integers(), model.divisor.as_integers()
         cells = {
             "D_i": before,
             "Dbar_i": after,

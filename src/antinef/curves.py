@@ -58,27 +58,16 @@ def _mul_terms(f: Terms, g: Terms) -> Terms:
     return _trim(out)
 
 
-def _clear_denominators(terms: Terms) -> tuple[IntTerms, int]:
-    """(den * terms, den), with den the least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-
-
 def _pow_terms(f: Terms, k: int) -> Terms:
-    """f^k by square-and-multiply on integers: (den f)^k, divided by den^k if den > 1."""
-    base, den = _clear_denominators(f)
-    out: IntTerms = {(0, 0): 1}
-    e = k
-    while e:
-        if e & 1:
-            out = _mul_terms(out, base)
-        e >>= 1
-        if e:
-            base = _mul_terms(base, base)
-    if den == 1:
-        return out
-    scale = den**k
-    return {key: Fraction(c, scale) for key, c in out.items()}
+    """f^k by square-and-multiply."""
+    out: Terms = {(0, 0): 1}
+    while k:
+        if k & 1:
+            out = _mul_terms(out, f)
+        k >>= 1
+        if k:
+            f = _mul_terms(f, f)
+    return out
 
 
 def _add_terms(f: Terms, g: Terms, sign: int = 1) -> Terms:
@@ -277,7 +266,8 @@ def _primitive(terms: IntTerms) -> IntTerms:
 
 def _integer_terms(f: PlaneElement) -> IntTerms:
     """A primitive integer multiple of ``f``."""
-    return _primitive(_clear_denominators(f.to_dict())[0])
+    den = lcm(*(c.denominator for _, c in f.terms))
+    return _primitive({k: c.numerator * (den // c.denominator) for k, c in f.terms})
 
 
 def _blow_finite(terms: IntTerms, t: Fraction, m: int) -> IntTerms:
@@ -289,8 +279,6 @@ def _blow_finite(terms: IntTerms, t: Fraction, m: int) -> IntTerms:
     Horner pass (a Taylor shift), where B is the largest y-exponent of all
     terms, so every group carries the same factor q^B.
     """
-    if t == 0:
-        return {(a + b - m, b): c for (a, b), c in terms.items()}
     p, q = t.numerator, t.denominator
     groups: dict[int, dict[int, int]] = {}
     for (a, b), c in terms.items():

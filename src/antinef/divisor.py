@@ -31,6 +31,7 @@ everywhere, which :class:`CompleteIdealModel` checks.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,21 +92,16 @@ class ExcDivisor:
 
     @classmethod
     def _of(cls, cluster: Cluster, nums: tuple[int, ...], den: int = 1) -> "ExcDivisor":
-        """The divisor ``nums / den``, already canonical: no reading, no check."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "cluster", cluster)
-        object.__setattr__(out, "_nums", nums)
-        object.__setattr__(out, "_den", den)
-        return out
-
-    @classmethod
-    def _reduced(cls, cluster: Cluster, nums: tuple[int, ...], den: int) -> "ExcDivisor":
         """The divisor ``nums / den`` for any ``den > 0``, brought to canonical form."""
         if den != 1:
             g = math.gcd(den, *nums)
             if g != 1:
                 nums, den = tuple(a // g for a in nums), den // g
-        return cls._of(cluster, nums, den)
+        out = object.__new__(cls)
+        object.__setattr__(out, "cluster", cluster)
+        object.__setattr__(out, "_nums", nums)
+        object.__setattr__(out, "_den", den)
+        return out
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -136,7 +132,7 @@ class ExcDivisor:
         den = da * db // math.gcd(da, db)
         fa, fb = den // da, sign * (den // db)
         nums = tuple(a * fa + b * fb for a, b in zip(self._nums, other._nums))
-        return ExcDivisor._reduced(self.cluster, nums, den)
+        return ExcDivisor._of(self.cluster, nums, den)
 
     def __add__(self, other: "ExcDivisor") -> "ExcDivisor":
         if not isinstance(other, ExcDivisor):
@@ -155,7 +151,7 @@ class ExcDivisor:
         s = exact(scalar, "scalar")
         p = s.numerator
         nums = tuple(p * a for a in self._nums)
-        return ExcDivisor._reduced(self.cluster, nums, s.denominator * self._den)
+        return ExcDivisor._of(self.cluster, nums, s.denominator * self._den)
 
     __mul__ = __rmul__
 
@@ -281,31 +277,34 @@ def _raise(
 
     ``pair`` holds the pairings (D . E_i) of ``coeffs`` and is kept up to
     date.  Raising curve i changes only its own pairing, which drops to
-    <= 0, and those of its neighbours, so the violated set is updated in
-    O(degree) per step.  Returns True once the divisor is antinef.  A
-    ``select`` pick outside the violated set raises ``ValueError``: raising
-    nothing, the loop would never end.
+    <= 0, and raises those of its neighbours, so a violated curve stays
+    violated until it is raised.  The violated curves sit in a min-heap; a
+    neighbour enters it when its pairing crosses from <= 0 to > 0, so a
+    step costs O(degree * log k) for k violated curves.  Returns True once
+    the divisor is antinef.  A ``select`` pick outside the violated set
+    raises ``ValueError``: raising nothing, the loop would never end.
     """
-    violated = {i for i, s in enumerate(pair) if s > 0}
+    violated = [i for i, s in enumerate(pair) if s > 0]  # ascending, so a heap
     steps = 0
     while violated:
         if steps == limit:
             return False
         steps += 1
         if select is None:
-            i = min(violated)
+            i = heapq.heappop(violated)
         else:
             i = select(sorted(violated))
             if i not in violated:
                 raise ValueError(f"select picked {i!r}, which is not a violated curve index")
+            violated.remove(i)
+            heapq.heapify(violated)
         step = -(-pair[i] // -form.diag[i])  # ceil(pair_i / -m_ii), both positive
         coeffs[i] += step
         pair[i] += step * form.diag[i]
-        violated.discard(i)
         for j in form.nbrs[i]:
+            if pair[j] <= 0 < pair[j] + step:
+                heapq.heappush(violated, j)
             pair[j] += step
-            if pair[j] > 0:
-                violated.add(j)
     return True
 
 
@@ -451,7 +450,7 @@ def nef_envelope(delta: ExcDivisor) -> ExcDivisor:
             break
         active.update(violated)
     scaled = ExcDivisor(cluster, tuple(coeffs))
-    out = ExcDivisor._reduced(cluster, scaled._nums, scaled._den * delta._den)
+    out = ExcDivisor._of(cluster, scaled._nums, scaled._den * delta._den)
     if not out.dominates(delta):
         raise RuntimeError("active-set solve dipped below the input")
     return out

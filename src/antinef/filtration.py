@@ -222,6 +222,11 @@ class ExplicitSpec(FiltrationSpec):
 
     table: Mapping[int, tuple[Cluster, ExcDivisor]]
 
+    def __post_init__(self):
+        for n, (cluster, d) in self.table.items():
+            if d.cluster is not cluster:
+                raise ValueError(f"explicit table entry {n}: the divisor lives on another cluster")
+
     def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
         if n not in self.table:
             raise ValueError(f"family index {n} missing from the explicit table")
@@ -254,6 +259,8 @@ def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
     This is closure(D_n) + closure(D_m) >= closure(D_{n+m}) componentwise,
     with members n and m embedded in the cluster of member n + m.
     """
+    if integer(n, "family index n") < 1 or integer(m, "family index m") < 1:
+        raise ValueError("family index must be >= 1")
     big, model_big = spec.member(n + m)
     total = spec.embed(n, big).divisor + spec.embed(m, big).divisor
     return total.dominates(model_big.divisor)
@@ -296,7 +303,7 @@ def _make_report(values: Sequence[Fraction], closed_form: Optional[Fraction]) ->
         richardson = n * values[-1] - (n - 1) * values[-2]
     rate = None
     base = n // 4
-    if base >= 1 and 4 * base <= n:
+    if base >= 1:
         s1, s2, s3 = values[base - 1], values[2 * base - 1], values[4 * base - 1]
         d1, d2 = s2 - s1, s3 - s2
         if d1 != 0 and d2 != 0 and abs(d2) < abs(d1):

@@ -79,8 +79,7 @@ def integer(value, what: str) -> int:
 
 def format_rational(value) -> str:
     """Render an exact value as ``a/b`` or a bare integer."""
-    frac = Fraction(value)
-    return str(frac)
+    return str(exact(value, "value"))
 
 
 def format_param(value) -> str:

@@ -56,7 +56,6 @@ TASK_KINDS = MappingProxyType(
 @dataclass
 class Task:
     kind: str
-    line: int
     cluster: Optional[Cluster] = None
     divisor: Optional[ExcDivisor] = None
     element: Optional[PlaneElement] = None
@@ -280,7 +279,7 @@ def _finish_task(sc: Scenario, reader: _SectionReader):
         raise ScenarioError(f"unknown task kind {kind!r}", lineno)
     targets = TASK_KINDS[kind]
     reader.known_keys({"kind", "nmax", "labels", *targets})
-    task = Task(kind=kind, line=reader.lineno)
+    task = Task(kind=kind)
     for target in targets:
         tl, tname = reader.single(target)
         setattr(task, target, _named(getattr(sc, target + "s"), target, tname, tl))

@@ -86,6 +86,18 @@ class TestRealize:
         with pytest.raises(ValueError, match="common cluster"):
             spot_check_graded_law(spec, 1, 2)
 
+    @pytest.mark.parametrize("spec", [Example42Spec, cusp_point_spec])
+    @pytest.mark.parametrize("n, m", [(0, 2), (-1, 3), (2.5, 1)])
+    def test_spot_check_needs_indices_from_one(self, spec, n, m):
+        with pytest.raises(ValueError, match="family index|not an integer"):
+            spot_check_graded_law(spec(), n, m)
+
+    def test_explicit_entry_on_another_cluster_rejected(self):
+        c1, c2 = cusp_cluster(), cusp_cluster()
+        table = {1: (c1, divisor(c1, [1, 1, 2])), 2: (c1, divisor(c2, [2, 2, 4]))}
+        with pytest.raises(ValueError, match="entry 2: the divisor lives on another cluster"):
+            ExplicitSpec(table=table)
+
     def test_graded_law_spot_checks(self):
         for n, m in [(1, 1), (2, 3), (4, 5)]:
             assert spot_check_graded_law(Example42Spec(), n, m)

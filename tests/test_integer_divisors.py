@@ -11,6 +11,7 @@ integral paths build no ``Fraction`` at all.
 
 import contextlib
 import copy
+import io
 import math
 import pickle
 import random
@@ -29,7 +30,10 @@ from antinef import (
     nef_envelope,
     unload,
 )
-from antinef import filtration
+from antinef import filtration, parse_scenario
+from antinef.cli import run_scenario
+from antinef.errors import InexactNumberError
+from antinef.rationals import format_rational
 from antinef.selfcheck import random_cluster, random_integer_divisor
 from helpers import cusp_cluster, star_cluster
 from oracles import (
@@ -313,3 +317,21 @@ class TestNoFractionOnIntegralPaths:
         assert values == [Fraction((n + 1) * (4 * n + 1), n * n) for n in range(1, nmax + 1)]
         _, model = spec.member(nmax)
         assert all(type(x) is Fraction for x in model.divisor.coeffs)
+
+    def test_rendering_an_unload_task(self):
+        """The table cells and summary of an integral closure are rendered from ints."""
+        scenario = parse_scenario(
+            "[cluster C]\npoint = free parent=0 param=0\npoint = satellite parent=1 other=0\n"
+            "[divisor D on C]\ncoeffs = 0 0 1\n[task]\nkind = unload\ndivisor = D\n"
+        )
+        out = io.StringIO()
+        with fractions_made() as made:
+            assert run_scenario(scenario, out) == 0
+        assert made == []
+        assert "2  1    2       1        0\ne=1\n" in out.getvalue()
+
+
+def test_format_rational_refuses_a_float():
+    assert [format_rational(v) for v in (3, Fraction(-7, 2), "6/4")] == ["3", "-7/2", "3/2"]
+    with pytest.raises(InexactNumberError, match="value 0.5"):
+        format_rational(0.5)

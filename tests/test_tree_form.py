@@ -5,6 +5,7 @@ unloading) are compared with the dense algorithms in ``oracles.py`` on
 random clusters, and the tree shape they rely on is checked directly.
 """
 
+import heapq
 import importlib
 import random
 from fractions import Fraction
@@ -149,3 +150,29 @@ def test_raise_steps_do_not_grow_with_coefficients(k):
     assert steps <= 32 * n
     assert is_antinef(model.divisor) and model.divisor.dominates(d)
     assert model.divisor.coeffs == unload(d).divisor.coeffs
+
+
+def test_heap_raises_in_smallest_index_order(monkeypatch):
+    """The default path's heap pops are the picks of ``select=lambda v: v[0]``."""
+    rng = random.Random(1409)
+    heappop = heapq.heappop
+    pops = []
+
+    def recording(heap):
+        pops.append(heappop(heap))
+        return pops[-1]
+
+    monkeypatch.setattr(divisor_module.heapq, "heappop", recording)
+    warm_started = 0
+    for _ in range(200):
+        c = random_cluster(rng, max_points=25)
+        d = random_integer_divisor(rng, c, lo=-5, hi=rng.choice((20, 200)))
+        for budget in BUDGETS:
+            monkeypatch.setattr(divisor_module, "_WARM_START_STEPS", budget)
+            pops.clear()
+            picks = []
+            model = unload(d)
+            assert model == unload(d, lambda v: picks.append(v[0]) or v[0])
+            assert pops == picks
+            warm_started += budget == 1 and len(picks) > c.n_curves
+    assert warm_started > 0
