@@ -24,10 +24,12 @@ process (which never imports the package) just before each repeat:
 scaled = wall * REFERENCE_SECONDS / kernel, the seconds on a machine as
 fast as the reference one.
 
-Per rung a column records the min and median scaled seconds over the
-repeats, the highest peak RSS, and the sha256 of stdout, which must be the
-same in every repeat.  Once a rung's median exceeds ``CAP_SECONDS`` scaled
-seconds, the larger rungs are recorded as ``capped`` and not run.  Per
+Per rung a column records the min scaled seconds over the repeats, their
+quartiles ``q1_s``, ``median_s`` and ``q3_s`` (``statistics.quantiles``, as
+``perfbench/compare.py`` reads a spread), the highest peak RSS, and the
+sha256 of stdout, which must be the same in every repeat.  Once a rung's
+median exceeds ``CAP_SECONDS`` scaled seconds, the larger rungs are
+recorded as ``capped`` and not run.  Per
 column it records the log-log slope between the two largest rungs run, the
 checkout's ``git describe``, the Python version and the median kernel time.
 
@@ -114,16 +116,19 @@ def ladder(src: str, name: str, rungs, repeats: int, cap: float) -> dict:
             raise RuntimeError(f"{name} {n}: stdout differs between repeats")
         times = [r["scaled_s"] for r in runs]
         kernels += [r["kernel_s"] for r in runs]
+        q1, median, q3 = statistics.quantiles(times, n=4)
         rows.append({
             "n": n,
             "status": "ok",
             "repeats": repeats,
             "min_s": round(min(times), 5),
-            "median_s": round(statistics.median(times), 5),
+            "q1_s": round(q1, 5),
+            "median_s": round(median, 5),
+            "q3_s": round(q3, 5),
             "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
             "sha256": digests.pop(),
         })
-        capped = statistics.median(times) > cap
+        capped = median > cap
         print(f"{name} {n}: median {rows[-1]['median_s']} scaled s, "
               f"{rows[-1]['peak_rss_mb']} MB", file=sys.stderr)
     ran = [row for row in rows if row["status"] == "ok"]

@@ -45,7 +45,8 @@ def test_quick_ladder_schema_and_merge(tmp_path):
         assert [r["n"] for r in rungs] == list(quick_rungs)
         for r in rungs:
             assert r["status"] == "ok" and r["repeats"] >= 3
-            assert 0 < r["min_s"] <= r["median_s"] and r["peak_rss_mb"] > 0
+            assert 0 < r["min_s"] <= r["q1_s"] <= r["median_s"] <= r["q3_s"]
+            assert r["peak_rss_mb"] > 0
             assert len(r["sha256"]) == 64
         assert rungs[0]["sha256"] != rungs[1]["sha256"]
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import filtration as flt
 from .curves import value_vector
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
         try:
             with open(args.scenario, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read scenario: {exc}", file=sys.stderr)
             return 2
     try:
@@ -331,10 +332,15 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output is None:
-        return run_scenario(scenario, sys.stdout, args.format, args.nmax)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as out:
-        return run_scenario(scenario, out, args.format, args.nmax)
+    out = nullcontext(sys.stdout)
+    if args.output is not None:
+        try:
+            out = open(args.output, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
+    with out as handle:
+        return run_scenario(scenario, handle, args.format, args.nmax)
 
 
 if __name__ == "__main__":  # pragma: no cover

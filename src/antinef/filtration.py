@@ -19,19 +19,20 @@ empirical rate exponent), and never ask which kind they hold.
   contributions is twice the order of the test element while the sum of
   the individual limits is the order itself, so the two operations do
   not commute.
-* ``ExplicitSpec`` - a user-supplied table of (cluster, divisor) pairs;
-  no closed forms, estimates only.
+* ``ExplicitSpec`` - a user-supplied table n -> integer divisor, on any
+  cluster; no closed forms, estimates only.
 
-One sweep per family: :meth:`FiltrationSpec.member` memoizes, so member n is
-realized (through :func:`realize`) at most once per spec and is shared by
-every task and label that reads the family; a ``QDivisorialSpec`` likewise
-computes its nef envelope and closed degrees once, and an ``Example42Spec``
-grows member n's cluster from a copy of member n-1's, so a sweep to N
-inserts N points, not N(N+1)/2.  The memo lives exactly as long as the spec
-object, so nothing carries over between scenario parses or CLI runs.  It
-assumes that a spec, its table and its clusters are not mutated after the
-first sweep.  :func:`realize` itself is not cached: every call returns a
-new member.
+A member is its :class:`CompleteIdealModel`: ``model.divisor.cluster`` is
+the cluster it lives on.  One sweep per family: :meth:`FiltrationSpec.member`
+memoizes, so member n is realized (through :func:`realize`) at most once per
+spec and is shared by every task and label that reads the family; a
+``QDivisorialSpec`` likewise computes its nef envelope and closed degrees
+once, and an ``Example42Spec`` grows member n's cluster from a copy of
+member n-1's, so a sweep to N inserts N points, not N(N+1)/2.  The memo
+lives exactly as long as the spec object, so nothing carries over between
+scenario parses or CLI runs.  It assumes that a spec, its table and its
+clusters are not mutated after the first sweep.  :func:`realize` itself is
+not cached: every call returns a new member.
 """
 
 from __future__ import annotations
@@ -80,15 +81,15 @@ class FiltrationSpec:
 
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
-        """Member n as a new object; :func:`realize` is the one caller.
+    def build(self, n: int) -> CompleteIdealModel:
+        """Member n as a new model; :func:`realize` is the one caller.
 
         A kind may start from a member already in the memo, but never asks
         :meth:`member` for one: that would recurse once per missing index.
         """
         raise NotImplementedError
 
-    def member(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+    def member(self, n: int) -> CompleteIdealModel:
         """Member n, realized on the first request only."""
         if n not in self._members:
             self._members[n] = realize(self, n)
@@ -112,8 +113,8 @@ class FiltrationSpec:
 
     def embed(self, k: int, cluster: Cluster) -> CompleteIdealModel:
         """Member k as a complete ideal on ``cluster``: here its own cluster."""
-        own, model = self.member(k)
-        if own is not cluster:
+        model = self.member(k)
+        if model.divisor.cluster is not cluster:
             raise ValueError("spot check needs a common cluster across indices")
         return model
 
@@ -142,8 +143,8 @@ class QDivisorialSpec(FiltrationSpec):
         """Every -(envelope . E_v), from one pass over the form."""
         return tuple(-s for s in _pairings(self.cluster, self.envelope.coeffs))
 
-    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
-        return self.cluster, unload((n * self.delta).ceil())
+    def build(self, n: int) -> CompleteIdealModel:
+        return unload((n * self.delta).ceil())
 
     def closed_multiplicity(self) -> Fraction:
         return -intersect(self.envelope, self.envelope)
@@ -191,12 +192,12 @@ class Example42Spec(FiltrationSpec):
             )
         return self.params[i - 1]
 
-    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+    def build(self, n: int) -> CompleteIdealModel:
         previous = self._members.get(n - 1)
-        cluster = new_cluster() if previous is None else previous[0].copy()
+        cluster = new_cluster() if previous is None else previous.divisor.cluster.copy()
         for i in range(len(cluster), n + 1):
             cluster.add_free_point(0, self.param(i))
-        return cluster, self.embed(n, cluster)
+        return self.embed(n, cluster)
 
     def closed_multiplicity(self) -> Fraction:
         return Fraction(4)
@@ -218,33 +219,30 @@ class Example42Spec(FiltrationSpec):
 
 @dataclass(frozen=True)
 class ExplicitSpec(FiltrationSpec):
-    """Explicit table n -> (cluster, integer divisor); authors own the growth law."""
+    """Explicit table n -> integer divisor; authors own the growth law."""
 
-    table: Mapping[int, tuple[Cluster, ExcDivisor]]
+    table: Mapping[int, ExcDivisor]
 
     def __post_init__(self):
-        for n, (cluster, d) in self.table.items():
-            if d.cluster is not cluster:
-                raise ValueError(f"explicit table entry {n}: the divisor lives on another cluster")
+        if not self.table:
+            raise ValueError("explicit filtration needs at least one entry")
 
-    def build(self, n: int) -> tuple[Cluster, CompleteIdealModel]:
+    def build(self, n: int) -> CompleteIdealModel:
         if n not in self.table:
             raise ValueError(f"family index {n} missing from the explicit table")
-        cluster, d = self.table[n]
-        return cluster, unload(d)
+        return unload(self.table[n])
 
     def default_labels(self) -> tuple[int, ...]:
-        any_cluster = next(iter(self.table.values()))[0]
-        return tuple(range(any_cluster.n_curves))
+        first = next(iter(self.table.values()))
+        return tuple(range(first.cluster.n_curves))
 
 
-def realize(spec: FiltrationSpec, n: int) -> tuple[Cluster, CompleteIdealModel]:
-    """The n-th member of the family as a cluster plus complete-ideal model.
+def realize(spec: FiltrationSpec, n: int) -> CompleteIdealModel:
+    """The n-th member of the family as a complete-ideal model.
 
-    Every call returns a new cluster and model; the family functions share
-    members through :meth:`FiltrationSpec.member` instead.  An
-    ``Example42Spec`` grows the new cluster from a copy of the memoized
-    member n-1's cluster when there is one.
+    Every call returns a new model; the family functions share members
+    through :meth:`FiltrationSpec.member` instead.  An ``Example42Spec``
+    grows the new cluster from a copy of the memoized member n-1's.
     """
     if integer(n, "family index n") < 1:
         raise ValueError("family index must be >= 1")
@@ -261,9 +259,9 @@ def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
     """
     if integer(n, "family index n") < 1 or integer(m, "family index m") < 1:
         raise ValueError("family index must be >= 1")
-    big, model_big = spec.member(n + m)
-    total = spec.embed(n, big).divisor + spec.embed(m, big).divisor
-    return total.dominates(model_big.divisor)
+    big = spec.member(n + m).divisor
+    total = spec.embed(n, big.cluster).divisor + spec.embed(m, big.cluster).divisor
+    return total.dominates(big)
 
 
 @dataclass(frozen=True)
@@ -335,7 +333,7 @@ def _sweep(spec: FiltrationSpec, nmax: int) -> list[CompleteIdealModel]:
     """Models for n = 1..nmax, in index order, shared through the spec's memo."""
     if integer(nmax, "nmax") < 1:
         raise ValueError("nmax must be >= 1")
-    return [spec.member(n)[1] for n in range(1, nmax + 1)]
+    return [spec.member(n) for n in range(1, nmax + 1)]
 
 
 def multiplicity_sequence(spec: FiltrationSpec, nmax: int) -> LimitReport:
@@ -390,21 +388,17 @@ def commutation_report(spec: FiltrationSpec, f: PlaneElement, nmax: int) -> Comm
     if not _is_squarefree(f):
         raise ValueError("element is not squarefree")
     models = _sweep(spec, nmax)
-    big_cluster, _ = spec.member(nmax)
+    big_cluster = models[-1].divisor.cluster
     # Without closed forms each single limit is estimated from the members'
     # own coefficients, so curve v must be one valuation in every member.
-    if spec.closed_degree(0) is None:
-        if any(spec.member(n)[0] is not big_cluster for n in range(1, nmax)):
-            raise ValueError("commutation needs a fixed cluster for explicit tables")
+    if spec.closed_degree(0) is None and any(m.divisor.cluster is not big_cluster for m in models):
+        raise ValueError("commutation needs a fixed cluster for explicit tables")
 
     # One valuation computation on the largest realized cluster covers all
     # indices: values are intrinsic to the valuations.
     vv = value_vector(big_cluster, f).values
-    values = []
-    for n, model in enumerate(models, start=1):
-        coeffs = model.degree_coeffs
-        total = sum(vv[i] * c for i, c in enumerate(coeffs))
-        values.append(Fraction(total, n))
+    values = [Fraction(sum(a * c for a, c in zip(vv, model.degree_coeffs)), n)
+              for n, model in enumerate(models, start=1)]
 
     sum_of_lims = Fraction(0)
     sum_is_estimate = False

@@ -212,7 +212,7 @@ def _finish_element(sc: Scenario, reader: _SectionReader, name: str):
         raise ScenarioError(f"bad polynomial: {exc}", lineno) from None
 
 
-def _qdivisorial_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict:
+def _qdivisorial_args(sc: Scenario, reader: _SectionReader) -> dict:
     div = reader.single("divisor", required=False)
     if div is not None:
         return {"delta": _named(sc.divisors, "divisor", div[1], div[0])}
@@ -222,14 +222,14 @@ def _qdivisorial_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict
     return {"delta": _divisor_on(cluster, cname, text, dl, "delta")}
 
 
-def _example42_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict:
+def _example42_args(sc: Scenario, reader: _SectionReader) -> dict:
     params = reader.single("params", required=False)
     if params is None:
         return {"params": None}
     return {"params": tuple(_coeff_list(params[1], params[0]))}
 
 
-def _explicit_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict:
+def _explicit_args(sc: Scenario, reader: _SectionReader) -> dict:
     table = {}
     for el, key, value in reader.lines:
         if key != "entry":
@@ -243,10 +243,9 @@ def _explicit_args(sc: Scenario, reader: _SectionReader, lineno: int) -> dict:
         if n in table:
             raise ScenarioError(f"duplicate entry index {n}", el)
         cluster = _named(sc.clusters, "cluster", fields[1], el)
-        d = _divisor_on(cluster, fields[1], " ".join(fields[2:]), el, "entry")
-        table[n] = (cluster, d)
-    if not table:
-        raise ScenarioError("explicit filtration needs at least one entry", lineno)
+        table[n] = _divisor_on(cluster, fields[1], " ".join(fields[2:]), el, "entry")
+        if not table[n].is_integral():
+            raise ScenarioError("entry coefficients must be integers", el)
     return {"table": table}
 
 
@@ -266,7 +265,7 @@ def _finish_filtration(sc: Scenario, reader: _SectionReader, name: str):
         raise ScenarioError(f"unknown filtration kind {kind!r}", lineno)
     spec, keys, read_args = _FILTRATION_KINDS[kind]
     reader.known_keys({"kind", *keys})
-    args = read_args(sc, reader, lineno)
+    args = read_args(sc, reader)
     try:
         sc.filtrations[name] = spec(**args)
     except ValueError as exc:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from antinef import cli
 from antinef.cli import main
 
 CUSP_SCENARIO = """\
@@ -185,6 +186,37 @@ nmax = 4
         scn.write_text("# nothing here\n")
         assert main(["run", "--scenario", str(scn)]) == 0
         assert "no tasks" in capsys.readouterr().err
+
+
+class TestUnusableFiles:
+    """An output that cannot be written or a scenario that cannot be read
+    ends in one error line and exit 2, before any task runs."""
+
+    @pytest.fixture
+    def task_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args) or 0)
+        return runs
+
+    @pytest.mark.parametrize("command", [["example42", "--nmax", "2"], ["run"]])
+    @pytest.mark.parametrize("where", ["missing/out.txt", "."])
+    def test_unwritable_output(self, tmp_path, capsys, task_runs, command, where):
+        scn = tmp_path / "cusp.scn"
+        scn.write_text(CUSP_SCENARIO)
+        if command == ["run"]:
+            command = ["run", "--scenario", str(scn)]
+        assert main(command + ["--output", str(tmp_path / where)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1 and task_runs == []
+
+    def test_scenario_not_utf8(self, tmp_path, capsys, task_runs):
+        scn = tmp_path / "latin1.scn"
+        scn.write_bytes("# caf\u00e9\n".encode("latin-1") + CUSP_SCENARIO.encode())
+        assert main(["run", "--scenario", str(scn)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read scenario: ")
+        assert err.count("\n") == 1 and task_runs == []
 
 
 ALL_TASKS_SCENARIO = """\

@@ -31,18 +31,18 @@ def cusp_point_spec():
 
 class TestRealize:
     def test_growing_family_first_member(self):
-        cl, model = realize(Example42Spec(), 1)
+        model = realize(Example42Spec(), 1)
         assert model.divisor.coeffs == (3, 4)
         assert model.multiplicity == 10
         assert model.degree_coeffs == (2, 1)
 
     def test_growing_family_divisor_is_antinef(self):
         for n in (2, 5, 9):
-            _, model = realize(Example42Spec(), n)
+            model = realize(Example42Spec(), n)
             assert model.divisor.coeffs == tuple([2 * n + 1] + [2 * n + 2] * n)
 
     def test_qdivisorial_member(self):
-        _, model = realize(cusp_point_spec(), 6)
+        model = realize(cusp_point_spec(), 6)
         assert model.divisor.coeffs == (2, 3, 6)
 
     def test_index_validation(self):
@@ -66,10 +66,8 @@ class TestRealize:
 
     def test_explicit_table(self):
         c = cusp_cluster()
-        spec = ExplicitSpec(
-            table={n: (c, divisor(c, [n, n, 2 * n])) for n in (1, 2, 3)}
-        )
-        _, model = realize(spec, 2)
+        spec = ExplicitSpec(table={n: divisor(c, [n, n, 2 * n]) for n in (1, 2, 3)})
+        model = realize(spec, 2)
         assert model.divisor.coeffs == (2, 2, 4)
         with pytest.raises(ValueError, match="missing"):
             realize(spec, 4)
@@ -77,11 +75,7 @@ class TestRealize:
     def test_spot_check_needs_common_cluster(self):
         c1, c2 = cusp_cluster(), cusp_cluster()
         spec = ExplicitSpec(
-            table={
-                1: (c1, divisor(c1, [1, 1, 2])),
-                2: (c2, divisor(c2, [2, 2, 4])),
-                3: (c1, divisor(c1, [3, 3, 6])),
-            }
+            table={1: divisor(c1, [1, 1, 2]), 2: divisor(c2, [2, 2, 4]), 3: divisor(c1, [3, 3, 6])}
         )
         with pytest.raises(ValueError, match="common cluster"):
             spot_check_graded_law(spec, 1, 2)
@@ -92,11 +86,9 @@ class TestRealize:
         with pytest.raises(ValueError, match="family index|not an integer"):
             spot_check_graded_law(spec(), n, m)
 
-    def test_explicit_entry_on_another_cluster_rejected(self):
-        c1, c2 = cusp_cluster(), cusp_cluster()
-        table = {1: (c1, divisor(c1, [1, 1, 2])), 2: (c1, divisor(c2, [2, 2, 4]))}
-        with pytest.raises(ValueError, match="entry 2: the divisor lives on another cluster"):
-            ExplicitSpec(table=table)
+    def test_empty_explicit_table_rejected(self):
+        with pytest.raises(ValueError, match="^explicit filtration needs at least one entry$"):
+            ExplicitSpec(table={})
 
     def test_graded_law_spot_checks(self):
         for n, m in [(1, 1), (2, 3), (4, 5)]:
@@ -263,16 +255,14 @@ class TestExplicitSpotCheck:
     def test_law_holds_for_scaled_table(self):
         c = cusp_cluster()
         base = unload(divisor(c, [0, 0, 1])).divisor
-        spec = ExplicitSpec(
-            table={n: (c, n * base) for n in range(1, 7)}
-        )
+        spec = ExplicitSpec(table={n: n * base for n in range(1, 7)})
         assert spot_check_graded_law(spec, 2, 3)
 
     def test_law_violation_reported_not_raised(self):
         c = cusp_cluster()
         base = unload(divisor(c, [0, 0, 1])).divisor
-        table = {n: (c, n * base) for n in (1, 2)}
-        table[3] = (c, 5 * base)  # too big: I_1 I_2 cannot sit inside it
+        table = {n: n * base for n in (1, 2)}
+        table[3] = 5 * base  # too big: I_1 I_2 cannot sit inside it
         spec = ExplicitSpec(table=table)
         assert spot_check_graded_law(spec, 1, 1)
         assert not spot_check_graded_law(spec, 1, 2)
@@ -302,7 +292,7 @@ class TestConcurrentUse:
 class TestSubadditivity:
     def test_fixed_cluster_family_law(self):
         spec = cusp_point_spec()
-        models = {n: realize(spec, n)[1].divisor for n in range(1, 13)}
+        models = {n: realize(spec, n).divisor for n in range(1, 13)}
         for n in range(1, 7):
             for m in range(1, 7):
                 assert (models[n] + models[m]).dominates(models[n + m])
@@ -313,7 +303,7 @@ class TestSubadditivity:
         env = nef_envelope(spec.delta)
         devs = []
         for n in range(1, 61):
-            d = realize(spec, n)[1].divisor
+            d = realize(spec, n).divisor
             devs.append(
                 max(abs(Fraction(c, n) - e) for c, e in zip(d.as_integers(), env.coeffs))
             )

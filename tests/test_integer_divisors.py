@@ -315,7 +315,7 @@ class TestNoFractionOnIntegralPaths:
         params = [Fraction(i) for i in range(nmax)]
         assert made == params + list(values) + [closed]
         assert values == [Fraction((n + 1) * (4 * n + 1), n * n) for n in range(1, nmax + 1)]
-        _, model = spec.member(nmax)
+        model = spec.member(nmax)
         assert all(type(x) is Fraction for x in model.divisor.coeffs)
 
     def test_rendering_an_unload_task(self):

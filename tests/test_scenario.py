@@ -238,6 +238,15 @@ class TestEntryIndices:
     def test_non_nat_index_rejected(self, index):
         self.expect_error(f"entry = {index} C 1 1\n", "bad index", 6)
 
+    def test_non_integer_coefficients_rejected_on_the_entry_line(self, tmp_path, capsys):
+        message = "entry coefficients must be integers"
+        self.expect_error("entry = 2 C 2 2\nentry = 1 C 1/2 1\n", message, 7)
+        scn = tmp_path / "half.scn"
+        task = "[task]\nkind = rees_union\nfiltration = G\nnmax = 1\n"
+        scn.write_text(_EXPLICIT + "entry = 1 C 1/2 1\n\n" + task)
+        assert main(["run", "--scenario", str(scn)]) == 2
+        assert capsys.readouterr() == ("", f"error: line 6: {message}\n")
+
     def test_distinct_positive_indices_kept(self):
         sc = parse_scenario(_EXPLICIT + "entry = 3 C 3 3\nentry = 1 C 1 1\n")
         assert sorted(sc.filtrations["G"].table) == [1, 3]

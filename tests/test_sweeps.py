@@ -54,8 +54,8 @@ def assert_shared_members_match_fresh(spec, nmax=NMAX, fresh_member=None):
     deg0 = degree_limit(spec, 0, nmax)
     rees = rees_union(spec, nmax)
     for n in range(1, nmax + 1):
-        shared_cluster, shared = spec.member(n)
-        fresh_cluster, fresh = fresh_member(n)
+        shared, fresh = spec.member(n), fresh_member(n)
+        shared_cluster, fresh_cluster = shared.divisor.cluster, fresh.divisor.cluster
         assert shared_cluster.tree_form() == fresh_cluster.tree_form()
         assert shared_cluster.points == fresh_cluster.points  # parent, prox and param
         assert [shared_cluster.children(i) for i in range(len(shared_cluster))] == [
@@ -86,7 +86,7 @@ def star_member(params, n):
     cluster = new_cluster()
     for param in params[:n]:
         cluster.add_free_point(0, param)
-    return cluster, unload(divisor(cluster, [2 * n + 1] + [2 * n + 2] * n))
+    return unload(divisor(cluster, [2 * n + 1] + [2 * n + 2] * n))
 
 
 def test_example42_members_match_fresh_realize():
@@ -103,10 +103,10 @@ def test_example42_members_match_fresh_realize():
         spec = Example42Spec(params=tuple(params))
         assert_shared_members_match_fresh(spec, fresh_member=lambda n: star_member(params, n))
         # each member keeps its own cluster; a realize on a new spec agrees
-        assert len({id(spec.member(n)[0]) for n in range(1, NMAX + 1)}) == NMAX
-        cold_cluster, cold = realize(Example42Spec(params=tuple(params)), NMAX)
-        warm_cluster, warm = spec.member(NMAX)
-        assert cold_cluster.points == warm_cluster.points
+        assert len({id(spec.member(n).divisor.cluster) for n in range(1, NMAX + 1)}) == NMAX
+        cold = realize(Example42Spec(params=tuple(params)), NMAX)
+        warm = spec.member(NMAX)
+        assert cold.divisor.cluster.points == warm.divisor.cluster.points
         assert cold.divisor.coeffs == warm.divisor.coeffs
 
 
@@ -116,7 +116,7 @@ def test_explicit_members_match_fresh_realize():
     for n in range(1, NMAX + 1):
         cluster = cusp if n % 3 else chain
         coeffs = [(n * (i + 2)) % 5 - 1 for i in range(cluster.n_curves)]
-        table[n] = (cluster, divisor(cluster, coeffs))
+        table[n] = divisor(cluster, coeffs)
     assert_shared_members_match_fresh(ExplicitSpec(table=table))
 
 
@@ -154,7 +154,7 @@ def test_example42_sweep_inserts_each_point_once(free_point_calls):
 def test_example42_realize_on_a_new_spec_inserts_n_points(free_point_calls):
     for n in (1, 2, 17, 40):
         free_point_calls.clear()
-        cluster, _ = realize(Example42Spec(), n)
+        cluster = realize(Example42Spec(), n).divisor.cluster
         assert len(free_point_calls) == n == len(cluster) - 1
 
 
@@ -203,9 +203,42 @@ def test_default_degree_labels_share_one_sweep(realize_calls):
 
 def test_explicit_commutation_realizes_each_member_once(realize_calls):
     cusp = cusp_cluster()
-    table = {n: (cusp, divisor(cusp, [n, n, 2 * n])) for n in range(1, 7)}
+    table = {n: divisor(cusp, [n, n, 2 * n]) for n in range(1, 7)}
     commutation_report(ExplicitSpec(table=table), parse_poly("y^2 - x^3"), 6)
     assert sorted(realize_calls) == list(range(1, 7))
+
+
+def test_swept_members_live_on_the_clusters_the_sweep_built(monkeypatch):
+    """A member's cluster is ``member(n).divisor.cluster``, by identity: the
+    spec's for qdivisorial, member n's own grown star for example42, and the
+    entry's for an explicit table."""
+    qspec = QDivisorialSpec(delta=divisor(cusp_cluster(), [0, 0, 1]))
+    multiplicity_sequence(qspec, 8)
+    assert all(qspec.member(n).divisor.cluster is qspec.cluster for n in range(1, 9))
+
+    grown = []  # the cluster that received each inserted point, in order
+    original = Cluster.add_free_point
+
+    def recording(self, parent, param=None):
+        grown.append(self)
+        return original(self, parent, param)
+
+    monkeypatch.setattr(Cluster, "add_free_point", recording)
+    espec = Example42Spec()
+    multiplicity_sequence(espec, 8)
+    assert len(grown) == 8
+    for n in range(1, 9):
+        assert espec.member(n).divisor.cluster is grown[n - 1]
+        assert len(grown[n - 1]) == n + 1
+
+    cusp, chain = cusp_cluster(), chain_cluster(4)
+    clusters = {n: cusp if n % 2 else chain for n in range(1, 7)}
+    table = {n: divisor(c, [n] * c.n_curves) for n, c in clusters.items()}
+    xspec = ExplicitSpec(table=table)
+    multiplicity_sequence(xspec, 6)
+    assert all(xspec.member(n).divisor.cluster is c for n, c in clusters.items())
+    with pytest.raises(ValueError, match="commutation needs a fixed cluster"):
+        commutation_report(xspec, parse_poly("y^2 - x^3"), 6)
 
 
 def test_qdivisorial_envelope_computed_once(monkeypatch):
