@@ -12,7 +12,11 @@ The ladders (``LADDERS``):
   200, 400 and 800;
 * ``unload`` and ``nef_envelope`` - one call on a seeded n-point cluster
   with satellites, n in 250, 500 and 1000, on an effective integer divisor
-  with 20% of its coefficients in 1..10^6 and the rest 0.
+  with 20% of its coefficients in 1..10^6 and the rest 0;
+* ``qdivisorial`` - ``multiplicity_sequence`` of a new ``QDivisorialSpec``
+  to N, N in 100, 200 and 400, on a seeded 21-point cluster, with 40% of
+  the generator's coefficients a/b, b in {2, 3, 5, 7, 11}, and the rest 0;
+  the time includes the spec's nef envelope.
 
 Each repeat of a rung runs ``scale_child.py`` in a fresh interpreter that
 imports the package from ``--src``.  The child times only the measured call
@@ -20,7 +24,8 @@ imports the package from ``--src``.  The child times only the measured call
 RSS (Linux ``VmHWM``, else ``ru_maxrss``); this script hashes the
 child's stdout, which is the CLI's output or the printed result.  Seconds
 are scaled by the kernel of ``perfbench/reference.py``, timed in this
-process (which never imports the package) just before each repeat:
+process (which never imports the package) just before each repeat, the
+min of three timings (one with ``--quick``):
 scaled = wall * REFERENCE_SECONDS / kernel, the seconds on a machine as
 fast as the reference one.
 
@@ -75,14 +80,21 @@ LADDERS = {
         (250, 500, 1000),
         (250, 500),
     ),
+    "qdivisorial": (
+        "multiplicity_sequence of a new QDivisorialSpec to N on a seeded 21-point cluster; "
+        "delta has 40% of its coefficients a/b, a in 1..10, b in {2, 3, 5, 7, 11}, the rest 0",
+        (100, 200, 400),
+        (100, 200),
+    ),
 }
 REPEATS, QUICK_REPEATS = 5, 3
+KERNELS, QUICK_KERNELS = 3, 1  # kernel timings per repeat; the repeat takes their min
 CAP_SECONDS = 30.0  # scaled; a rung whose median exceeds it caps the larger rungs
 
 
-def repeat(src: str, name: str, n: int, timeout: float) -> dict:
+def repeat(src: str, name: str, n: int, timeout: float, timings: int = KERNELS) -> dict:
     """One fresh child at size ``n``: its wall seconds, peak RSS and stdout digest."""
-    kernel = min(kernel_seconds() for _ in range(3))
+    kernel = min(kernel_seconds() for _ in range(timings))
     proc = subprocess.run(
         [sys.executable, CHILD, name, str(n)],
         env=dict(os.environ, PYTHONPATH=src),
@@ -103,14 +115,14 @@ def repeat(src: str, name: str, n: int, timeout: float) -> dict:
     }
 
 
-def ladder(src: str, name: str, rungs, repeats: int, cap: float) -> dict:
+def ladder(src: str, name: str, rungs, repeats: int, cap: float, timings: int = KERNELS) -> dict:
     """The column of one ladder for one checkout: every rung, its slope and provenance."""
     rows, kernels, capped = [], [], False
     for n in rungs:
         if capped:
             rows.append({"n": n, "status": "capped"})
             continue
-        runs = [repeat(src, name, n, timeout=60 + 20 * cap) for _ in range(repeats)]
+        runs = [repeat(src, name, n, 60 + 20 * cap, timings) for _ in range(repeats)]
         digests = {r["sha256"] for r in runs}
         if len(digests) != 1:
             raise RuntimeError(f"{name} {n}: stdout differs between repeats")
@@ -161,7 +173,8 @@ def main(argv=None) -> int:
     parser.add_argument("--column", default="change", help="column name in --out")
     parser.add_argument("--out", required=True, help="JSON file to write or merge into")
     parser.add_argument("--quick", action="store_true",
-                        help=f"only the two smallest rungs, {QUICK_REPEATS} repeats: under 10 s")
+                        help=f"only the two smallest rungs, {QUICK_REPEATS} repeats, "
+                             f"{QUICK_KERNELS} kernel timing each: under 10 s")
     args = parser.parse_args(argv)
 
     data = {}
@@ -174,7 +187,8 @@ def main(argv=None) -> int:
     })
     for name, (what, rungs, quick_rungs) in LADDERS.items():
         column = ladder(args.src, name, quick_rungs if args.quick else rungs,
-                        QUICK_REPEATS if args.quick else REPEATS, CAP_SECONDS)
+                        QUICK_REPEATS if args.quick else REPEATS, CAP_SECONDS,
+                        QUICK_KERNELS if args.quick else KERNELS)
         entry = data.setdefault("ladders", {}).setdefault(name, {})
         entry["what"] = what
         entry.setdefault("columns", {})[args.column] = column

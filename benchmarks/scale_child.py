@@ -16,12 +16,24 @@ import random
 import resource
 import sys
 import time
+from fractions import Fraction
 
-from antinef import ClusterStructureError, divisor, nef_envelope, new_cluster, unload
+from antinef import (
+    ClusterStructureError,
+    QDivisorialSpec,
+    divisor,
+    multiplicity_sequence,
+    nef_envelope,
+    new_cluster,
+    unload,
+)
 from antinef.cli import main
 
 #: Share of the divisor ladders' coefficients that are nonzero, and their bound.
 SHARE, TOP = 0.2, 10**6
+#: The ``qdivisorial`` ladder's cluster size, share of rational coefficients
+#: a/b, bound on a, and choices of b.
+Q_POINTS, Q_SHARE, Q_TOP, Q_DENOMINATORS = 21, 0.4, 10, (2, 3, 5, 7, 11)
 
 
 def seeded_cluster(n: int):
@@ -48,10 +60,29 @@ def seeded_divisor(n: int):
     return divisor(cluster, [rng.randint(1, TOP) if rng.random() < SHARE else 0 for _ in range(n)])
 
 
+def seeded_delta():
+    """The ``qdivisorial`` generator: 40% of its coefficients a/b, the rest 0."""
+    cluster = seeded_cluster(Q_POINTS)
+    rng = random.Random(-Q_POINTS)
+    return divisor(cluster, [
+        Fraction(rng.randint(1, Q_TOP), rng.choice(Q_DENOMINATORS)) if rng.random() < Q_SHARE else 0
+        for _ in range(Q_POINTS)
+    ])
+
+
 def prepare(ladder: str, n: int):
     """The call to time, and the function that prints its result."""
     if ladder == "example42":
         return lambda: main(["example42", "--nmax", str(n)]), lambda code: code
+    if ladder == "qdivisorial":
+        delta = seeded_delta()
+
+        def show(report):
+            print(report.closed_form)
+            print(*report.values)
+            return 0
+
+        return lambda: multiplicity_sequence(QDivisorialSpec(delta=delta), n), show
     d = seeded_divisor(n)
     if ladder == "unload":
         def show(model):

@@ -56,3 +56,15 @@ def test_cap_stops_the_ladder():
         column = scale.ladder(SRC, name, rungs, repeats=3, cap=0)
         assert [r["status"] for r in column["rungs"]] == ["ok", "capped", "capped"]
         assert column["slope"] is None
+
+
+def test_qdivisorial_ladder_prints_the_sequence():
+    assert scale.LADDERS["qdivisorial"][1:] == ((100, 200, 400), (100, 200))
+    proc = subprocess.run(
+        [sys.executable, scale.CHILD, "qdivisorial", "6"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    closed, values = proc.stdout.splitlines()
+    assert "/" in closed and len(values.split()) == 6
+    assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0

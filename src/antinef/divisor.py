@@ -3,10 +3,10 @@
 Divisors live in the strict-transform basis E_0, ..., E_{n-1} with exact
 rational coefficients, stored as integer numerators over one positive
 common denominator (1 for an integral divisor).  Every operation runs on
-those integers, so the integral paths, :func:`unload` and
-:class:`CompleteIdealModel` above all, build no ``Fraction``;
-``ExcDivisor.coeffs`` is a ``Fraction`` view built on its first read.  The
-central operations are the two antinef closures:
+those integers, so :func:`unload`, :class:`CompleteIdealModel` and
+:func:`nef_envelope` build no ``Fraction``; ``ExcDivisor.coeffs`` is a
+``Fraction`` view built on its first read.  The central operations are the
+two antinef closures:
 
 * :func:`unload` - the least *integer* antinef divisor dominating an
   integer divisor, computed by the classical fixpoint that keeps raising
@@ -21,7 +21,11 @@ central operations are the two antinef closures:
 Everything runs on the cluster's :class:`~antinef.cluster.TreeForm`: the
 form is a tree with unit edges, so all pairings (D . E_i) cost O(n) and a
 linear solve on any set of curves is leaf elimination on the forest they
-induce, O(k) exact operations with no fill-in and no pivoting.
+induce, O(k) exact operations with no fill-in and no pivoting.  The
+elimination is fraction-free: each pivot is a ratio of integer subtree
+determinants, back substitution does one exact integer division per
+coordinate, and the solve returns integer numerators over one denominator,
+the lcm of the determinants of the forest's components.
 
 A divisor D is antinef when (D . E_i) <= 0 for every exceptional curve.
 On the connected negative definite lattice of a cluster this forces
@@ -370,31 +374,37 @@ def fixed_part(d: ExcDivisor) -> ExcDivisor:
     return unload(d).divisor - d
 
 
-def _solve_active(form: TreeForm, delta: Sequence[int], active: set[int]) -> list:
+def _solve_active(
+    form: TreeForm, delta: Sequence[int], active: set[int]
+) -> tuple[list[int], int]:
     """Solve (D . E_i) = 0 for i in ``active`` with D = delta off the set.
 
-    Returns all n coefficients of D.  The active curves induce a forest of
-    the tree form; each component is solved by leaf elimination (Rose,
-    1970).  Eliminating a leaf u with parent w replaces w's pivot p_w by
-    p_w - 1/p_u and its right-hand side b_w by b_w - b_u/p_u; the root then
-    solves directly and back substitution gives x_u = (b_u - x_w)/p_u.
-    Each pivot is a Schur complement of a negative definite block, so it is
-    negative: O(k) exact operations, no pivoting, no fill-in.  A cycle
-    among the active curves would make the elimination wrong, so meeting
-    one raises.
+    Returns ``(nums, den)``: all n coefficients of D as integer numerators
+    over one positive denominator, the lcm of the determinants of the
+    components solved (1 when ``active`` is empty).  ``delta`` is integral.
+
+    The active curves induce a forest of the tree form; each component is
+    rooted and solved by leaf elimination (Rose, 1970) kept fraction-free
+    (Bareiss, 1968).  Let T_u be the determinant of the block of u's
+    subtree, P_u the product of T_c over u's children c, and B_u u's
+    eliminated right-hand side scaled by P_u; u's pivot is T_u / P_u.
+    Folding in child c is three integer products:
+    T_u <- T_u T_c - P_u P_c, B_u <- B_u T_c - P_u B_c, P_u <- P_u T_c,
+    starting from (m_uu, b_u, 1).  The root gives x = B_root / T_root, so
+    X_u = T_root x_u, an integer by Cramer's rule, is B_root at the root and
+    X_u = (B_u T_root - X_parent P_u) // T_u below it: one exact division
+    per coordinate.  Each T_u is the determinant of a negative definite
+    block, so it is nonzero: no pivoting, no fill-in.  A cycle among the
+    active curves would make the elimination wrong, so meeting one raises.
     """
-    x = list(delta)
-    pivot: dict[int, Fraction] = {}
-    rhs: dict[int, Fraction] = {}
     parent: dict[int, Optional[int]] = {}
+    solved = []  # (X by curve, T_root) per component
     for root in active:
         if root in parent:
             continue
         parent[root] = None
         order = [root]
         for u in order:  # breadth first; ``order`` grows while it is read
-            pivot[u] = Fraction(form.diag[u])
-            rhs[u] = -sum((delta[v] for v in form.nbrs[u] if v not in active), Fraction(0))
             for v in form.nbrs[u]:
                 if v not in active or v == parent[u]:
                     continue
@@ -404,14 +414,29 @@ def _solve_active(form: TreeForm, delta: Sequence[int], active: set[int]) -> lis
                     )
                 parent[v] = u
                 order.append(v)
-        for u in reversed(order[1:]):
-            w = parent[u]
-            pivot[w] -= 1 / pivot[u]
-            rhs[w] -= rhs[u] / pivot[u]
-        x[root] = rhs[root] / pivot[root]
+        det: dict[int, int] = {}
+        rhs: dict[int, int] = {}
+        prod: dict[int, int] = {}
+        for u in reversed(order):
+            t, p = form.diag[u], 1
+            b = -sum(delta[v] for v in form.nbrs[u] if v not in active)
+            for v in form.nbrs[u]:
+                if v in active and v != parent[u]:
+                    tc = det[v]
+                    t, b, p = t * tc - p * prod[v], b * tc - p * rhs[v], p * tc
+            det[u], rhs[u], prod[u] = t, b, p
+        top = det[root]
+        xs = {root: rhs[root]}
         for u in order[1:]:
-            x[u] = (rhs[u] - x[parent[u]]) / pivot[u]
-    return x
+            xs[u] = (rhs[u] * top - xs[parent[u]] * prod[u]) // det[u]
+        solved.append((xs, top))
+    den = math.lcm(*(top for _, top in solved))  # positive, whatever the signs
+    nums = [a * den for a in delta]
+    for xs, top in solved:
+        scale = den // top  # exact, and negative where top is
+        for u, a in xs.items():
+            nums[u] = a * scale
+    return nums, den
 
 
 def nef_envelope(delta: ExcDivisor) -> ExcDivisor:
@@ -443,14 +468,13 @@ def nef_envelope(delta: ExcDivisor) -> ExcDivisor:
     nums = delta._nums
     active = {i for i, c in enumerate(nums) if c == 0}
     while True:
-        coeffs = _solve_active(form, nums, active)
+        coeffs, den = _solve_active(form, nums, active)
         pair = _pairings(cluster, coeffs)
         violated = [i for i, s in enumerate(pair) if s > 0 and i not in active]
         if not violated:
             break
         active.update(violated)
-    scaled = ExcDivisor(cluster, tuple(coeffs))
-    out = ExcDivisor._of(cluster, scaled._nums, scaled._den * delta._den)
+    out = ExcDivisor._of(cluster, tuple(coeffs), den * delta._den)
     if not out.dominates(delta):
         raise RuntimeError("active-set solve dipped below the input")
     return out

@@ -12,7 +12,8 @@ empirical rate exponent), and never ask which kind they hold.
 
 * ``QDivisorialSpec`` - the valuation-theoretic family on a fixed cluster
   cut out by an effective rational divisor: member n is the antinef
-  closure of ceil(n * delta), and env is the nef envelope of delta.
+  closure of ceil(n * delta), unloaded from ceil(n * env), where env is
+  the nef envelope of delta.
 * ``Example42Spec`` - the built-in growing family: member n lives on a
   cluster with n free points on the first exceptional curve and is the
   antinef divisor (2n+1, 2n+2, ..., 2n+2).  Its limit of summed degree
@@ -141,10 +142,24 @@ class QDivisorialSpec(FiltrationSpec):
     @cached_property
     def closed_degrees(self) -> tuple[Fraction, ...]:
         """Every -(envelope . E_v), from one pass over the form."""
-        return tuple(-s for s in _pairings(self.cluster, self.envelope.coeffs))
+        env = self.envelope
+        return tuple(Fraction(-s, env._den) for s in _pairings(self.cluster, env._nums))
 
     def build(self, n: int) -> CompleteIdealModel:
-        return unload((n * self.delta).ceil())
+        """closure(ceil(n delta)), unloaded from ceil(n env) with env the envelope.
+
+        The two closures agree.  Write D = ceil(n delta) and
+        E = ceil(n env).  Since delta <= env, D <= E.  closure(D) is
+        integral, antinef and >= n delta, so it is >= n env, the least
+        antinef divisor above n delta, and being integral it is >= E.
+        Raising from any integral divisor between D and closure(D) ends at
+        closure(D) (see :func:`unload`), so closure(E) = closure(D).  From E
+        the raise loop is short: with k the denominator of env and
+        r = n mod k, closure(D) - n env <= closure(ceil(r delta)) - r env,
+        since (n - r) env is integral and antinef, so the raising does not
+        grow with n as it does from D.
+        """
+        return unload((n * self.envelope).ceil())
 
     def closed_multiplicity(self) -> Fraction:
         return -intersect(self.envelope, self.envelope)
@@ -226,6 +241,13 @@ class ExplicitSpec(FiltrationSpec):
     def __post_init__(self):
         if not self.table:
             raise ValueError("explicit filtration needs at least one entry")
+        for n, d in self.table.items():
+            if not isinstance(d, ExcDivisor):
+                raise ValueError(
+                    f"explicit table entry {n}: expected an ExcDivisor, got {type(d).__name__}"
+                )
+            if not d.is_integral():
+                raise ValueError(f"explicit table entry {n}: divisor has non-integer coefficients")
 
     def build(self, n: int) -> CompleteIdealModel:
         if n not in self.table:

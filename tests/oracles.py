@@ -21,11 +21,17 @@ with the rules the inserts applied when the record stored them.
 
 The definiteness test: Gaussian elimination on ``Fraction`` entries, as the
 package ran it on rational matrices before it scaled them to integers.
+
+The envelope's active-set solve: leaf elimination on the tree form with
+``Fraction`` pivots, as the package ran it before it carried each pivot as
+a ratio of integer subtree determinants.
 """
 
 import math
 from fractions import Fraction
+from typing import Optional
 
+from antinef.errors import ClusterStructureError
 from antinef.rationals import INFINITY
 
 
@@ -282,3 +288,50 @@ def fraction_negative_definite(rows) -> bool:
         det != 0 and (det > 0) == (k % 2 == 0)
         for k, det in enumerate(fraction_leading_minors(rows), start=1)
     )
+
+
+# -- the envelope's active-set solve ----------------------------------------------
+
+
+def fraction_solve_active(form, delta, active) -> list:
+    """Solve (D . E_i) = 0 for i in ``active`` with D = delta off the set.
+
+    Returns all n coefficients of D.  The active curves induce a forest of
+    the tree form; each component is solved by leaf elimination (Rose,
+    1970).  Eliminating a leaf u with parent w replaces w's pivot p_w by
+    p_w - 1/p_u and its right-hand side b_w by b_w - b_u/p_u; the root then
+    solves directly and back substitution gives x_u = (b_u - x_w)/p_u.
+    Each pivot is a Schur complement of a negative definite block, so it is
+    negative: O(k) exact operations, no pivoting, no fill-in.  A cycle
+    among the active curves would make the elimination wrong, so meeting
+    one raises.
+    """
+    x = list(delta)
+    pivot: dict[int, Fraction] = {}
+    rhs: dict[int, Fraction] = {}
+    parent: dict[int, Optional[int]] = {}
+    for root in active:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for u in order:  # breadth first; ``order`` grows while it is read
+            pivot[u] = Fraction(form.diag[u])
+            rhs[u] = -sum((delta[v] for v in form.nbrs[u] if v not in active), Fraction(0))
+            for v in form.nbrs[u]:
+                if v not in active or v == parent[u]:
+                    continue
+                if v in parent:
+                    raise ClusterStructureError(
+                        f"active curves {u} and {v} close a cycle; the form is not a tree"
+                    )
+                parent[v] = u
+                order.append(v)
+        for u in reversed(order[1:]):
+            w = parent[u]
+            pivot[w] -= 1 / pivot[u]
+            rhs[w] -= rhs[u] / pivot[u]
+        x[root] = rhs[root] / pivot[root]
+        for u in order[1:]:
+            x[u] = (rhs[u] - x[parent[u]]) / pivot[u]
+    return x

@@ -90,6 +90,17 @@ class TestRealize:
         with pytest.raises(ValueError, match="^explicit filtration needs at least one entry$"):
             ExplicitSpec(table={})
 
+    def test_explicit_entry_that_is_not_a_divisor_rejected(self):
+        c = cusp_cluster()
+        old_style = (c, divisor(c, [1, 1, 2]))
+        with pytest.raises(ValueError, match="^explicit table entry 2: expected an ExcDivisor, got tuple$"):
+            ExplicitSpec(table={1: divisor(c, [1, 1, 2]), 2: old_style})
+
+    def test_explicit_entry_with_non_integer_coefficients_rejected(self):
+        c = cusp_cluster()
+        with pytest.raises(ValueError, match="^explicit table entry 3: divisor has non-integer"):
+            ExplicitSpec(table={1: divisor(c, [1, 1, 2]), 3: divisor(c, [1, "1/2", 2])})
+
     def test_graded_law_spot_checks(self):
         for n, m in [(1, 1), (2, 3), (4, 5)]:
             assert spot_check_graded_law(Example42Spec(), n, m)

@@ -9,6 +9,7 @@ the kinds on fixed clusters.  An example42 ``realize`` grows its cluster
 from the memoized member n-1, so there the test builds each star itself.
 """
 
+import importlib
 import io
 import os
 import random
@@ -42,6 +43,9 @@ from antinef.rationals import INFINITY
 from antinef.scenario import parse_scenario
 from antinef.selfcheck import random_cluster, random_effective_divisor
 from helpers import chain_cluster, cusp_cluster
+
+# the package's ``divisor`` function shadows the submodule's attribute name
+divisor_module = importlib.import_module("antinef.divisor")
 
 NMAX = 16
 
@@ -256,6 +260,60 @@ def test_qdivisorial_envelope_computed_once(monkeypatch):
         degree_limit(spec, v, 4)
     commutation_report(spec, parse_poly("y - x"), 4)
     assert len(calls) == 1
+
+
+def _delta_with_denominators(rng, cluster):
+    coeffs = [
+        Fraction(rng.randint(0, 5), rng.choice((1, 7, 11, 13))) if rng.random() < 0.6 else 0
+        for _ in range(cluster.n_curves)
+    ]
+    if not any(coeffs):
+        coeffs[-1] = Fraction(1, 11)
+    return divisor(cluster, coeffs)
+
+
+def test_qdivisorial_members_equal_the_closure_of_the_rounded_multiple():
+    """Members unload from ceil(n env), and equal closure(ceil(n delta)) for n <= 3k."""
+    rng = random.Random(71113)
+    periods = []
+    for _ in range(40):
+        cluster = random_cluster(rng, max_points=8)
+        delta = _delta_with_denominators(rng, cluster)
+        spec = QDivisorialSpec(delta=delta)
+        k = spec.envelope._den
+        if k > 400:
+            continue
+        periods.append(k)
+        for n in range(1, 3 * k + 1):
+            member, fresh = spec.member(n), unload((n * delta).ceil())
+            assert member.divisor == fresh.divisor, (k, n)
+            assert member.degree_coeffs == fresh.degree_coeffs
+            assert member.multiplicity == fresh.multiplicity
+    assert len(periods) >= 30
+    for p in (7, 11, 13):
+        assert sum(k % p == 0 for k in periods) >= 2, (p, periods)
+
+
+def test_qdivisorial_members_compute_no_envelope_in_unload(monkeypatch):
+    """``spec.envelope`` is the one envelope of a sweep; ``unload`` needs none."""
+    in_unload, in_spec = [], []
+    for module, calls in ((divisor_module, in_unload), (filtration, in_spec)):
+        original = module.nef_envelope
+        monkeypatch.setattr(
+            module, "nef_envelope", lambda d, calls=calls, original=original: calls.append(d) or original(d)
+        )
+    rng = random.Random(7)
+    cluster = random_cluster(rng, max_points=40)  # 21 points
+    delta = divisor(cluster, [
+        Fraction(rng.randint(1, 10), rng.choice((2, 3, 5, 7, 11))) if rng.random() < 0.4 else 0
+        for _ in range(cluster.n_curves)
+    ])
+    multiplicity_sequence(QDivisorialSpec(delta=delta), 100)
+    assert len(in_spec) == 1
+    assert in_unload == []
+    # the count is live: a start from ceil(n delta) overruns unload's raise budget
+    unload((100 * delta).ceil())
+    assert in_unload
 
 
 class TestInsertionBookkeeping:

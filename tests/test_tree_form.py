@@ -125,7 +125,7 @@ def test_leaf_elimination_refuses_a_cycle():
 
 def test_envelope_domination_is_checked_without_assert(monkeypatch):
     def below(form, delta, active):
-        return [c - 1 for c in delta]
+        return ([c - 1 for c in delta], 1)
 
     monkeypatch.setattr(divisor_module, "_solve_active", below)
     c = chain_cluster(4)
