@@ -12,7 +12,6 @@ from .cluster import (
     Cluster,
     IntersectionForm,
     PointRecord,
-    ProximityMatrix,
     is_negative_definite,
     new_cluster,
 )
@@ -20,9 +19,7 @@ from .curves import (
     PlaneElement,
     ValuationVector,
     degree_function,
-    monomial_valuation_volume_oracle,
     multiplicity_vector,
-    newton_multiplicity_oracle,
     parse_poly,
     value_vector,
 )
@@ -68,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cluster",
     "PointRecord",
-    "ProximityMatrix",
     "IntersectionForm",
     "new_cluster",
     "is_negative_definite",
@@ -90,8 +86,6 @@ __all__ = [
     "multiplicity_vector",
     "value_vector",
     "degree_function",
-    "newton_multiplicity_oracle",
-    "monomial_valuation_volume_oracle",
     "QDivisorialSpec",
     "Example42Spec",
     "ExplicitSpec",

@@ -267,9 +267,6 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_PARALLEL_HELP = "accepted for compatibility; no effect (each family is swept once)"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="antinef",
@@ -287,13 +284,11 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--nmax", type=_integer, default=None, help=f"override task n ranges (1..{MAX_NMAX})"
     )
-    p_run.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     p_ex = sub.add_parser("example42", help="run the built-in growing family")
     p_ex.add_argument("--nmax", type=_integer, default=10)
     p_ex.add_argument("--format", choices=["table", "csv"], default="csv")
     p_ex.add_argument("--output", default=None)
-    p_ex.add_argument("--parallel", action="store_true", help=_PARALLEL_HELP)
 
     p_self = sub.add_parser("selftest", help="seeded randomized closure-law checks")
     p_self.add_argument("--seed", type=_integer, default=0)

@@ -43,7 +43,6 @@ from .rationals import INFINITY, exact, format_param, parse_param
 __all__ = [
     "PointRecord",
     "Cluster",
-    "ProximityMatrix",
     "IntersectionForm",
     "TreeForm",
     "new_cluster",
@@ -90,14 +89,12 @@ class PointRecord:
 
 
 @dataclass(frozen=True)
-class LatticeMatrix:
-    """Square integer matrix of a cluster's lattice data, as row tuples.
+class IntersectionForm:
+    """The symmetric form (E_i . E_j) in the strict-transform basis, as row tuples.
 
-    Two matrices use it: the unitriangular proximity matrix P, and the
-    symmetric form (E_i . E_j) in the strict-transform basis, both built
-    afresh on each request.  The form is always -(P^T P), hence negative
-    definite; :func:`is_negative_definite` certifies that on demand.
-    Iterating a matrix yields its rows.
+    Built afresh on each request.  The form is always -(P^T P), hence
+    negative definite; :func:`is_negative_definite` certifies that on
+    demand.  Iterating the form yields its rows.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -115,9 +112,6 @@ class LatticeMatrix:
 
     def row(self, i) -> tuple[int, ...]:
         return self.entries[i]
-
-
-ProximityMatrix = IntersectionForm = LatticeMatrix
 
 
 @dataclass(frozen=True)
@@ -270,9 +264,6 @@ class Cluster:
 
     # -- lattice data -----------------------------------------------------
 
-    def proximity_matrix(self) -> LatticeMatrix:
-        return _dense([1] * len(self._points), [rec.prox for rec in self._points], -1)
-
     def tree_form(self) -> TreeForm:
         """The form -(P^T P) as a weighted tree, in O(n), kept until the next insert.
 
@@ -298,14 +289,21 @@ class Cluster:
             self._tree = TreeForm(diag=tuple(diag), nbrs=tuple(tuple(sorted(s)) for s in nbrs))
         return self._tree
 
-    def intersection_matrix(self) -> LatticeMatrix:
+    def intersection_matrix(self) -> IntersectionForm:
         """The form -(P^T P) on E_0, ..., E_{n-1} as a dense matrix.
 
         Expanded from :meth:`tree_form` in O(n^2); the divisor layer never
         calls it.
         """
         form = self.tree_form()
-        return _dense(form.diag, form.nbrs, 1)
+        rows = []
+        for i, (d, nbrs) in enumerate(zip(form.diag, form.nbrs)):
+            row = [0] * len(form.diag)
+            row[i] = d
+            for j in nbrs:
+                row[j] = 1
+            rows.append(tuple(row))
+        return IntersectionForm(entries=tuple(rows))
 
     def values_from_multiplicities(self, m: Sequence[int]) -> tuple[int, ...]:
         """Solve P v = m by forward substitution: v_i = m_i + sum of v_j over
@@ -329,18 +327,6 @@ class Cluster:
         return f"Cluster({len(self._points)} points)"
 
 
-def _dense(diag, others, value) -> LatticeMatrix:
-    """Rows with ``diag[i]`` on the diagonal and ``value`` in each column of ``others[i]``."""
-    rows = []
-    for i, (d, cols) in enumerate(zip(diag, others)):
-        row = [0] * len(diag)
-        row[i] = d
-        for j in cols:
-            row[j] = value
-        rows.append(tuple(row))
-    return LatticeMatrix(entries=tuple(rows))
-
-
 def new_cluster() -> Cluster:
     """A cluster holding only the origin of the base surface."""
     return Cluster()
@@ -349,7 +335,7 @@ def new_cluster() -> Cluster:
 def is_negative_definite(mat) -> bool:
     """Exact negative definiteness test by leading principal minors.
 
-    Accepts a :class:`LatticeMatrix` or any square symmetric matrix of
+    Accepts an :class:`IntersectionForm` or any square symmetric matrix of
     integers, Fractions or ``a/b`` strings (each read by :func:`exact`)
     given as a sequence of rows, first scaled to integers by the lcm of its
     denominators (a positive factor keeps definiteness).  True iff

@@ -1,11 +1,10 @@
-"""Plane elements, blowup valuations, degree functions, and oracles.
+"""Plane elements, blowup valuations and degree functions.
 
 A plane element is a nonzero bivariate polynomial over Q, standing for an
 element of the local ring at the origin.  Pushing it through the blowup
 charts of a coordinatized cluster yields the multiplicity of its strict
 transform at every infinitely near point, hence the vector of divisorial
-values.  Two independent lattice-counting oracles cross-check multiplicity
-computations that go through the intersection form.
+values.
 
 Chart conventions match :mod:`antinef.cluster`: at a free point with finite
 parameter t the previous coordinates are (u, u(t + v)) and the exceptional
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable
 
 from .cluster import Cluster
 from .divisor import ExcDivisor, unload
@@ -36,12 +34,18 @@ __all__ = [
     "multiplicity_vector",
     "value_vector",
     "degree_function",
-    "newton_multiplicity_oracle",
-    "monomial_valuation_volume_oracle",
 ]
 
 Terms = dict[tuple[int, int], int | Fraction]
 IntTerms = dict[tuple[int, int], int]
+
+#: Largest exponent, and total degree of a power or product, the parser
+#: expands; without it one short line such as ``y^100000`` runs for minutes.
+MAX_DEGREE = 1000
+
+
+def _degree(terms: Terms) -> int:
+    return max((a + b for a, b in terms), default=0)
 
 
 def _trim(terms: Terms) -> Terms:
@@ -155,6 +159,10 @@ class _Parser:
     def error(self, message: str):
         raise PolynomialSyntaxError(message, self.pos)
 
+    def cap(self, what: str, value: int):
+        if value > MAX_DEGREE:
+            self.error(f"{what} {value} exceeds the degree cap {MAX_DEGREE}")
+
     def parse(self) -> Terms:
         terms = self.expr()
         self._skip_ws()
@@ -179,7 +187,9 @@ class _Parser:
         terms = self.unary()
         while self.peek() == "*":
             self.take()
-            terms = _mul_terms(terms, self.unary())
+            factor = self.unary()
+            self.cap("product degree", _degree(terms) + _degree(factor))
+            terms = _mul_terms(terms, factor)
         return terms
 
     def unary(self) -> Terms:
@@ -196,7 +206,10 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            return _pow_terms(base, self.natural("an exponent"))
+            k = self.natural("an exponent")
+            self.cap("exponent", k)
+            self.cap("power degree", k * _degree(base))
+            return _pow_terms(base, k)
         return base
 
     def natural(self, what: str) -> int:
@@ -476,88 +489,3 @@ def degree_function(d: ExcDivisor, f: PlaneElement, assume_reduced: bool = False
     vv = value_vector(d.cluster, f)
     return sum(v * c for v, c in zip(vv.values, model.degree_coeffs))
 
-
-# -- independent oracles ----------------------------------------------------
-
-
-def newton_multiplicity_oracle(region: Iterable[tuple]) -> int:
-    """Multiplicity of a monomial complete ideal from its Newton region.
-
-    ``region`` is a list of inequalities (a, b, c) meaning a*alpha + b*beta
-    >= c; the region is their intersection inside the positive quadrant.
-    The result is twice the exact area of the complement of the region in
-    the quadrant (vertex enumeration plus the shoelace formula).  The
-    complement must be bounded: every inequality with c > 0 needs a > 0
-    and b > 0.
-    """
-    cuts = []
-    for a, b, c in region:
-        a, b, c = (Fraction(exact(t, "inequality coefficient")) for t in (a, b, c))
-        if a < 0 or b < 0:
-            raise ValueError(f"inequality ({a}, {b}, {c}) opens away from the quadrant")
-        if c <= 0:
-            continue  # whole quadrant satisfies it
-        if a == 0 or b == 0:
-            raise ValueError(
-                f"inequality ({a}, {b}, {c}) cuts an unbounded strip: region is "
-                "not co-finite"
-            )
-        cuts.append((a, b, c))
-    if not cuts:
-        return 0
-    # Complement boundary = lower envelope of the constraint lines between
-    # the axis intercepts; its vertices have x-coordinates at envelope
-    # breakpoints.  Sample the envelope at all pairwise crossings.
-    def height(x: Fraction) -> Fraction:
-        # largest y demanded at abscissa x: max over cuts of (c - a x)/b
-        return max((c - a * x) / b for a, b, c in cuts)
-
-    xs = {Fraction(0)}
-    xs.add(max(c / a for a, b, c in cuts))  # rightmost intercept
-    for i in range(len(cuts)):
-        a1, b1, c1 = cuts[i]
-        for j in range(i + 1, len(cuts)):
-            a2, b2, c2 = cuts[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            if 0 <= x:
-                xs.add(x)
-    xmax = max(c / a for a, b, c in cuts)
-    breaks = sorted(x for x in xs if 0 <= x <= xmax)
-    # Shoelace over the polygon (0,0) -> (xmax,0) -> envelope right-to-left -> (0, h(0))
-    verts = [(Fraction(0), Fraction(0)), (xmax, Fraction(0))]
-    for x in reversed(breaks):
-        y = height(x)
-        if y > 0:
-            verts.append((x, y))
-    twice_area = Fraction(0)
-    for k in range(len(verts)):
-        x1, y1 = verts[k]
-        x2, y2 = verts[(k + 1) % len(verts)]
-        twice_area += x1 * y2 - x2 * y1
-    twice_area = abs(twice_area)
-    if twice_area.denominator != 1:
-        raise ValueError("non-integral doubled area: malformed region")
-    return int(twice_area)
-
-
-def monomial_valuation_volume_oracle(p: int, q: int, nmax: int) -> list[Fraction]:
-    """Scaled colengths of the valuation ideals of v(x)=p, v(y)=q.
-
-    Term n is 2 * #{(alpha, beta) >= 0 : p alpha + q beta < n} / n^2,
-    an exact rational; the sequence converges to 1/(p*q) at rate O(1/n).
-    """
-    if integer(p, "weight p") < 1 or integer(q, "weight q") < 1:
-        raise ValueError("weights must be positive integers")
-    out = []
-    for n in range(1, integer(nmax, "nmax") + 1):
-        count = 0
-        beta = 0
-        while q * beta < n:
-            # alpha < (n - q beta)/p
-            count += -(-(n - q * beta) // p)
-            beta += 1
-        out.append(Fraction(2 * count, n * n))
-    return out

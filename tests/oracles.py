@@ -3,8 +3,8 @@
 The divisor layer: the dense-matrix algorithms the package used before the
 form was stored as a tree: the O(n^3) product -(P^T P), a pivoting Gaussian
 elimination for the envelope's active-set solves, and unloading from the
-input divisor with no warm start.  They share no code with the fast paths
-beyond the cluster's proximity matrix.
+input divisor with no warm start.  They share no code with the fast paths;
+the proximity matrix P they start from is built here from the point records.
 
 The curves layer: blowup charts on exact ``Fraction`` coefficients, with the
 binomial expansion done term by term, as the package did before it moved
@@ -25,19 +25,37 @@ package ran it on rational matrices before it scaled them to integers.
 The envelope's active-set solve: leaf elimination on the tree form with
 ``Fraction`` pivots, as the package ran it before it carried each pivot as
 a ratio of integer subtree determinants.
+
+Two independent lattice-counting oracles, which cross-check multiplicity
+computations that go through the intersection form: the doubled area of a
+Newton region's complement, and the scaled colengths of a monomial
+valuation's ideals.
 """
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from antinef.errors import ClusterStructureError
-from antinef.rationals import INFINITY
+from antinef.rationals import INFINITY, exact, integer
+
+
+def proximity_matrix(cluster) -> tuple[tuple[int, ...], ...]:
+    """The unitriangular P as row tuples: P[i][j] = -1 when point i is proximate to j."""
+    n = len(cluster)
+    rows = []
+    for rec in cluster.points:
+        row = [0] * n
+        row[rec.index] = 1
+        for j in rec.prox:
+            row[j] = -1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def dense_form(cluster) -> tuple[tuple[int, ...], ...]:
     """-(P^T P) from the proximity matrix, one column dot product per entry."""
-    p = cluster.proximity_matrix().entries
+    p = proximity_matrix(cluster)
     n = len(p)
     return tuple(
         tuple(-sum(p[k][i] * p[k][j] for k in range(max(i, j), n)) for j in range(n))
@@ -335,3 +353,89 @@ def fraction_solve_active(form, delta, active) -> list:
         for u in order[1:]:
             x[u] = (rhs[u] - x[parent[u]]) / pivot[u]
     return x
+
+
+# -- independent oracles ----------------------------------------------------
+
+
+def newton_multiplicity_oracle(region: Iterable[tuple]) -> int:
+    """Multiplicity of a monomial complete ideal from its Newton region.
+
+    ``region`` is a list of inequalities (a, b, c) meaning a*alpha + b*beta
+    >= c; the region is their intersection inside the positive quadrant.
+    The result is twice the exact area of the complement of the region in
+    the quadrant (vertex enumeration plus the shoelace formula).  The
+    complement must be bounded: every inequality with c > 0 needs a > 0
+    and b > 0.
+    """
+    cuts = []
+    for a, b, c in region:
+        a, b, c = (Fraction(exact(t, "inequality coefficient")) for t in (a, b, c))
+        if a < 0 or b < 0:
+            raise ValueError(f"inequality ({a}, {b}, {c}) opens away from the quadrant")
+        if c <= 0:
+            continue  # whole quadrant satisfies it
+        if a == 0 or b == 0:
+            raise ValueError(
+                f"inequality ({a}, {b}, {c}) cuts an unbounded strip: region is "
+                "not co-finite"
+            )
+        cuts.append((a, b, c))
+    if not cuts:
+        return 0
+    # Complement boundary = lower envelope of the constraint lines between
+    # the axis intercepts; its vertices have x-coordinates at envelope
+    # breakpoints.  Sample the envelope at all pairwise crossings.
+    def height(x: Fraction) -> Fraction:
+        # largest y demanded at abscissa x: max over cuts of (c - a x)/b
+        return max((c - a * x) / b for a, b, c in cuts)
+
+    xs = {Fraction(0)}
+    xs.add(max(c / a for a, b, c in cuts))  # rightmost intercept
+    for i in range(len(cuts)):
+        a1, b1, c1 = cuts[i]
+        for j in range(i + 1, len(cuts)):
+            a2, b2, c2 = cuts[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            x = (c1 * b2 - c2 * b1) / det
+            if 0 <= x:
+                xs.add(x)
+    xmax = max(c / a for a, b, c in cuts)
+    breaks = sorted(x for x in xs if 0 <= x <= xmax)
+    # Shoelace over the polygon (0,0) -> (xmax,0) -> envelope right-to-left -> (0, h(0))
+    verts = [(Fraction(0), Fraction(0)), (xmax, Fraction(0))]
+    for x in reversed(breaks):
+        y = height(x)
+        if y > 0:
+            verts.append((x, y))
+    twice_area = Fraction(0)
+    for k in range(len(verts)):
+        x1, y1 = verts[k]
+        x2, y2 = verts[(k + 1) % len(verts)]
+        twice_area += x1 * y2 - x2 * y1
+    twice_area = abs(twice_area)
+    if twice_area.denominator != 1:
+        raise ValueError("non-integral doubled area: malformed region")
+    return int(twice_area)
+
+
+def monomial_valuation_volume_oracle(p: int, q: int, nmax: int) -> list[Fraction]:
+    """Scaled colengths of the valuation ideals of v(x)=p, v(y)=q.
+
+    Term n is 2 * #{(alpha, beta) >= 0 : p alpha + q beta < n} / n^2,
+    an exact rational; the sequence converges to 1/(p*q) at rate O(1/n).
+    """
+    if integer(p, "weight p") < 1 or integer(q, "weight q") < 1:
+        raise ValueError("weights must be positive integers")
+    out = []
+    for n in range(1, integer(nmax, "nmax") + 1):
+        count = 0
+        beta = 0
+        while q * beta < n:
+            # alpha < (n - q beta)/p
+            count += -(-(n - q * beta) // p)
+            beta += 1
+        out.append(Fraction(2 * count, n * n))
+    return out

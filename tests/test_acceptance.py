@@ -25,13 +25,12 @@ from antinef import (
     multiplicity_sequence,
     nef_envelope,
     new_cluster,
-    newton_multiplicity_oracle,
     parse_poly,
     unload,
     value_vector,
 )
 from antinef.cli import main
-from antinef.curves import monomial_valuation_volume_oracle
+from oracles import monomial_valuation_volume_oracle, newton_multiplicity_oracle
 from antinef.selfcheck import (
     assert_envelope_laws,
     assert_unloading_laws,

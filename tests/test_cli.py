@@ -57,12 +57,15 @@ class TestExample42:
         assert code == 0
         assert b"e_In" in data and b"," not in data.split(b"\n")[1]
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        _, seq = run_cli(["example42", "--nmax", "8", "--format", "csv"], tmp_path, "s.csv")
-        _, par = run_cli(
-            ["example42", "--nmax", "8", "--format", "csv", "--parallel"], tmp_path, "p.csv"
-        )
-        assert seq == par
+    def test_parallel_is_refused(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scn"
+        scenario.write_text(CUSP_SCENARIO)
+        for argv in (
+            ["example42", "--parallel"],
+            ["run", "--scenario", str(scenario), "--parallel"],
+        ):
+            assert exit_code(argv) == 2
+            assert capsys.readouterr().out == ""
 
     def test_bad_nmax(self, capsys):
         assert main(["example42", "--nmax", "0"]) == 2
@@ -150,6 +153,13 @@ class TestRun:
         scn.write_text("[task]\nkind = unload\ndivisor = NOPE\n")
         assert main(["run", "--scenario", str(scn)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_polynomial_above_the_degree_cap(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text(CUSP_SCENARIO.replace("poly = y^2 - x^3", "poly = y^100000"))
+        assert main(["run", "--scenario", str(scn)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exponent 100000 exceeds the degree cap 1000" in err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["run", "--scenario", "/nonexistent/file.scn"]) == 2

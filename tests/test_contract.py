@@ -1,13 +1,16 @@
 """The public contract and the one table of task kinds.
 
-``antinef.__all__`` is part of the contract next to stdout and the exit
-codes, so it is pinned here.  The task kinds are listed once in
-``scenario.TASK_KINDS``; the CLI's runner table and the grammar document must
-name exactly the same kinds, each with the same targets.
+``antinef.__all__`` and the CLI's options are part of the contract next to
+stdout and the exit codes, so they are pinned here.  The task kinds are
+listed once in ``scenario.TASK_KINDS``; the CLI's runner table and the
+grammar document must name exactly the same kinds, each with the same
+targets.
 """
 
 import os
 import re
+
+import pytest
 
 import antinef
 from antinef import cli
@@ -35,7 +38,6 @@ def test_public_names_pinned():
         "PlaneElement",
         "PointRecord",
         "PolynomialSyntaxError",
-        "ProximityMatrix",
         "QDivisorialSpec",
         "ReesUnionReport",
         "Scenario",
@@ -51,13 +53,11 @@ def test_public_names_pinned():
         "intersect",
         "is_antinef",
         "is_negative_definite",
-        "monomial_valuation_volume_oracle",
         "multiplicity",
         "multiplicity_sequence",
         "multiplicity_vector",
         "nef_envelope",
         "new_cluster",
-        "newton_multiplicity_oracle",
         "parse_poly",
         "parse_scenario",
         "realize",
@@ -69,6 +69,21 @@ def test_public_names_pinned():
     ]
     for name in antinef.__all__:
         assert hasattr(antinef, name), name
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("run", {"--scenario", "--format", "--output", "--nmax"}),
+        ("example42", {"--nmax", "--format", "--output"}),
+        ("selftest", {"--seed", "--trials"}),
+    ],
+)
+def test_cli_options_pinned(command, options, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"} == options
 
 
 def test_every_task_kind_has_one_runner():

@@ -14,15 +14,15 @@ from antinef import (
     PolynomialSyntaxError,
     degree_function,
     divisor,
-    monomial_valuation_volume_oracle,
     multiplicity_vector,
     new_cluster,
-    newton_multiplicity_oracle,
     parse_poly,
     unload,
     value_vector,
 )
+from antinef.curves import MAX_DEGREE
 from helpers import cusp_cluster, star_cluster, star_family_divisor
+from oracles import monomial_valuation_volume_oracle, newton_multiplicity_oracle
 from test_integer_curves import _random_coordinatized_cluster
 
 
@@ -93,6 +93,27 @@ class TestParser:
             (1, 1): Fraction(2),
             (0, 2): Fraction(1),
         }
+
+    def test_degree_cap_admits_its_own_value(self):
+        assert parse_poly(f"y^{MAX_DEGREE}").to_dict() == {(0, MAX_DEGREE): 1}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("y^1001", "exponent 1001 exceeds the degree cap 1000 (at position 6)"),
+            ("2^1001", "exponent 1001 exceeds the degree cap 1000 (at position 6)"),
+            ("(x^2+y)^501", "power degree 1002 exceeds the degree cap 1000 (at position 11)"),
+            (
+                "(x+y)^600*(x+y)^600",
+                "product degree 1200 exceeds the degree cap 1000 (at position 19)",
+            ),
+            ("y^100000000", "exponent 100000000 exceeds the degree cap 1000 (at position 11)"),
+        ],
+    )
+    def test_degree_cap_refuses_before_expanding(self, text, message):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_poly(text)
+        assert str(info.value) == message
 
     def test_str_of_mixed_monomial_parses(self):
         f = parse_poly("3/2*x^2*y + y^3")

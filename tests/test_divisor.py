@@ -209,7 +209,7 @@ class TestNefEnvelope:
 
 class TestInvariants:
     def test_star_multiplicity_and_newton_oracle(self):
-        from antinef import newton_multiplicity_oracle
+        from oracles import newton_multiplicity_oracle
 
         c = star_cluster(1, params=[Fraction(0)])
         d = star_family_divisor(c, 1)

@@ -20,11 +20,9 @@ from antinef import (
     INFINITY,
     divisor,
     is_negative_definite,
-    monomial_valuation_volume_oracle,
     multiplicity_sequence,
     nef_envelope,
     new_cluster,
-    newton_multiplicity_oracle,
     parse_poly,
     realize,
     rees_union,
@@ -36,6 +34,7 @@ from antinef.errors import InexactNumberError
 from antinef.rationals import exact, parse_param
 from antinef.selfcheck import random_cluster, random_effective_divisor, random_integer_divisor
 from helpers import cusp_cluster
+from oracles import monomial_valuation_volume_oracle, newton_multiplicity_oracle
 
 
 def _cusp_divisor():

@@ -20,8 +20,8 @@ from antinef import (
     spot_check_graded_law,
     unload,
 )
-from antinef.curves import monomial_valuation_volume_oracle
 from helpers import cusp_cluster
+from oracles import monomial_valuation_volume_oracle
 
 
 def cusp_point_spec():
