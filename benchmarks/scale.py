@@ -16,7 +16,11 @@ The ladders (``LADDERS``):
 * ``qdivisorial`` - ``multiplicity_sequence`` of a new ``QDivisorialSpec``
   to N, N in 100, 200 and 400, on a seeded 21-point cluster, with 40% of
   the generator's coefficients a/b, b in {2, 3, 5, 7, 11}, and the rest 0;
-  the time includes the spec's nef envelope.
+  the time includes the spec's nef envelope;
+* ``value_vector`` - one ``value_vector`` call on the tree of the
+  ``perfbench`` ``curves`` workload (seed 1) for a product of k seeded picks
+  from its four branch equations, k in 6, 12 and 24; the product is parsed
+  before the timer starts.
 
 Each repeat of a rung runs ``scale_child.py`` in a fresh interpreter that
 imports the package from ``--src``.  The child times only the measured call
@@ -25,7 +29,8 @@ RSS (Linux ``VmHWM``, else ``ru_maxrss``); this script hashes the
 child's stdout, which is the CLI's output or the printed result.  Seconds
 are scaled by the kernel of ``perfbench/reference.py``, timed in this
 process (which never imports the package) just before each repeat, the
-min of three timings (one with ``--quick``):
+min of three timings (with ``--quick``, one timing before each rung, which
+scales all of its repeats):
 scaled = wall * REFERENCE_SECONDS / kernel, the seconds on a machine as
 fast as the reference one.
 
@@ -86,15 +91,20 @@ LADDERS = {
         (100, 200, 400),
         (100, 200),
     ),
+    "value_vector": (
+        "value_vector on the perfbench curves tree (seed 1) of a product of k seeded picks "
+        "from its four branch equations, parsed outside the timed call",
+        (6, 12, 24),
+        (6, 12),
+    ),
 }
 REPEATS, QUICK_REPEATS = 5, 3
-KERNELS, QUICK_KERNELS = 3, 1  # kernel timings per repeat; the repeat takes their min
+KERNELS, QUICK_KERNELS = 3, 0  # kernel timings per repeat (min); 0: one per rung
 CAP_SECONDS = 30.0  # scaled; a rung whose median exceeds it caps the larger rungs
 
 
-def repeat(src: str, name: str, n: int, timeout: float, timings: int = KERNELS) -> dict:
-    """One fresh child at size ``n``: its wall seconds, peak RSS and stdout digest."""
-    kernel = min(kernel_seconds() for _ in range(timings))
+def repeat(src: str, name: str, n: int, timeout: float, kernel: float) -> dict:
+    """One fresh child at size ``n``: its scaled seconds, peak RSS and stdout digest."""
     proc = subprocess.run(
         [sys.executable, CHILD, name, str(n)],
         env=dict(os.environ, PYTHONPATH=src),
@@ -122,7 +132,12 @@ def ladder(src: str, name: str, rungs, repeats: int, cap: float, timings: int = 
         if capped:
             rows.append({"n": n, "status": "capped"})
             continue
-        runs = [repeat(src, name, n, 60 + 20 * cap, timings) for _ in range(repeats)]
+        shared = None if timings else kernel_seconds()
+        runs = [
+            repeat(src, name, n, 60 + 20 * cap,
+                   shared or min(kernel_seconds() for _ in range(timings)))
+            for _ in range(repeats)
+        ]
         digests = {r["sha256"] for r in runs}
         if len(digests) != 1:
             raise RuntimeError(f"{name} {n}: stdout differs between repeats")
@@ -174,7 +189,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write or merge into")
     parser.add_argument("--quick", action="store_true",
                         help=f"only the two smallest rungs, {QUICK_REPEATS} repeats, "
-                             f"{QUICK_KERNELS} kernel timing each: under 10 s")
+                             f"one kernel timing per rung: under 10 s")
     args = parser.parse_args(argv)
 
     data = {}

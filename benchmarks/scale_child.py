@@ -8,10 +8,13 @@ peak RSS go to stderr as one JSON line.  The peak RSS is Linux's ``VmHWM``
 where there is one: ``ru_maxrss`` also counts the process that started
 this one as it was just before ``exec``, so it never reads below the size
 of ``scale.py`` itself.  Only the public API is used, so
-any checkout of the package can be measured.
+any checkout of the package can be measured; the ``value_vector`` ladder's
+tree and branch equations come from ``perfbench/gen.py``, which imports no
+part of the package.
 """
 
 import json
+import os
 import random
 import resource
 import sys
@@ -25,9 +28,15 @@ from antinef import (
     multiplicity_sequence,
     nef_envelope,
     new_cluster,
+    parse_scenario,
     unload,
+    value_vector,
 )
-from antinef.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import gen  # noqa: E402
 
 #: Share of the divisor ladders' coefficients that are nonzero, and their bound.
 SHARE, TOP = 0.2, 10**6
@@ -70,9 +79,24 @@ def seeded_delta():
     ])
 
 
+def curves_product(k: int):
+    """The ``curves`` workload's tree (seed 1), and a product of k seeded picks
+    from its four branch equations, read as one scenario."""
+    points, _prox, _mults = gen.curves_tree(gen.DEFAULT_SEED)
+    polys = [gen._branch_poly(kind, g) for kind, g in gen.curves_branches(gen.DEFAULT_SEED)]
+    rng = random.Random(k)
+    product = "*".join(rng.choice(polys) for _ in range(k))
+    lines = ["[cluster TREE]", *(f"point = {p}" for p in points)]
+    lines += ["[element F]", f"poly = {product}"]
+    scenario = parse_scenario("\n".join(lines))
+    return scenario.clusters["TREE"], scenario.elements["F"]
+
+
 def prepare(ladder: str, n: int):
     """The call to time, and the function that prints its result."""
     if ladder == "example42":
+        from antinef.cli import main
+
         return lambda: main(["example42", "--nmax", str(n)]), lambda code: code
     if ladder == "qdivisorial":
         delta = seeded_delta()
@@ -83,6 +107,15 @@ def prepare(ladder: str, n: int):
             return 0
 
         return lambda: multiplicity_sequence(QDivisorialSpec(delta=delta), n), show
+    if ladder == "value_vector":
+        cluster, f = curves_product(n)
+
+        def show(vv):
+            print(*vv.multiplicities)
+            print(*vv.values)
+            return 0
+
+        return lambda: value_vector(cluster, f), show
     d = seeded_divisor(n)
     if ladder == "unload":
         def show(model):

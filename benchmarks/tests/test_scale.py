@@ -7,6 +7,7 @@ Run from the repository root::
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 SRC = os.path.join(ROOT, "src")
 SCRIPT = os.path.join(ROOT, "benchmarks", "scale.py")
 sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import gen  # noqa: E402
 import scale  # noqa: E402
 
 
@@ -67,4 +70,25 @@ def test_qdivisorial_ladder_prints_the_sequence():
     )
     closed, values = proc.stdout.splitlines()
     assert "/" in closed and len(values.split()) == 6
+    assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0
+
+
+def test_value_vector_ladder_adds_its_branches():
+    # m_i of a product is the sum of its factors' m_i: check the printed
+    # multiplicities against the tree's own record of each branch's
+    assert scale.LADDERS["value_vector"][1:] == ((6, 12, 24), (6, 12))
+    branches = gen.curves_branches(gen.DEFAULT_SEED)
+    polys = [gen._branch_poly(kind, g) for kind, g in branches]
+    _points, prox, mults = gen.curves_tree(gen.DEFAULT_SEED)
+    rng = random.Random(6)
+    picks = [polys.index(rng.choice(polys)) for _ in range(6)]
+    expected = [sum(mults[b].get(i, 0) for b in picks) for i in range(len(prox))]
+    proc = subprocess.run(
+        [sys.executable, scale.CHILD, "value_vector", "6"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    multiplicities, values = proc.stdout.splitlines()
+    assert [int(m) for m in multiplicities.split()] == expected
+    assert len(values.split()) == len(prox)
     assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0

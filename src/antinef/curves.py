@@ -6,6 +6,19 @@ charts of a coordinatized cluster yields the multiplicity of its strict
 transform at every infinitely near point, hence the vector of divisorial
 values.
 
+An element keeps the factors it was built from, with their exponents, and
+the walk carries each factor's strict transform on its own: multiplicities
+add over a product, m_i(f^a g^b) = a m_i(f) + b m_i(g), and a factor that
+misses a point drops out of that point's subtree.  A sum is one factor.
+The values are those of the expanded polynomial.
+
+A product or power is expanded only under three caps, checked in this order
+from its operands: ``MAX_DEGREE`` (``exponent 1001 exceeds the degree cap
+1000``), ``MAX_POWER_BITS`` (``power coefficient bits 11000 exceeds the bit
+cap 10000``) and ``MAX_BOX`` (``power box 20164 exceeds the box cap
+20000``).  The parser raises :class:`PolynomialSyntaxError` with the
+position, ``*`` and ``**`` on elements raise ``ValueError``.
+
 Chart conventions match :mod:`antinef.cluster`: at a free point with finite
 parameter t the previous coordinates are (u, u(t + v)) and the exceptional
 curve of the blown-up point is u = 0; at parameter ``inf`` they are (uv, v)
@@ -17,7 +30,7 @@ in ``Fraction`` arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -38,10 +51,20 @@ __all__ = [
 
 Terms = dict[tuple[int, int], int | Fraction]
 IntTerms = dict[tuple[int, int], int]
+#: Each factor as its sorted primitive integer terms, with its exponent.
+Factors = dict[tuple[tuple[tuple[int, int], int], ...], int]
 
-#: Largest exponent, and total degree of a power or product, the parser
-#: expands; without it one short line such as ``y^100000`` runs for minutes.
+#: Largest exponent, and total degree of a power or product, that is
+#: expanded; without it one short line such as ``y^100000`` runs for minutes.
 MAX_DEGREE = 1000
+#: Largest k * b of a power f^k that is expanded, b the longest numerator or
+#: denominator of f in bits: ``(2^999)^999`` would be a million-bit integer.
+MAX_POWER_BITS = 10_000
+#: Largest box of a product or power that is expanded (its spread in the two
+#: narrowest of x-degree, y-degree and total degree, plus one, multiplied): a
+#: dense product costs about the square of its box, and ``(1+x+y)^1000``
+#: would run for hours.
+MAX_BOX = 20_000
 
 
 def _degree(terms: Terms) -> int:
@@ -81,20 +104,93 @@ def _add_terms(f: Terms, g: Terms, sign: int = 1) -> Terms:
     return _trim(out)
 
 
+def _widths(f: Terms) -> tuple[int, int, int]:
+    """How far the x-degree, y-degree and total degree of f's terms spread."""
+    if not f:
+        return 0, 0, 0
+    xs, ys, ts = zip(*((a, b, a + b) for a, b in f))
+    return max(xs) - min(xs), max(ys) - min(ys), max(ts) - min(ts)
+
+
+def _box(widths) -> int:
+    """Lattice points of the least box bounding a support with these widths.
+
+    Any two of x-degree, y-degree and total degree place a term, so the box
+    spans the two narrowest; it bounds the number of terms.
+    """
+    a, b, _ = sorted(widths)
+    return (a + 1) * (b + 1)
+
+
+def _refusal(f: Terms, g: Terms | None = None, k: int = 1) -> str | None:
+    """Why f*g, or f^k when ``g`` is None, is not expanded; None if it is.
+
+    The degree cap is checked first, then the coefficient size of a power,
+    then the box of the result; every bound is read from the operands.
+    """
+    if g is None:
+        if k > MAX_DEGREE:
+            return f"exponent {k} exceeds the degree cap {MAX_DEGREE}"
+        what, degree = "power", k * _degree(f)
+    else:
+        what, degree = "product", _degree(f) + _degree(g)
+    if degree > MAX_DEGREE:
+        return f"{what} degree {degree} exceeds the degree cap {MAX_DEGREE}"
+    if g is None and f:
+        bits = k * max(max(abs(c.numerator), c.denominator) for c in f.values()).bit_length()
+        if bits > MAX_POWER_BITS:
+            return f"power coefficient bits {bits} exceeds the bit cap {MAX_POWER_BITS}"
+    if (degree + 1) ** 2 > MAX_BOX:  # else no box can exceed the cap
+        if g is None:
+            widths = [k * w for w in _widths(f)]
+        else:
+            widths = map(sum, zip(_widths(f), _widths(g)))
+        if (box := _box(widths)) > MAX_BOX:
+            return f"{what} box {box} exceeds the box cap {MAX_BOX}"
+    return None
+
+
+def _factor(terms: Terms) -> Factors:
+    """``terms`` as one factor, sign-normalized; none for a constant or zero."""
+    if _degree(terms) == 0:
+        return {}
+    key = tuple(sorted(_integer_terms(terms.items()).items()))
+    sign = 1 if key[0][1] > 0 else -1
+    return {tuple((m, sign * c) for m, c in key): 1}
+
+
+def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
+    """The factors of f * g^k."""
+    if not g:
+        return f
+    out = dict(f)
+    for key, e in g.items():
+        out[key] = out.get(key, 0) + k * e
+    return {key: e for key, e in out.items() if e}
+
+
 @dataclass(frozen=True)
 class PlaneElement:
     """Nonzero polynomial in x, y with exact rational coefficients."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    #: The factors whose product it is, up to a constant; one, the element
+    #: itself, unless it was built as a product.
+    _factors: Factors | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._factors is None:
+            object.__setattr__(self, "_factors", _factor(dict(self.terms)))
 
     @staticmethod
-    def from_terms(terms: Terms) -> "PlaneElement":
-        """The element with these terms, each read by ``exact`` and made a ``Fraction``."""
+    def from_terms(terms: Terms, _factors: Factors | None = None) -> "PlaneElement":
+        """The element with these terms, each read by ``exact`` and made a ``Fraction``;
+        ``_factors``, if given, are the factors it is the product of."""
         read = ((k, exact(c, "coefficient")) for k, c in terms.items())
         terms = {k: Fraction(c) for k, c in read if c != 0}
         if not terms:
             raise ValueError("zero is not a plane element (its values are infinite)")
-        return PlaneElement(terms=tuple(sorted(terms.items())))
+        return PlaneElement(terms=tuple(sorted(terms.items())), _factors=_factors)
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
@@ -110,12 +206,19 @@ class PlaneElement:
         return PlaneElement.from_terms(_add_terms(self.to_dict(), other.to_dict(), -1))
 
     def __mul__(self, other: "PlaneElement") -> "PlaneElement":
-        return PlaneElement.from_terms(_mul_terms(self.to_dict(), other.to_dict()))
+        f, g = self.to_dict(), other.to_dict()
+        if refused := _refusal(f, g):
+            raise ValueError(refused)
+        factors = _merge(self._factors, other._factors)
+        return PlaneElement.from_terms(_mul_terms(f, g), factors)
 
     def __pow__(self, k: int) -> "PlaneElement":
         if integer(k, "exponent k") < 0:
             raise ValueError("negative powers are not plane elements")
-        return PlaneElement.from_terms(_pow_terms(self.to_dict(), k))
+        f = self.to_dict()
+        if refused := _refusal(f, k=k):
+            raise ValueError(refused)
+        return PlaneElement.from_terms(_pow_terms(f, k), _merge({}, self._factors, k))
 
     def __str__(self):
         """Text that :func:`parse_poly` reads back to an equal element."""
@@ -136,6 +239,12 @@ class PlaneElement:
 # power  = atom [ "^" natural ]
 # atom   = rational | "x" | "y" | "(" expr ")"
 # rational = natural [ "/" natural ]        (the "/" is part of the literal)
+#
+# Each rule returns the expanded terms and the factors they are the product
+# of: a product merges its operands' factors, a power scales them, and a sum
+# of two or more terms is one factor.
+
+Parsed = tuple[Terms, Factors]
 
 
 class _Parser:
@@ -159,58 +268,52 @@ class _Parser:
     def error(self, message: str):
         raise PolynomialSyntaxError(message, self.pos)
 
-    def cap(self, what: str, value: int):
-        if value > MAX_DEGREE:
-            self.error(f"{what} {value} exceeds the degree cap {MAX_DEGREE}")
-
-    def parse(self) -> Terms:
-        terms = self.expr()
+    def parse(self) -> Parsed:
+        parsed = self.expr()
         self._skip_ws()
         if self.pos < len(self.text):
             self.error(f"unexpected character {self.text[self.pos]!r}")
-        return terms
+        return parsed
 
-    def expr(self) -> Terms:
-        terms = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.take()
-                terms = _add_terms(terms, self.term())
-            elif ch == "-":
-                self.take()
-                terms = _add_terms(terms, self.term(), -1)
-            else:
-                return terms
+    def expr(self) -> Parsed:
+        terms, factors = self.term()
+        summed = False
+        while (ch := self.peek()) in ("+", "-"):
+            self.take()
+            terms = _add_terms(terms, self.term()[0], 1 if ch == "+" else -1)
+            summed = True
+        return terms, _factor(terms) if summed else factors
 
-    def term(self) -> Terms:
-        terms = self.unary()
+    def term(self) -> Parsed:
+        terms, factors = self.unary()
         while self.peek() == "*":
             self.take()
-            factor = self.unary()
-            self.cap("product degree", _degree(terms) + _degree(factor))
-            terms = _mul_terms(terms, factor)
-        return terms
+            other, more = self.unary()
+            if refused := _refusal(terms, other):
+                self.error(refused)
+            terms, factors = _mul_terms(terms, other), _merge(factors, more)
+        return terms, factors
 
-    def unary(self) -> Terms:
+    def unary(self) -> Parsed:
         ch = self.peek()
         if ch == "-":
             self.take()
-            return {k: -c for k, c in self.unary().items()}
+            terms, factors = self.unary()
+            return {k: -c for k, c in terms.items()}, factors
         if ch == "+":
             self.take()
             return self.unary()
         return self.power()
 
-    def power(self) -> Terms:
-        base = self.atom()
+    def power(self) -> Parsed:
+        terms, factors = self.atom()
         if self.peek() == "^":
             self.take()
             k = self.natural("an exponent")
-            self.cap("exponent", k)
-            self.cap("power degree", k * _degree(base))
-            return _pow_terms(base, k)
-        return base
+            if refused := _refusal(terms, k=k):
+                self.error(refused)
+            return _pow_terms(terms, k), _merge({}, factors, k)
+        return terms, factors
 
     def natural(self, what: str) -> int:
         self._skip_ws()
@@ -221,21 +324,21 @@ class _Parser:
             self.error(f"expected {what}")
         return int(self.text[start : self.pos])
 
-    def atom(self) -> Terms:
+    def atom(self) -> Parsed:
         ch = self.peek()
         if ch == "x":
             self.take()
-            return {(1, 0): 1}
+            return {(1, 0): 1}, {(((1, 0), 1),): 1}
         if ch == "y":
             self.take()
-            return {(0, 1): 1}
+            return {(0, 1): 1}, {(((0, 1), 1),): 1}
         if ch == "(":
             self.take()
-            terms = self.expr()
+            parsed = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.take()
-            return terms
+            return parsed
         if "0" <= ch <= "9":
             value = self.natural("a numerator")
             self._skip_ws()
@@ -245,7 +348,7 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator")
                 value = Fraction(value, den)
-            return {(0, 0): value} if value != 0 else {}
+            return ({(0, 0): value} if value != 0 else {}), {}
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")
@@ -258,9 +361,11 @@ def parse_poly(text: str) -> PlaneElement:
     a/b rational literals (the slash is part of the literal, there is no
     division operator).  Whitespace is insignificant.  The zero polynomial
     is rejected by :meth:`PlaneElement.from_terms`: its value vector would
-    be infinite.
+    be infinite.  A product or power above one of the caps (``MAX_DEGREE``,
+    ``MAX_POWER_BITS``, ``MAX_BOX``) raises before it is expanded.  The
+    element keeps the factors of a product, for :func:`multiplicity_vector`.
     """
-    return PlaneElement.from_terms(_Parser(text).parse())
+    return PlaneElement.from_terms(*_Parser(text).parse())
 
 
 # -- blowup substitutions ---------------------------------------------------
@@ -277,10 +382,11 @@ def _primitive(terms: IntTerms) -> IntTerms:
     return terms if g == 1 else {k: c // g for k, c in terms.items()}
 
 
-def _integer_terms(f: PlaneElement) -> IntTerms:
-    """A primitive integer multiple of ``f``."""
-    den = lcm(*(c.denominator for _, c in f.terms))
-    return _primitive({k: c.numerator * (den // c.denominator) for k, c in f.terms})
+def _integer_terms(items) -> IntTerms:
+    """A primitive integer multiple of the polynomial with these (monomial, coefficient) items."""
+    items = list(items)
+    den = lcm(*(c.denominator for _, c in items))
+    return _primitive({k: c.numerator * (den // c.denominator) for k, c in items})
 
 
 def _blow_finite(terms: IntTerms, t: Fraction, m: int) -> IntTerms:
@@ -327,20 +433,22 @@ def _blow_infinity(terms: IntTerms, m: int) -> IntTerms:
 def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
     """Multiplicity of the strict transform of ``f`` at every cluster point.
 
-    Walks the constellation top-down, recentering the local equation by the
-    fixed chart substitutions.  Points missed by the strict transform get
-    multiplicity 0; a point the transform reaches whose position was never
-    recorded raises :class:`CoordinateError` rather than guessing.
+    Walks the constellation top-down, recentering the local equation of each
+    factor of ``f`` by the fixed chart substitutions; the multiplicity at a
+    point is the sum over the factors of exponent times order.  A factor of
+    order 0 misses the point and its subtree.  Points missed by the strict
+    transform get multiplicity 0; a point the transform reaches whose
+    position was never recorded raises :class:`CoordinateError` rather than
+    guessing.
     """
-    n = len(cluster)
-    m = [0] * n
-    stack: list[tuple[int, IntTerms]] = [(0, _integer_terms(f))]
+    m = [0] * len(cluster)
+    stack = [(0, [(dict(key), e) for key, e in f._factors.items()])]
     while stack:
-        i, terms = stack.pop()
-        mult = min(a + b for a, b in terms)
-        if mult == 0:
+        i, factors = stack.pop()
+        orders = [(terms, e, min(a + b for a, b in terms)) for terms, e in factors]
+        m[i] = sum(e * order for _, e, order in orders)
+        if not m[i]:
             continue  # unit: the strict transform misses this point and its subtree
-        m[i] = mult
         for j in cluster.children(i):
             param = cluster.point(j).param
             if param is None:
@@ -348,11 +456,11 @@ def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
                     f"point {j} has no recorded parameter but the strict "
                     f"transform reaches its exceptional line"
                 )
-            if param == INFINITY:
-                child = _blow_infinity(terms, mult)
-            else:
-                child = _blow_finite(terms, param, mult)
-            stack.append((j, child))
+            stack.append((j, [
+                (_blow_infinity(terms, order) if param == INFINITY
+                 else _blow_finite(terms, param, order), e)
+                for terms, e, order in orders if order
+            ]))
     return tuple(m)
 
 
@@ -438,7 +546,7 @@ def _is_squarefree(f: PlaneElement) -> bool:
     through the origin meet there, so it would rarely decide.)  The content
     and every specialization go through :func:`_prs_gcd`.
     """
-    terms = _integer_terms(f)
+    terms = _integer_terms(f.terms)
     d = max(b for _, b in terms)
     e = max(a for a, _ in terms)
     rows = [[0] * (e + 1) for _ in range(d + 1)]

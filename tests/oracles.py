@@ -8,7 +8,9 @@ the proximity matrix P they start from is built here from the point records.
 
 The curves layer: blowup charts on exact ``Fraction`` coefficients, with the
 binomial expansion done term by term, as the package did before it moved
-to integer Taylor shifts.
+to integer Taylor shifts; and the walk of the fully expanded polynomial
+through the package's integer charts, as the package did before it valued
+a product factor by factor.
 
 The divisor coefficients: every coefficient a ``Fraction``, as the package
 stored them before it moved to integer numerators over one denominator;
@@ -36,7 +38,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from antinef.errors import ClusterStructureError
+from antinef.curves import _blow_finite, _blow_infinity, _integer_terms
+from antinef.errors import ClusterStructureError, CoordinateError
 from antinef.rationals import INFINITY, exact, integer
 
 
@@ -229,6 +232,32 @@ def fraction_multiplicity_vector(cluster, f):
                 child = fraction_blow_infinity(terms, mult)
             else:
                 child = fraction_blow_finite(terms, Fraction(0), mult)
+            stack.append((j, child))
+    return tuple(m)
+
+
+def expanded_multiplicity_vector(cluster, f):
+    """Multiplicities of the strict transforms of ``f``, walking its expansion."""
+    n = len(cluster)
+    m = [0] * n
+    stack = [(0, _integer_terms(f.terms))]
+    while stack:
+        i, terms = stack.pop()
+        mult = min(a + b for a, b in terms)
+        if mult == 0:
+            continue  # unit: the strict transform misses this point and its subtree
+        m[i] = mult
+        for j in cluster.children(i):
+            param = cluster.point(j).param
+            if param is None:
+                raise CoordinateError(
+                    f"point {j} has no recorded parameter but the strict "
+                    f"transform reaches its exceptional line"
+                )
+            if param == INFINITY:
+                child = _blow_infinity(terms, mult)
+            else:
+                child = _blow_finite(terms, param, mult)
             stack.append((j, child))
     return tuple(m)
 

@@ -161,6 +161,20 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == "" and "exponent 100000 exceeds the degree cap 1000" in err
 
+    @pytest.mark.parametrize(
+        "poly, message",
+        [
+            ("(2^999)^999", "power coefficient bits 999000 exceeds the bit cap 10000"),
+            ("(1+x+y)^1000", "power box 1002001 exceeds the box cap 20000"),
+        ],
+    )
+    def test_polynomial_above_the_bit_and_box_caps(self, poly, message, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text(CUSP_SCENARIO.replace("poly = y^2 - x^3", f"poly = {poly}"))
+        assert main(["run", "--scenario", str(scn)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["run", "--scenario", "/nonexistent/file.scn"]) == 2
 

@@ -1,0 +1,200 @@
+"""Valuing a product factor by factor, and the caps on expanding one.
+
+``multiplicity_vector`` walks the strict transform of each factor an
+element was built from, and adds exponent times order at every point.  It
+is checked against ``oracles.expanded_multiplicity_vector``, the walk of
+the fully expanded polynomial, on random coordinatized clusters and random
+products: repeated factors, unit and constant factors, a/b coefficients,
+and sums of products, which are one factor.  The caps refuse a product or
+power before it is expanded, in the parser and in the library alike.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antinef import (
+    CoordinateError,
+    PlaneElement,
+    PolynomialSyntaxError,
+    multiplicity_vector,
+    new_cluster,
+    parse_poly,
+    value_vector,
+)
+from antinef import curves
+from antinef.curves import MAX_BOX
+from oracles import expanded_multiplicity_vector
+from test_integer_curves import _branch, _random_coordinatized_cluster
+
+UNITS = ("(1 + x)", "(2 - y + x*y)", "(3/2 + x^2)", "(1 - 2/3*y)")
+CONSTANTS = ("3/7", "5", "2/9")
+
+
+def _random_product(rng, cluster) -> tuple[int, list[tuple[str, int]]]:
+    """A sign and (factor, exponent) pairs: branches through the cluster,
+    units and constants, a factor often repeated."""
+    branches = [PlaneElement.from_terms(_branch(rng, cluster)) for _ in range(rng.randint(2, 4))]
+    branches = [f"({f})" for f in branches if max(a + b for (a, b), _ in f.terms) <= 12]
+    factors = []
+    for _ in range(rng.randint(1, 5)):
+        pool = rng.choices((branches or UNITS, UNITS, CONSTANTS), (6, 2, 1))[0]
+        factors.append((rng.choice(pool), rng.choice((1, 1, 2))))
+    return rng.choice((1, 1, -1)), factors
+
+
+def _as_text(sign, factors) -> str:
+    return ("-" if sign < 0 else "") + "*".join(f"{p}^{e}" if e > 1 else p for p, e in factors)
+
+
+def _as_product(sign, factors) -> PlaneElement:
+    out = parse_poly(str(sign))
+    for p, e in factors:
+        out = out * parse_poly(p) ** e
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_factor_walk_matches_the_expanded_walk(seed):
+    rng = random.Random(seed)
+    cluster = _random_coordinatized_cluster(rng, max_points=10)
+    product = _random_product(rng, cluster)
+    f = parse_poly(_as_text(*product))
+    expected = expanded_multiplicity_vector(cluster, f)
+    assert multiplicity_vector(cluster, f) == expected, str(f)
+    # the same product built by the library's * and **, and its expansion
+    # as one factor, are valued the same
+    assert multiplicity_vector(cluster, _as_product(*product)) == expected
+    assert multiplicity_vector(cluster, PlaneElement.from_terms(f.to_dict())) == expected
+    # a sum of two products is one factor
+    text = f"{_as_text(*product)} + {_as_text(*_random_product(rng, cluster))}"
+    try:
+        g = parse_poly(text)
+    except ValueError:
+        return  # the sum cancelled to zero
+    assert len(g._factors) <= 1
+    assert multiplicity_vector(cluster, g) == expanded_multiplicity_vector(cluster, g), text
+
+
+def test_random_products_reach_deep_points_through_several_factors():
+    # the differential test is only as good as its inputs: most products
+    # reach points past the origin, and many with two or more factors there
+    rng = random.Random(18)
+    deep = several = 0
+    for _ in range(200):
+        cluster = _random_coordinatized_cluster(rng, max_points=10)
+        f = parse_poly(_as_text(*_random_product(rng, cluster)))
+        got = multiplicity_vector(cluster, f)
+        assert got == expanded_multiplicity_vector(cluster, f)
+        through = [key for key in f._factors if min(a + b for (a, b), _ in key) > 0]
+        deep += any(got[1:])
+        several += len(through) >= 2 and any(got[1:])
+    assert deep >= 100 and several >= 50, (deep, several)
+
+
+def test_product_and_expansion_are_one_element():
+    product, expanded = parse_poly("(y-x)*(y+x)"), parse_poly("y^2 - x^2")
+    assert product == expanded
+    assert hash(product) == hash(expanded)
+    assert repr(product) == repr(expanded)
+    assert str(product) == str(expanded)
+    assert product * product == expanded**2
+
+
+def test_equal_factors_merge_and_constants_drop():
+    f = parse_poly("3*(y - x)*(x - y)^2*2/5*(y^2 - x^3)")
+    assert sorted(f._factors.values()) == [1, 3]
+    assert parse_poly("7")._factors == {} and parse_poly("(x - 2)^0")._factors == {}
+    assert len((parse_poly("y - x") * parse_poly("x - y"))._factors) == 1
+
+
+def test_coordinate_error_names_the_point_the_expanded_walk_names():
+    # two uncoordinatized points, each reached by a different factor
+    c = new_cluster()
+    p1 = c.add_free_point(0, 0)  # the direction y = 0
+    p2 = c.add_free_point(0, 1)  # the direction y = x
+    c.add_free_point(p1)
+    c.add_free_point(p2)
+    for text in ("(y - x^2)*(y - x)", "(y - x)*(y - x^2)", "y - x^2", "(y - x)^3"):
+        f = parse_poly(text)
+        with pytest.raises(CoordinateError) as fast:
+            multiplicity_vector(c, f)
+        with pytest.raises(CoordinateError) as slow:
+            expanded_multiplicity_vector(c, f)
+        assert str(fast.value) == str(slow.value)
+    with pytest.raises(CoordinateError, match="point 4 "):
+        multiplicity_vector(c, parse_poly("(y - x^2)*(y - x)"))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 20])
+def test_library_power_scales_the_multiplicities(k):
+    c = new_cluster()
+    p = c.add_free_point(0, 0)
+    q = c.add_satellite_point(p, 0)
+    c.add_free_point(q, Fraction(-1, 2))
+    f = parse_poly("y^2 - x^3") * parse_poly("y - 2*x")
+    assert value_vector(c, f**k).multiplicities == tuple(
+        k * m for m in value_vector(c, f).multiplicities
+    )
+
+
+# -- caps -----------------------------------------------------------------------
+
+
+def test_caps_admit_their_own_values():
+    # 10 * 1000 bits, the bit cap itself
+    assert parse_poly("(2^999)^10").to_dict() == {(0, 0): 2**9990}
+    # box (199 + 1)(99 + 1) = 20000, sparse enough to expand at once
+    assert len(parse_poly("(1+x)^199*(1+y)^99").terms) == MAX_BOX
+    # homogeneous: total degree spans 0, so the box is 601 however wide x and y are
+    assert len(parse_poly("(x+y)^600").terms) == 601
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(2^999)^11", "power coefficient bits 11000 exceeds the bit cap 10000 (at position 10)"),
+        (
+            "(3/1024*x)^910",
+            "power coefficient bits 10010 exceeds the bit cap 10000 (at position 14)",
+        ),
+        ("(1+x)^199*(1+y)^100", "product box 20200 exceeds the box cap 20000 (at position 19)"),
+        ("(1+x+y)^141", "power box 20164 exceeds the box cap 20000 (at position 11)"),
+        ("(1+x+y)^1000", "power box 1002001 exceeds the box cap 20000 (at position 12)"),
+        # the degree cap is checked first
+        ("(1+x+y)^1001", "exponent 1001 exceeds the degree cap 1000 (at position 12)"),
+    ],
+)
+def test_caps_refuse_before_expanding(text, message):
+    # (1+x+y)^1000 would take hours to expand
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "left, right, message",
+    [
+        ("y - x", 1001, "exponent 1001 exceeds the degree cap 1000"),
+        ("x^600", "y^401", "product degree 1001 exceeds the degree cap 1000"),
+        ("2^999", 11, "power coefficient bits 11000 exceeds the bit cap 10000"),
+        ("1 + x + y", 141, "power box 20164 exceeds the box cap 20000"),
+        ("(1+x)^199", "(1+y)^100", "product box 20200 exceeds the box cap 20000"),
+    ],
+)
+def test_library_caps_raise_value_error_before_expanding(left, right, message, monkeypatch):
+    f = parse_poly(left)
+    g = parse_poly(right) if isinstance(right, str) else None
+
+    def expand(*args):
+        raise AssertionError("expanded before the cap was checked")
+
+    monkeypatch.setattr(curves, "_mul_terms", expand)
+    monkeypatch.setattr(curves, "_pow_terms", expand)
+    with pytest.raises(ValueError) as info:
+        f * g if g is not None else f**right
+    assert type(info.value) is ValueError and str(info.value) == message
