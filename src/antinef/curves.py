@@ -16,13 +16,16 @@ A product or power is expanded only under three caps, checked in this order
 from its operands: ``MAX_DEGREE`` (``exponent 1001 exceeds the degree cap
 1000``), ``MAX_POWER_BITS`` (``power coefficient bits 11000 exceeds the bit
 cap 10000``) and ``MAX_BOX`` (``power box 20164 exceeds the box cap
-20000``).  The parser raises :class:`PolynomialSyntaxError` with the
-position, ``*`` and ``**`` on elements raise ``ValueError``.
+20000``); then every multiplication of the expansion under ``MAX_WORK``
+(``multiplication work 25411681 exceeds the work cap 1000000``).  The
+parser raises :class:`PolynomialSyntaxError` with the position, ``*`` and
+``**`` on elements raise ``ValueError``.
 
 Chart conventions match :mod:`antinef.cluster`: at a free point with finite
 parameter t the previous coordinates are (u, u(t + v)) and the exceptional
 curve of the blown-up point is u = 0; at parameter ``inf`` they are (uv, v)
-with the exceptional curve v = 0.  A satellite's recorded parameter is its
+with the exceptional curve v = 0.  A finite chart is the substitution
+itself, term by term.  A satellite's recorded parameter is its
 position on its parent's curve (``inf`` or 0), so it takes the same charts.
 The parser keeps integer coefficients as ``int``; only an a/b literal brings
 in ``Fraction`` arithmetic.
@@ -33,12 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .cluster import Cluster
 from .divisor import ExcDivisor, unload
 from .errors import CoordinateError, PolynomialSyntaxError
-from .rationals import INFINITY, exact, integer
+from .rationals import INFINITY, MAX_DIGITS, exact, integer
 
 __all__ = [
     "PlaneElement",
@@ -65,6 +68,11 @@ MAX_POWER_BITS = 10_000
 #: dense product costs about the square of its box, and ``(1+x+y)^1000``
 #: would run for hours.
 MAX_BOX = 20_000
+#: Most coefficient products, len(f) * len(g), that one multiplication of an
+#: expansion may take, checked as it runs, after the three caps: the box
+#: bounds a result's terms but not the work that builds them, and
+#: ``((1+x)^70*(1+y)^70)^2`` would square 5,041 terms in about 16 s.
+MAX_WORK = 1_000_000
 
 
 def _degree(terms: Terms) -> int:
@@ -76,7 +84,9 @@ def _trim(terms: Terms) -> Terms:
 
 
 def _mul_terms(f: Terms, g: Terms) -> Terms:
-    """Product of two term dicts."""
+    """Product of two term dicts; ``ValueError`` above the work cap."""
+    if (work := len(f) * len(g)) > MAX_WORK:
+        raise ValueError(f"multiplication work {work} exceeds the work cap {MAX_WORK}")
     out = {}
     for (a1, b1), c1 in f.items():
         for (a2, b2), c2 in g.items():
@@ -268,6 +278,13 @@ class _Parser:
     def error(self, message: str):
         raise PolynomialSyntaxError(message, self.pos)
 
+    def expand(self, op, *operands) -> Terms:
+        """``op(*operands)``, a refusal by the work cap raised at this position."""
+        try:
+            return op(*operands)
+        except ValueError as exc:
+            self.error(str(exc))
+
     def parse(self) -> Parsed:
         parsed = self.expr()
         self._skip_ws()
@@ -291,7 +308,7 @@ class _Parser:
             other, more = self.unary()
             if refused := _refusal(terms, other):
                 self.error(refused)
-            terms, factors = _mul_terms(terms, other), _merge(factors, more)
+            terms, factors = self.expand(_mul_terms, terms, other), _merge(factors, more)
         return terms, factors
 
     def unary(self) -> Parsed:
@@ -312,7 +329,7 @@ class _Parser:
             k = self.natural("an exponent")
             if refused := _refusal(terms, k=k):
                 self.error(refused)
-            return _pow_terms(terms, k), _merge({}, factors, k)
+            return self.expand(_pow_terms, terms, k), _merge({}, factors, k)
         return terms, factors
 
     def natural(self, what: str) -> int:
@@ -322,6 +339,9 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")
+        if self.pos - start > MAX_DIGITS:
+            digits, self.pos = self.pos - start, start
+            self.error(f"{what} of {digits} digits exceeds the digit cap {MAX_DIGITS}")
         return int(self.text[start : self.pos])
 
     def atom(self) -> Parsed:
@@ -362,8 +382,10 @@ def parse_poly(text: str) -> PlaneElement:
     division operator).  Whitespace is insignificant.  The zero polynomial
     is rejected by :meth:`PlaneElement.from_terms`: its value vector would
     be infinite.  A product or power above one of the caps (``MAX_DEGREE``,
-    ``MAX_POWER_BITS``, ``MAX_BOX``) raises before it is expanded.  The
-    element keeps the factors of a product, for :func:`multiplicity_vector`.
+    ``MAX_POWER_BITS``, ``MAX_BOX``) raises before it is expanded, and one
+    above ``MAX_WORK`` when the expansion reaches that multiplication, as
+    does a literal of more than ``MAX_DIGITS`` digits.  The element keeps
+    the factors of a product, for :func:`multiplicity_vector`.
     """
     return PlaneElement.from_terms(*_Parser(text).parse())
 
@@ -392,37 +414,21 @@ def _integer_terms(items) -> IntTerms:
 def _blow_finite(terms: IntTerms, t: Fraction, m: int) -> IntTerms:
     """(x, y) -> (u, u(t + v)), divided by u^m, up to a constant factor.
 
-    With t = p/q the terms of total degree D form a univariate h_D(y), and
-    u^D h_D(t + v) is its contribution.  Each group is replaced by
-    q^B h_D((p + q v)/q) = sum_b c_b q^(B - b) (p + q v)^b, one integer
-    Horner pass (a Taylor shift), where B is the largest y-exponent of all
-    terms, so every group carries the same factor q^B.
+    With t = p/q and B the largest y-exponent, q^B times the substitution
+    sends c x^a y^b to c q^(B - b) u^(a + b - m) (p + q v)^b, expanded by
+    the binomial theorem; the coefficients of each power of u are summed in
+    one list indexed by the exponent of v.
     """
     p, q = t.numerator, t.denominator
-    groups: dict[int, dict[int, int]] = {}
-    for (a, b), c in terms.items():
-        groups.setdefault(a + b, {})[b] = c
     top = max(b for _, b in terms)
-    qpow = [1]
-    for _ in range(top):
-        qpow.append(qpow[-1] * q)
-    out: IntTerms = {}
-    for total, h in groups.items():
-        deg = max(h)
-        acc = [h[deg] * qpow[top - deg]]
-        for b in range(deg - 1, -1, -1):
-            # acc <- acc * (p + q v) + c_b q^(B - b)
-            nxt = [p * c for c in acc]
-            nxt.append(0)
-            for k, c in enumerate(acc):
-                nxt[k + 1] += q * c
-            nxt[0] += h.get(b, 0) * qpow[top - b]
-            acc = nxt
-        u_exp = total - m
-        for k, c in enumerate(acc):
-            if c:
-                out[(u_exp, k)] = c
-    return _primitive(out)
+    binomial = [[comb(b, k) * p ** (b - k) * q**k for k in range(b + 1)] for b in range(top + 1)]
+    rows: dict[int, list[int]] = {}
+    for (a, b), c in terms.items():
+        row = rows.setdefault(a + b - m, [0] * (top + 1))
+        c *= q ** (top - b)
+        for k, e in enumerate(binomial[b]):
+            row[k] += c * e
+    return _primitive({(u, k): c for u, row in rows.items() for k, c in enumerate(row) if c})
 
 
 def _blow_infinity(terms: IntTerms, m: int) -> IntTerms:

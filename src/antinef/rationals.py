@@ -19,19 +19,35 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 #: Marker for the point at infinity on an exceptional line (direction u = 0).
 INFINITY = float("inf")
 
+#: Most digits an integer literal may have: ``int`` refuses to read longer
+#: ones by default (``sys.get_int_max_str_digits()``), with a message that
+#: names neither the literal nor the input.
+MAX_DIGITS = 4300
 
-def parse_integer(text: str) -> int:
-    """Parse ``a`` or ``-a`` in ASCII digits; unlike ``int``, reject ``+``, ``_`` and blanks."""
+
+def _check_digits(digits: str, what: str) -> None:
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{what} of {len(digits)} digits exceeds the digit cap {MAX_DIGITS}")
+
+
+def parse_integer(text: str, what: str = "integer") -> int:
+    """Parse ``a`` or ``-a`` in ASCII digits; unlike ``int``, reject ``+``, ``_`` and blanks.
+
+    A literal above the digit cap raises ``ValueError`` naming ``what`` it is.
+    """
     if re.fullmatch(r"-?[0-9]+", text) is None:
         raise ValueError(f"malformed integer {text!r}")
+    _check_digits(text.lstrip("-"), what)
     return int(text)
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, what: str = "rational") -> Fraction:
     """Parse ``a``, ``-a`` or ``a/b`` (ASCII digits) into an exact Fraction.
 
     Decimal and exponent notation are rejected on purpose: exact input only.
     So are a ``+`` sign and ``_`` digit separators, which ``Fraction`` accepts.
+    A numerator or denominator above the digit cap raises ``ValueError``
+    naming ``what`` the literal is.
     """
     text = text.strip()
     if "." in text:
@@ -40,6 +56,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(
             f"malformed rational {text!r}: Invalid literal for Fraction: {text!r}"
         )
+    for digits in text.lstrip("-").split("/"):
+        _check_digits(digits, what)
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
@@ -51,7 +69,7 @@ def parse_param(text: str):
     text = text.strip()
     if text == "inf":
         return INFINITY
-    return parse_rational(text)
+    return parse_rational(text, "param")
 
 
 def exact(value, what: str):
@@ -63,7 +81,7 @@ def exact(value, what: str):
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
-        return parse_rational(value)
+        return parse_rational(value, what)
     raise InexactNumberError(
         f"unsupported {what} {value!r}: not exact; write an int, a Fraction or an a/b rational"
     )

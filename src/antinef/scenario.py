@@ -25,7 +25,7 @@ from .filtration import (
     QDivisorialSpec,
     parse_label,
 )
-from .rationals import parse_integer, parse_param, parse_rational
+from .rationals import MAX_DIGITS, parse_integer, parse_param, parse_rational
 
 __all__ = ["Scenario", "Task", "parse_scenario", "TASK_KINDS", "MAX_NMAX"]
 
@@ -90,9 +90,10 @@ def _nat(text: str, what: str, lineno: int) -> int:
     A leading ``-`` is read too, so that the caller's range check names the fault.
     """
     try:
-        return parse_integer(text)
-    except ValueError:
-        raise ScenarioError(f"bad {what} {text!r}", lineno) from None
+        return parse_integer(text, what)
+    except ValueError as exc:
+        too_long = len(text) > MAX_DIGITS
+        raise ScenarioError(str(exc) if too_long else f"bad {what} {text!r}", lineno) from None
 
 
 #: Point kind -> the Cluster method that adds it, its point-index options and
@@ -154,9 +155,9 @@ class _SectionReader:
                 raise ScenarioError(f"unknown key {k!r} in [{self.header}]", no)
 
 
-def _coeff_list(text: str, lineno: int) -> list[Fraction]:
+def _coeff_list(text: str, lineno: int, what: str = "coefficient") -> list[Fraction]:
     try:
-        return [parse_rational(tok) for tok in text.split()]
+        return [parse_rational(tok, what) for tok in text.split()]
     except ValueError as exc:
         raise ScenarioError(str(exc), lineno) from None
 
@@ -226,7 +227,7 @@ def _example42_args(sc: Scenario, reader: _SectionReader) -> dict:
     params = reader.single("params", required=False)
     if params is None:
         return {"params": None}
-    return {"params": tuple(_coeff_list(params[1], params[0]))}
+    return {"params": tuple(_coeff_list(params[1], params[0], "param"))}
 
 
 def _explicit_args(sc: Scenario, reader: _SectionReader) -> dict:

@@ -8,9 +8,10 @@ the proximity matrix P they start from is built here from the point records.
 
 The curves layer: blowup charts on exact ``Fraction`` coefficients, with the
 binomial expansion done term by term, as the package did before it moved
-to integer Taylor shifts; and the walk of the fully expanded polynomial
-through the package's integer charts, as the package did before it valued
-a product factor by factor.
+to primitive integer charts; and the walk of the fully expanded polynomial
+through those ``Fraction`` charts, as the package walked it before it
+valued a product factor by factor.  None of it imports the package's own
+charts.
 
 The divisor coefficients: every coefficient a ``Fraction``, as the package
 stored them before it moved to integer numerators over one denominator;
@@ -38,7 +39,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from antinef.curves import _blow_finite, _blow_infinity, _integer_terms
 from antinef.errors import ClusterStructureError, CoordinateError
 from antinef.rationals import INFINITY, exact, integer
 
@@ -237,10 +237,11 @@ def fraction_multiplicity_vector(cluster, f):
 
 
 def expanded_multiplicity_vector(cluster, f):
-    """Multiplicities of the strict transforms of ``f``, walking its expansion."""
+    """Multiplicities of the strict transforms of ``f``, walking its expansion
+    through the ``Fraction`` charts by each point's recorded parameter."""
     n = len(cluster)
     m = [0] * n
-    stack = [(0, _integer_terms(f.terms))]
+    stack = [(0, f.to_dict())]
     while stack:
         i, terms = stack.pop()
         mult = min(a + b for a, b in terms)
@@ -255,9 +256,9 @@ def expanded_multiplicity_vector(cluster, f):
                     f"transform reaches its exceptional line"
                 )
             if param == INFINITY:
-                child = _blow_infinity(terms, mult)
+                child = fraction_blow_infinity(terms, mult)
             else:
-                child = _blow_finite(terms, param, mult)
+                child = fraction_blow_finite(terms, param, mult)
             stack.append((j, child))
     return tuple(m)
 

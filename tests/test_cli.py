@@ -120,6 +120,52 @@ class TestIntegerOptions:
         assert out == "" and "nmax must be at most 1000" in err
 
 
+BIG = "7" * 5000  # past the interpreter's 4300-digit limit on reading an int
+
+
+class TestOversizedLiterals:
+    """A literal above the digit cap is refused with a message of its own,
+    not the interpreter's, and is not echoed back."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("poly = y^2 - x^3", f"poly = y^2 - {BIG}*x^3",
+             "line 9: bad polynomial: a numerator of 5000 digits exceeds the digit cap 4300 "
+             "(at position 6)"),
+            ("poly = y^2 - x^3", f"poly = y^2 - 1/{BIG}*x^3",
+             "line 9: bad polynomial: a denominator of 5000 digits exceeds the digit cap 4300 "
+             "(at position 8)"),
+            ("poly = y^2 - x^3", f"poly = y^{BIG} - x^3",
+             "line 9: bad polynomial: an exponent of 5000 digits exceeds the digit cap 4300 "
+             "(at position 2)"),
+            ("param=0", f"param={BIG}", "line 2: param of 5000 digits exceeds the digit cap 4300"),
+            ("coeffs = 0 0 1", f"coeffs = 0 0 {BIG}",
+             "line 6: coefficient of 5000 digits exceeds the digit cap 4300"),
+            ("nmax = 12", f"nmax = {BIG}",
+             "line 23: nmax of 5000 digits exceeds the digit cap 4300"),
+        ],
+        ids=["numerator", "denominator", "exponent", "param", "coeffs", "nmax"],
+    )
+    def test_in_a_scenario(self, old, new, message, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text(CUSP_SCENARIO.replace(old, new, 1))
+        assert main(["run", "--scenario", str(scn)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["example42", "run"])
+    def test_nmax_option(self, command, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text(CUSP_SCENARIO)
+        argv = [command, "--nmax", BIG] + (["--scenario", str(scn)] if command == "run" else [])
+        assert exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --nmax: integer of 5000 digits exceeds the digit cap 4300" in err
+        assert BIG not in err and "set_int_max_str_digits" not in err
+
+
 class TestRun:
     def test_scenario_roundtrip(self, tmp_path):
         scn = tmp_path / "cusp.scn"

@@ -30,7 +30,7 @@ from antinef import (
 )
 from antinef.cli import main
 from antinef.curves import PlaneElement
-from antinef.errors import InexactNumberError
+from antinef.errors import InexactNumberError, PolynomialSyntaxError
 from antinef.rationals import exact, parse_param
 from antinef.selfcheck import random_cluster, random_effective_divisor, random_integer_divisor
 from helpers import cusp_cluster
@@ -189,3 +189,17 @@ def test_oo_param_in_a_scenario_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 2: malformed rational 'oo'" in captured.err
+
+
+def test_oversized_literals_name_what_they_are():
+    # 5,000 digits is past the interpreter's own limit on reading an int
+    big = "7" * 5000
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly(f"x + {big}")
+    assert str(info.value) == "a numerator of 5000 digits exceeds the digit cap 4300 (at position 4)"
+    with pytest.raises(ValueError, match=r"^coefficient of 5000 digits exceeds the digit cap 4300$"):
+        PlaneElement.from_terms({(0, 1): big})
+    with pytest.raises(ValueError, match=r"^param of 5000 digits exceeds the digit cap 4300$"):
+        parse_param(f"1/{big}")
+    # the cap itself is read
+    assert exact("7" * 4300, "coefficient") == int("7" * 4300)

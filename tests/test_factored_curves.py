@@ -6,10 +6,16 @@ is checked against ``oracles.expanded_multiplicity_vector``, the walk of
 the fully expanded polynomial, on random coordinatized clusters and random
 products: repeated factors, unit and constant factors, a/b coefficients,
 and sums of products, which are one factor.  The caps refuse a product or
-power before it is expanded, in the parser and in the library alike.
+power before it is expanded, in the parser and in the library alike; the
+work cap refuses a multiplication with too many coefficient products as
+the expansion reaches it.
 """
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,10 +32,12 @@ from antinef import (
     value_vector,
 )
 from antinef import curves
+from antinef.cli import main
 from antinef.curves import MAX_BOX
 from oracles import expanded_multiplicity_vector
 from test_integer_curves import _branch, _random_coordinatized_cluster
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNITS = ("(1 + x)", "(2 - y + x*y)", "(3/2 + x^2)", "(1 - 2/3*y)")
 CONSTANTS = ("3/7", "5", "2/9")
 
@@ -198,3 +206,53 @@ def test_library_caps_raise_value_error_before_expanding(left, right, message, m
     with pytest.raises(ValueError) as info:
         f * g if g is not None else f**right
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+# -- the work cap -----------------------------------------------------------------
+
+DENSE_SQUARE = "((1+x)^70*(1+y)^70)^2"  # squares 71^2 = 5,041 terms, within every other cap
+DENSE_SQUARE_REFUSAL = "multiplication work 25411681 exceeds the work cap 1000000"
+
+
+def test_work_cap_refuses_the_dense_square_from_the_parser():
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly(DENSE_SQUARE)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"{DENSE_SQUARE_REFUSAL} (at position 21)"
+    # a squaring inside a power the box cap admits: (1+x+y)^64 has 2,145 terms
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly("(1+x+y)^140")
+    assert str(info.value) == (
+        "multiplication work 4601025 exceeds the work cap 1000000 (at position 11)"
+    )
+
+
+def test_work_cap_refuses_the_dense_square_from_the_library():
+    f = parse_poly("(1+x)^70*(1+y)^70")
+    for square in (lambda: f**2, lambda: f * f):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            square()
+        assert time.perf_counter() - start < 1
+        assert type(info.value) is ValueError and str(info.value) == DENSE_SQUARE_REFUSAL
+
+
+def test_work_cap_refuses_the_dense_square_from_a_scenario(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"[element F]\npoly = {DENSE_SQUARE}\n")
+    start = time.perf_counter()
+    assert main(["run", "--scenario", str(scn)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"line 2: bad polynomial: {DENSE_SQUARE_REFUSAL}" in err
+
+
+def test_work_cap_admits_the_benchmark_ladder_element():
+    # the value_vector ladder's largest rung multiplies 209,591 coefficient pairs
+    child = os.path.join(ROOT, "benchmarks", "scale_child.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, child, "value_vector", "24"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,28 +1,32 @@
 """The curves layer on integers, checked against exact-rational and sympy oracles.
 
 ``multiplicity_vector`` runs its blowup charts on primitive integer
-polynomials (an integer Taylor shift per total degree) and ``_is_squarefree``
-decides squarefreeness by a content gcd plus specializations of the
-discriminant.  Both are compared with independent slower paths on random
-input: the ``Fraction`` charts in ``oracles.py``, and sympy's gcd with both
-partial derivatives.  Binary powering and the satellite-pair scan of the
+polynomials (a finite chart substitutes term by term, each power of p + q v
+expanded by the binomial theorem) and ``_is_squarefree`` decides
+squarefreeness by a content gcd plus specializations of the discriminant.
+Both are compared with independent slower paths on random input: the
+``Fraction`` charts in ``oracles.py``, chart by chart on dense terms of high
+y-degree as well as along whole walks, and sympy's gcd with both partial
+derivatives.  Binary powering and the satellite-pair scan of the
 random cluster generator are checked against the plain loops they replace.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antinef import multiplicity_vector, new_cluster, parse_poly
-from antinef.curves import PlaneElement, _is_squarefree, _prs_gcd
+from antinef.curves import PlaneElement, _blow_finite, _is_squarefree, _prs_gcd
 from antinef.errors import ClusterStructureError
 from antinef.rationals import INFINITY
 from antinef import selfcheck
 from antinef.selfcheck import random_cluster, valid_satellite_pairs
-from oracles import fraction_multiplicity_vector, scan_satellite_pairs
+from oracles import fraction_blow_finite, fraction_multiplicity_vector, scan_satellite_pairs
 
 CASES = 300
 PARAMS = (
@@ -150,6 +154,47 @@ def test_scaled_charts_keep_the_support():
     c.add_satellite_point(q, p)
     f = parse_poly("(3*y + 2*x - 7/5*x^2)^3 * (1/2*y^2 - x^5) + x^9")
     assert multiplicity_vector(c, f) == fraction_multiplicity_vector(c, f)
+
+
+def _primitive_signed(terms) -> dict:
+    """``terms`` as coprime integers, the least monomial's coefficient positive."""
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))
+    ints = {k: int(c * den) for k, c in terms.items()}
+    g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+    return {k: c // g for k, c in ints.items()}
+
+
+@st.composite
+def _chart_inputs(draw):
+    """Integer terms of y-degree 0 to 20 (a single term, sparse terms, or
+    dense rows: every y-exponent of each total degree in a band), a parameter
+    0, 1, -1 or p/q with q <= 7, and a multiplicity up to the order."""
+    coeff = st.integers(-50, 50).filter(bool)
+    top = draw(st.integers(0, 20))
+    shape = draw(st.sampled_from(("single", "sparse", "dense")))
+    if shape == "single":
+        terms = {(draw(st.integers(0, 6)), top): draw(coeff)}
+    elif shape == "sparse":
+        keys = st.tuples(st.integers(0, 8), st.integers(0, top))
+        terms = draw(st.dictionaries(keys, coeff, min_size=1, max_size=12))
+        terms[(draw(st.integers(0, 8)), top)] = draw(coeff)
+    else:
+        low = draw(st.integers(top, top + 4))
+        totals = range(low, low + draw(st.integers(1, 3)))
+        terms = {(d - b, b): draw(coeff) for d in totals for b in range(top + 1)}
+    p = draw(st.integers(-12, 12))
+    q = draw(st.integers(1, 7))
+    t = draw(st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(p, q))))
+    order = min(a + b for a, b in terms)
+    return terms, t, draw(st.integers(0, order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chart_inputs())
+def test_finite_chart_matches_the_fraction_chart(case):
+    terms, t, m = case
+    expected = fraction_blow_finite({k: Fraction(c) for k, c in terms.items()}, t, m)
+    assert _primitive_signed(_blow_finite(terms, t, m)) == _primitive_signed(expected)
 
 
 # -- squarefree ----------------------------------------------------------------
