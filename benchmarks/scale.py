@@ -19,8 +19,10 @@ The ladders (``LADDERS``):
   the time includes the spec's nef envelope;
 * ``value_vector`` - one ``value_vector`` call on the tree of the
   ``perfbench`` ``curves`` workload (seed 1) for a product of k seeded picks
-  from its four branch equations, k in 6, 12 and 24; the product is parsed
-  before the timer starts.
+  from its four branch equations, k in 6, 12 and 24; pick j adds j x^N to
+  its equation, N beyond the order the tree resolves, so the k factors are
+  distinct and the walks grow with k; the product is parsed before the
+  timer starts, on a fresh cluster.
 
 Each repeat of a rung runs ``scale_child.py`` in a fresh interpreter that
 imports the package from ``--src``.  The child times only the measured call
@@ -93,7 +95,8 @@ LADDERS = {
     ),
     "value_vector": (
         "value_vector on the perfbench curves tree (seed 1) of a product of k seeded picks "
-        "from its four branch equations, parsed outside the timed call",
+        "from its four branch equations, pick j plus j*x^N beyond the tree's order, so k "
+        "distinct factors; parsed outside the timed call",
         (6, 12, 24),
         (6, 12),
     ),

@@ -81,11 +81,20 @@ def seeded_delta():
 
 def curves_product(k: int):
     """The ``curves`` workload's tree (seed 1), and a product of k seeded picks
-    from its four branch equations, read as one scenario."""
+    from its four branch equations, read as one scenario.
+
+    Pick j (1..k) is its branch equation plus j x^N, N one above the
+    equation's x-degree: a distinct factor with the branch's multiplicities
+    on the tree, which resolves the branch to below that order.  So the
+    product has k distinct factors, and its valuation walks each of them.
+    """
     points, _prox, _mults = gen.curves_tree(gen.DEFAULT_SEED)
-    polys = [gen._branch_poly(kind, g) for kind, g in gen.curves_branches(gen.DEFAULT_SEED)]
+    branches = gen.curves_branches(gen.DEFAULT_SEED)
+    polys = [gen._branch_poly(kind, g) for kind, g in branches]
+    tails = [len(g) + 1 if kind == "smooth" else 2 * len(g) + 2 for kind, g in branches]
     rng = random.Random(k)
-    product = "*".join(rng.choice(polys) for _ in range(k))
+    picks = [polys.index(rng.choice(polys)) for _ in range(k)]
+    product = "*".join(f"({polys[b]} + {j}*x^{tails[b]})" for j, b in enumerate(picks, 1))
     lines = ["[cluster TREE]", *(f"point = {p}" for p in points)]
     lines += ["[element F]", f"poly = {product}"]
     scenario = parse_scenario("\n".join(lines))

@@ -140,6 +140,10 @@ class Cluster:
 
     All derived computations (matrices, value/multiplicity conversions) are
     pure and may be called concurrently on a shared, fully built cluster.
+    Two memos live on it until the next insert: the tree form, and
+    ``_walks``, which :mod:`antinef.curves` fills with each factor's
+    strict-transform multiplicities; its writes are idempotent, so
+    concurrent reads stay safe.
     """
 
     def __init__(self):
@@ -149,8 +153,10 @@ class Cluster:
         # on its curve (parameter -> the point sitting there).
         self._children: list[list[int]] = [[]]
         self._taken: list[dict] = [{}]
-        # The memoized tree form; every insert resets it.
+        # The memoized tree form, and the factor walks of antinef.curves
+        # (opaque here); every insert resets both.
         self._tree: Optional[TreeForm] = None
+        self._walks: dict = {}
 
     # -- basic views ------------------------------------------------------
 
@@ -177,14 +183,16 @@ class Cluster:
 
         The frozen point records are shared; the children lists and taken
         slots are copied, so inserting into either cluster leaves the other
-        as it was.  The memoized tree form is carried over and, as always,
-        reset by the next insert.
+        as it was.  The memoized tree form and factor walks are carried
+        over and, as always, reset by the next insert, which gives the
+        inserting cluster a new memo and leaves the shared one as it was.
         """
         other = Cluster.__new__(Cluster)
         other._points = self._points.copy()
         other._children = [kids.copy() for kids in self._children]
         other._taken = [slots.copy() for slots in self._taken]
         other._tree = self._tree
+        other._walks = self._walks
         return other
 
     # -- construction -----------------------------------------------------
@@ -260,6 +268,7 @@ class Cluster:
         self._children.append([])
         self._taken.append({})
         self._tree = None
+        self._walks = {}
         return index
 
     # -- lattice data -----------------------------------------------------

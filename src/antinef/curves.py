@@ -7,9 +7,11 @@ transform at every infinitely near point, hence the vector of divisorial
 values.
 
 An element keeps the factors it was built from, with their exponents, and
-the walk carries each factor's strict transform on its own: multiplicities
-add over a product, m_i(f^a g^b) = a m_i(f) + b m_i(g), and a factor that
+each factor's strict transform is walked on its own: multiplicities add
+over a product, m_i(f^a g^b) = a m_i(f) + b m_i(g), and a factor that
 misses a point drops out of that point's subtree.  A sum is one factor.
+Each distinct factor is charted once per cluster, until the next insert:
+the cluster keeps its multiplicities for every element it is a factor of.
 The values are those of the expanded polynomial.
 
 A product or power is expanded only under three caps, checked in this order
@@ -27,8 +29,10 @@ curve of the blown-up point is u = 0; at parameter ``inf`` they are (uv, v)
 with the exceptional curve v = 0.  A finite chart is the substitution
 itself, term by term.  A satellite's recorded parameter is its
 position on its parent's curve (``inf`` or 0), so it takes the same charts.
-The parser keeps integer coefficients as ``int``; only an a/b literal brings
-in ``Fraction`` arithmetic.
+The parser keeps integer coefficients as ``int``; a product with an a/b
+literal is multiplied as integers over one common denominator.  An element
+is refused if a coefficient has a numerator or denominator of more than
+``MAX_DIGITS`` digits, which ``str`` could not write.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from math import comb, gcd, lcm
 from .cluster import Cluster
 from .divisor import ExcDivisor, unload
 from .errors import CoordinateError, PolynomialSyntaxError
-from .rationals import INFINITY, MAX_DIGITS, exact, integer
+from .rationals import INFINITY, MAX_DIGITS, check_digits, exact, integer
 
 __all__ = [
     "PlaneElement",
@@ -83,20 +87,38 @@ def _trim(terms: Terms) -> Terms:
     return {k: c for k, c in terms.items() if c != 0}
 
 
+def _numerators(f: Terms) -> tuple[IntTerms, int]:
+    """f as integer numerators over one common denominator."""
+    if all(type(c) is int for c in f.values()):
+        return f, 1
+    den = lcm(*(c.denominator for c in f.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in f.items()}, den
+
+
 def _mul_terms(f: Terms, g: Terms) -> Terms:
-    """Product of two term dicts; ``ValueError`` above the work cap."""
+    """Product of two term dicts; ``ValueError`` above the work cap.
+
+    The coefficients are multiplied as integers over one common
+    denominator, divided out once per term of the result: a ``Fraction``
+    product would pay a gcd per coefficient product.
+    """
     if (work := len(f) * len(g)) > MAX_WORK:
         raise ValueError(f"multiplication work {work} exceeds the work cap {MAX_WORK}")
+    (f, df), (g, dg) = _numerators(f), _numerators(g)
     out = {}
     for (a1, b1), c1 in f.items():
         for (a2, b2), c2 in g.items():
             key = (a1 + a2, b1 + b2)
             out[key] = out.get(key, 0) + c1 * c2
-    return _trim(out)
+    den = df * dg
+    return {k: c if den == 1 else Fraction(c, den) for k, c in out.items() if c}
 
 
 def _pow_terms(f: Terms, k: int) -> Terms:
-    """f^k by square-and-multiply."""
+    """f^k: a term's power at once, else by square-and-multiply."""
+    if len(f) == 1:
+        [((a, b), c)] = f.items()
+        return {(k * a, k * b): c**k}
     out: Terms = {(0, 0): 1}
     while k:
         if k & 1:
@@ -195,11 +217,16 @@ class PlaneElement:
     @staticmethod
     def from_terms(terms: Terms, _factors: Factors | None = None) -> "PlaneElement":
         """The element with these terms, each read by ``exact`` and made a ``Fraction``;
-        ``_factors``, if given, are the factors it is the product of."""
+        ``_factors``, if given, are the factors it is the product of.
+
+        A numerator or denominator of more than ``MAX_DIGITS`` digits is
+        refused: ``str`` could not write it.
+        """
         read = ((k, exact(c, "coefficient")) for k, c in terms.items())
         terms = {k: Fraction(c) for k, c in read if c != 0}
         if not terms:
             raise ValueError("zero is not a plane element (its values are infinite)")
+        check_digits(max(max(abs(c.numerator), c.denominator) for c in terms.values()), "coefficient")
         return PlaneElement(terms=tuple(sorted(terms.items())), _factors=_factors)
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
@@ -294,12 +321,16 @@ class _Parser:
 
     def expr(self) -> Parsed:
         terms, factors = self.term()
-        summed = False
+        if self.peek() not in ("+", "-"):
+            return terms, factors
+        terms = dict(terms)  # the sum, accumulated in place: linear in its terms
         while (ch := self.peek()) in ("+", "-"):
             self.take()
-            terms = _add_terms(terms, self.term()[0], 1 if ch == "+" else -1)
-            summed = True
-        return terms, _factor(terms) if summed else factors
+            sign = 1 if ch == "+" else -1
+            for k, c in self.term()[0].items():
+                terms[k] = terms.get(k, 0) + sign * c
+        terms = _trim(terms)
+        return terms, _factor(terms)
 
     def term(self) -> Parsed:
         terms, factors = self.unary()
@@ -406,9 +437,7 @@ def _primitive(terms: IntTerms) -> IntTerms:
 
 def _integer_terms(items) -> IntTerms:
     """A primitive integer multiple of the polynomial with these (monomial, coefficient) items."""
-    items = list(items)
-    den = lcm(*(c.denominator for _, c in items))
-    return _primitive({k: c.numerator * (den // c.denominator) for k, c in items})
+    return _primitive(_numerators(dict(items))[0])
 
 
 def _blow_finite(terms: IntTerms, t: Fraction, m: int) -> IntTerms:
@@ -436,38 +465,64 @@ def _blow_infinity(terms: IntTerms, m: int) -> IntTerms:
     return {(a, a + b - m): c for (a, b), c in terms.items()}
 
 
-def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
-    """Multiplicity of the strict transform of ``f`` at every cluster point.
+def _walk(cluster: Cluster, terms: IntTerms) -> tuple[int, ...] | int:
+    """Multiplicities of the strict transforms of one factor, or the first
+    point it reaches whose position was never recorded.
 
-    Walks the constellation top-down, recentering the local equation of each
-    factor of ``f`` by the fixed chart substitutions; the multiplicity at a
-    point is the sum over the factors of exponent times order.  A factor of
-    order 0 misses the point and its subtree.  Points missed by the strict
-    transform get multiplicity 0; a point the transform reaches whose
-    position was never recorded raises :class:`CoordinateError` rather than
-    guessing.
+    The walk is a preorder from a stack, last child first; a point where
+    the transform has order 0 is missed, and so is its subtree.
     """
     m = [0] * len(cluster)
-    stack = [(0, [(dict(key), e) for key, e in f._factors.items()])]
+    stack = [(0, terms)]
     while stack:
-        i, factors = stack.pop()
-        orders = [(terms, e, min(a + b for a, b in terms)) for terms, e in factors]
-        m[i] = sum(e * order for _, e, order in orders)
-        if not m[i]:
+        i, terms = stack.pop()
+        m[i] = order = min(a + b for a, b in terms)
+        if not order:
             continue  # unit: the strict transform misses this point and its subtree
         for j in cluster.children(i):
             param = cluster.point(j).param
             if param is None:
-                raise CoordinateError(
-                    f"point {j} has no recorded parameter but the strict "
-                    f"transform reaches its exceptional line"
-                )
-            stack.append((j, [
-                (_blow_infinity(terms, order) if param == INFINITY
-                 else _blow_finite(terms, param, order), e)
-                for terms, e, order in orders if order
-            ]))
+                return j
+            stack.append((j, _blow_infinity(terms, order) if param == INFINITY
+                          else _blow_finite(terms, param, order)))
     return tuple(m)
+
+
+def _preorder(cluster: Cluster) -> dict[int, int]:
+    """Each point's rank in the walk's order, over the whole cluster."""
+    order, stack = [], [0]
+    while stack:
+        order.append(i := stack.pop())
+        stack.extend(cluster.children(i))
+    return {i: rank for rank, i in enumerate(order)}
+
+
+def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
+    """Multiplicity of the strict transform of ``f`` at every cluster point.
+
+    Walks the constellation top-down for each factor of ``f``, recentering
+    its local equation by the fixed chart substitutions; the multiplicity
+    at a point is the sum over the factors of exponent times order.  Each
+    distinct factor is walked once per cluster, until the next insert: the
+    cluster keeps its result.  Points missed by the strict transform get
+    multiplicity 0; a point the transform reaches whose position was never
+    recorded raises :class:`CoordinateError` rather than guessing, naming
+    the point the walk of the expanded ``f`` would meet first.
+    """
+    memo = cluster._walks
+    walks = []
+    for key, e in f._factors.items():
+        if (walked := memo.get(key)) is None:
+            walked = memo[key] = _walk(cluster, dict(key))
+        walks.append((walked, e))
+    if missed := [j for j, _ in walks if type(j) is int]:
+        rank = _preorder(cluster)
+        j = min(missed, key=lambda j: rank[cluster.point(j).parent])
+        raise CoordinateError(
+            f"point {j} has no recorded parameter but the strict "
+            f"transform reaches its exceptional line"
+        )
+    return tuple(sum(e * m[i] for m, e in walks) for i in range(len(cluster)))
 
 
 @dataclass(frozen=True)

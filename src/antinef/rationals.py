@@ -23,11 +23,24 @@ INFINITY = float("inf")
 #: ones by default (``sys.get_int_max_str_digits()``), with a message that
 #: names neither the literal nor the input.
 MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS  # the least integer above the digit cap
 
 
 def _check_digits(digits: str, what: str) -> None:
     if len(digits) > MAX_DIGITS:
         raise ValueError(f"{what} of {len(digits)} digits exceeds the digit cap {MAX_DIGITS}")
+
+
+def check_digits(value: int, what: str) -> None:
+    """Refuse an integer of more than ``MAX_DIGITS`` digits, as :func:`parse_integer`
+    refuses such a literal; the digits are counted without ``str``, which
+    refuses to write them."""
+    value = abs(value)
+    if value >= _TOO_LONG:
+        digits = value.bit_length() * 1233 >> 12  # 1233/4096 < log10(2): a lower bound
+        while 10**digits <= value:
+            digits += 1
+        raise ValueError(f"{what} of {digits} digits exceeds the digit cap {MAX_DIGITS}")
 
 
 def parse_integer(text: str, what: str = "integer") -> int:

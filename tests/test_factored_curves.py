@@ -256,3 +256,105 @@ def test_work_cap_admits_the_benchmark_ladder_element():
         [sys.executable, child, "value_vector", "24"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- the cluster's memo of factor walks ---------------------------------------------
+
+
+def _replay(cluster, rec):
+    """Insert a point as ``rec`` records it, into a cluster holding its predecessors."""
+    if rec.kind == "satellite":
+        cluster.add_satellite_point(rec.parent, rec.prox[0])
+    else:
+        cluster.add_free_point(rec.parent, rec.param)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memo_keeps_up_with_inserts_and_copies(seed):
+    # products sharing factors, valued on a cluster as it grows towards the
+    # points the factors pass through, and on copies of it that stay behind
+    rng = random.Random(seed)
+    full = _random_coordinatized_cluster(rng, max_points=9)
+    pool = [PlaneElement.from_terms(_branch(rng, full)) for _ in range(3)]
+    pool = [f"({f})" for f in pool if max(a + b for (a, b), _ in f.terms) <= 12]
+    pool += list(UNITS[:2])
+
+    def check(cluster):
+        factors = [(rng.choice(pool), rng.choice((1, 1, 2))) for _ in range(rng.randint(1, 3))]
+        f = parse_poly(_as_text(rng.choice((1, -1)), factors))
+        assert multiplicity_vector(cluster, f) == expanded_multiplicity_vector(cluster, f), str(f)
+
+    cluster = new_cluster()
+    for rec in full.points[1:]:
+        twin = cluster.copy()
+        for target in (cluster, twin, cluster):
+            check(target)
+        # one of the two grows; the other keeps its points and its walks
+        grown, kept = (cluster, twin) if rng.random() < 0.5 else (twin, cluster)
+        _replay(grown, rec)
+        check(grown)
+        check(kept)
+        cluster = grown
+    for _ in range(3):
+        check(cluster)
+
+
+def _count_walks(monkeypatch) -> list:
+    walked = []
+    walk = curves._walk
+
+    def counted(cluster, terms):
+        walked.append(tuple(sorted(terms.items())))
+        return walk(cluster, terms)
+
+    monkeypatch.setattr(curves, "_walk", counted)
+    return walked
+
+
+def test_curves_scenario_walks_each_distinct_factor_once(tmp_path, capsys, monkeypatch):
+    # the perfbench ``curves`` scenario (seed 1) values a*c, b^2*d, a*c*d and
+    # b*c twice on one cluster: 11 factor walks without the memo, 4 with it
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    scn = tmp_path / "curves.scn"
+    scn.write_text(gen.generate("curves", gen.DEFAULT_SEED))
+    walked = _count_walks(monkeypatch)
+    assert main(["run", "--scenario", str(scn)]) == 0
+    capsys.readouterr()
+    assert len(walked) == len(set(walked)) == 4
+
+
+def test_coordinate_error_from_a_factor_memoized_by_another_element(monkeypatch):
+    # the factor y - x fails at point 4, y - x^2 at point 3; the walk of the
+    # product meets point 4 first, whichever factor was walked before
+    def cluster():
+        c = new_cluster()
+        p1 = c.add_free_point(0, 0)
+        p2 = c.add_free_point(0, 1)
+        c.add_free_point(p1)
+        c.add_free_point(p2)
+        return c
+
+    product = parse_poly("(y - x^2)*(y - x)")
+    for first in ("(y - x)^3", "y - x^2", "(y - x)*(1 + x)"):
+        c = cluster()
+        with pytest.raises(CoordinateError) as earlier:
+            multiplicity_vector(c, parse_poly(first))
+        assert str(earlier.value) == str(_oracle_error(c, parse_poly(first)))
+        walked = _count_walks(monkeypatch)
+        with pytest.raises(CoordinateError) as info:
+            multiplicity_vector(c, product)
+        monkeypatch.undo()
+        assert len(walked) == 1  # the other factor came from the memo
+        assert str(info.value) == str(_oracle_error(c, product))
+        assert "point 4 " in str(info.value)
+
+
+def _oracle_error(cluster, f) -> CoordinateError:
+    with pytest.raises(CoordinateError) as info:
+        expanded_multiplicity_vector(cluster, f)
+    return info.value
