@@ -83,10 +83,6 @@ def _degree(terms: Terms) -> int:
     return max((a + b for a, b in terms), default=0)
 
 
-def _trim(terms: Terms) -> Terms:
-    return {k: c for k, c in terms.items() if c != 0}
-
-
 def _numerators(f: Terms) -> tuple[IntTerms, int]:
     """f as integer numerators over one common denominator."""
     if all(type(c) is int for c in f.values()):
@@ -129,11 +125,12 @@ def _pow_terms(f: Terms, k: int) -> Terms:
     return out
 
 
-def _add_terms(f: Terms, g: Terms, sign: int = 1) -> Terms:
-    out = dict(f)
+def _accumulate(total: Terms, g: Terms, sign: int = 1) -> Terms:
+    """Add sign * g into ``total`` in place, so that a sum costs time linear
+    in its terms, and return it; zero terms are kept."""
     for k, c in g.items():
-        out[k] = out.get(k, 0) + sign * c
-    return _trim(out)
+        total[k] = total.get(k, 0) + sign * c
+    return total
 
 
 def _widths(f: Terms) -> tuple[int, int, int]:
@@ -201,23 +198,41 @@ def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
     return {key: e for key, e in out.items() if e}
 
 
+#: Expanded terms and the factors they are the product of.
+Parsed = tuple[Terms, Factors]
+
+
+def _product(f: Parsed, g: Parsed) -> Parsed:
+    """f * g: refused above a cap, else expanded, with the factors merged."""
+    (f, ff), (g, gf) = f, g
+    if refused := _refusal(f, g):
+        raise ValueError(refused)
+    return _mul_terms(f, g), _merge(ff, gf)
+
+
+def _power(f: Parsed, k: int) -> Parsed:
+    """f^k: refused above a cap, else expanded, with the factors scaled."""
+    f, factors = f
+    if refused := _refusal(f, k=k):
+        raise ValueError(refused)
+    return _pow_terms(f, k), _merge({}, factors, k)
+
+
 @dataclass(frozen=True)
 class PlaneElement:
-    """Nonzero polynomial in x, y with exact rational coefficients."""
+    """Nonzero polynomial in x, y with exact rational coefficients, built by
+    :meth:`from_terms` or :func:`parse_poly`, which set its factors."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
     #: The factors whose product it is, up to a constant; one, the element
     #: itself, unless it was built as a product.
     _factors: Factors | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self._factors is None:
-            object.__setattr__(self, "_factors", _factor(dict(self.terms)))
-
     @staticmethod
     def from_terms(terms: Terms, _factors: Factors | None = None) -> "PlaneElement":
         """The element with these terms, each read by ``exact`` and made a ``Fraction``;
-        ``_factors``, if given, are the factors it is the product of.
+        ``_factors``, if given, are the factors it is the product of, else
+        it is its own one factor.
 
         A numerator or denominator of more than ``MAX_DIGITS`` digits is
         refused: ``str`` could not write it.
@@ -227,35 +242,33 @@ class PlaneElement:
         if not terms:
             raise ValueError("zero is not a plane element (its values are infinite)")
         check_digits(max(max(abs(c.numerator), c.denominator) for c in terms.values()), "coefficient")
+        if _factors is None:
+            _factors = _factor(terms)
         return PlaneElement(terms=tuple(sorted(terms.items())), _factors=_factors)
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
+
+    def _parsed(self) -> Parsed:
+        return self.to_dict(), self._factors
 
     def order(self) -> int:
         """Multiplicity at the origin: least total degree of a term."""
         return min(a + b for (a, b), _ in self.terms)
 
     def __add__(self, other: "PlaneElement") -> "PlaneElement":
-        return PlaneElement.from_terms(_add_terms(self.to_dict(), other.to_dict()))
+        return PlaneElement.from_terms(_accumulate(self.to_dict(), other.to_dict()))
 
     def __sub__(self, other: "PlaneElement") -> "PlaneElement":
-        return PlaneElement.from_terms(_add_terms(self.to_dict(), other.to_dict(), -1))
+        return PlaneElement.from_terms(_accumulate(self.to_dict(), other.to_dict(), -1))
 
     def __mul__(self, other: "PlaneElement") -> "PlaneElement":
-        f, g = self.to_dict(), other.to_dict()
-        if refused := _refusal(f, g):
-            raise ValueError(refused)
-        factors = _merge(self._factors, other._factors)
-        return PlaneElement.from_terms(_mul_terms(f, g), factors)
+        return PlaneElement.from_terms(*_product(self._parsed(), other._parsed()))
 
     def __pow__(self, k: int) -> "PlaneElement":
         if integer(k, "exponent k") < 0:
             raise ValueError("negative powers are not plane elements")
-        f = self.to_dict()
-        if refused := _refusal(f, k=k):
-            raise ValueError(refused)
-        return PlaneElement.from_terms(_pow_terms(f, k), _merge({}, self._factors, k))
+        return PlaneElement.from_terms(*_power(self._parsed(), k))
 
     def __str__(self):
         """Text that :func:`parse_poly` reads back to an equal element."""
@@ -281,8 +294,6 @@ class PlaneElement:
 # of: a product merges its operands' factors, a power scales them, and a sum
 # of two or more terms is one factor.
 
-Parsed = tuple[Terms, Factors]
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -305,8 +316,8 @@ class _Parser:
     def error(self, message: str):
         raise PolynomialSyntaxError(message, self.pos)
 
-    def expand(self, op, *operands) -> Terms:
-        """``op(*operands)``, a refusal by the work cap raised at this position."""
+    def expand(self, op, *operands) -> Parsed:
+        """``op(*operands)``, a refusal by a cap raised at this position."""
         try:
             return op(*operands)
         except ValueError as exc:
@@ -323,24 +334,19 @@ class _Parser:
         terms, factors = self.term()
         if self.peek() not in ("+", "-"):
             return terms, factors
-        terms = dict(terms)  # the sum, accumulated in place: linear in its terms
+        terms = dict(terms)
         while (ch := self.peek()) in ("+", "-"):
             self.take()
-            sign = 1 if ch == "+" else -1
-            for k, c in self.term()[0].items():
-                terms[k] = terms.get(k, 0) + sign * c
-        terms = _trim(terms)
+            _accumulate(terms, self.term()[0], 1 if ch == "+" else -1)
+        terms = {k: c for k, c in terms.items() if c}
         return terms, _factor(terms)
 
     def term(self) -> Parsed:
-        terms, factors = self.unary()
+        parsed = self.unary()
         while self.peek() == "*":
             self.take()
-            other, more = self.unary()
-            if refused := _refusal(terms, other):
-                self.error(refused)
-            terms, factors = self.expand(_mul_terms, terms, other), _merge(factors, more)
-        return terms, factors
+            parsed = self.expand(_product, parsed, self.unary())
+        return parsed
 
     def unary(self) -> Parsed:
         ch = self.peek()
@@ -354,14 +360,11 @@ class _Parser:
         return self.power()
 
     def power(self) -> Parsed:
-        terms, factors = self.atom()
+        parsed = self.atom()
         if self.peek() == "^":
             self.take()
-            k = self.natural("an exponent")
-            if refused := _refusal(terms, k=k):
-                self.error(refused)
-            return self.expand(_pow_terms, terms, k), _merge({}, factors, k)
-        return terms, factors
+            return self.expand(_power, parsed, self.natural("an exponent"))
+        return parsed
 
     def natural(self, what: str) -> int:
         self._skip_ws()
@@ -640,21 +643,15 @@ def _is_squarefree(f: PlaneElement) -> bool:
     return False
 
 
-def degree_function(d: ExcDivisor, f: PlaneElement, assume_reduced: bool = False) -> int:
-    """Multiplicity of the image ideal on the curve cut out by ``f``.
+def degree_function(d: ExcDivisor, f: PlaneElement) -> int:
+    """Degree of ``f`` against the antinef closure of ``d``: sum_i v_i(f) * d_i.
 
-    Equals sum_i v_i(f) * d_i over the degree coefficients d_i of the
-    antinef closure of ``d``.  The quotient by ``f`` should be reduced;
-    as a proxy ``f`` is required squarefree unless ``assume_reduced`` is
-    set (the check is global over Q, so locally-reduced elements with a
-    repeated factor away from the origin need the override).  The check is
-    :func:`_is_squarefree`, exact integer arithmetic with no dependency.
+    The d_i are the degree coefficients of the closure.  By Rees's theorem
+    d_I(f) = sum_v d_v(I) v(f) over the Rees valuations v of I, for every
+    nonzero f, reduced or not (Rees, "Degree functions in local rings",
+    Proc. Cambridge Philos. Soc. 57, 1961); so it adds over products,
+    d(f g) = d(f) + d(g).
     """
-    if not assume_reduced and not _is_squarefree(f):
-        raise ValueError(
-            "element is not squarefree; pass assume_reduced=True to override"
-        )
     model = unload(d)
     vv = value_vector(d.cluster, f)
     return sum(v * c for v, c in zip(vv.values, model.degree_coeffs))
-

@@ -56,7 +56,7 @@ from .divisor import (
     intersect,
     unload,
 )
-from .rationals import exact, integer
+from .rationals import exact, integer, parse_integer
 
 __all__ = [
     "QDivisorialSpec",
@@ -368,7 +368,7 @@ def multiplicity_sequence(spec: FiltrationSpec, nmax: int) -> LimitReport:
 def parse_label(label) -> int:
     """Accept a curve index or a label like ``v3``."""
     if isinstance(label, str) and re.fullmatch(r"v[0-9]+", label):
-        return int(label[1:])
+        return parse_integer(label[1:], "label")
     if isinstance(label, int) and label >= 0:
         return label
     raise ValueError(f"unknown valuation label {label!r}")

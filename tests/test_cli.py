@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from antinef import cli
+from antinef import cli, degree_function, parse_scenario
 from antinef.cli import main
 
 CUSP_SCENARIO = """\
@@ -144,8 +144,11 @@ class TestOversizedLiterals:
              "line 6: coefficient of 5000 digits exceeds the digit cap 4300"),
             ("nmax = 12", f"nmax = {BIG}",
              "line 23: nmax of 5000 digits exceeds the digit cap 4300"),
+            ("kind = multiplicity_limit\nfiltration = FAM\nnmax = 12",
+             f"kind = degree_limits\nfiltration = FAM\nnmax = 12\nlabels = v0 v{BIG}",
+             "line 24: label of 5000 digits exceeds the digit cap 4300"),
         ],
-        ids=["numerator", "denominator", "exponent", "param", "coeffs", "nmax"],
+        ids=["numerator", "denominator", "exponent", "param", "coeffs", "nmax", "label"],
     )
     def test_in_a_scenario(self, old, new, message, tmp_path, capsys):
         scn = tmp_path / "s.scn"
@@ -386,12 +389,14 @@ element = SQUARE
 
 
 def test_degree_function_task_takes_a_non_squarefree_element(tmp_path):
-    """Unlike the library function, the task runs no squarefree check."""
+    """The task, like the library function, runs no squarefree check."""
     scn = tmp_path / "square.scn"
     scn.write_text(NOT_SQUAREFREE_SCENARIO)
     code, data = run_cli(["run", "--scenario", str(scn)], tmp_path)
     assert code == 0
     assert data.decode().splitlines()[-2] == "degree=4"
+    sc = parse_scenario(NOT_SQUAREFREE_SCENARIO)
+    assert degree_function(sc.divisors["D"], sc.elements["SQUARE"]) == 4
 
 
 class TestSelftest:

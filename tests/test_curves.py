@@ -313,12 +313,11 @@ class TestDegreeFunction:
         c = cusp_cluster()
         assert degree_function(divisor(c, [1, 1, 2]), parse_poly("5")) == 0
 
-    def test_squarefree_guard(self):
+    def test_non_squarefree_element(self):
+        # Rees: d(x^2) = 2 d(x), reduced or not
         c = cusp_cluster()
         d = divisor(c, [1, 1, 2])
-        with pytest.raises(ValueError, match="squarefree"):
-            degree_function(d, parse_poly("x^2"))
-        assert degree_function(d, parse_poly("x^2"), assume_reduced=True) == 2
+        assert degree_function(d, parse_poly("x^2")) == 2
 
 
 class TestNewtonOracle:

@@ -31,6 +31,7 @@ from antinef import (
 from antinef.cli import main
 from antinef.curves import PlaneElement
 from antinef.errors import InexactNumberError, PolynomialSyntaxError
+from antinef.filtration import parse_label
 from antinef.rationals import exact, parse_param
 from antinef.selfcheck import random_cluster, random_effective_divisor, random_integer_divisor
 from helpers import cusp_cluster
@@ -201,5 +202,7 @@ def test_oversized_literals_name_what_they_are():
         PlaneElement.from_terms({(0, 1): big})
     with pytest.raises(ValueError, match=r"^param of 5000 digits exceeds the digit cap 4300$"):
         parse_param(f"1/{big}")
+    with pytest.raises(ValueError, match=r"^label of 5000 digits exceeds the digit cap 4300$"):
+        parse_label(f"v{big}")
     # the cap itself is read
     assert exact("7" * 4300, "coefficient") == int("7" * 4300)

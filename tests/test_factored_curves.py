@@ -8,9 +8,12 @@ products: repeated factors, unit and constant factors, a/b coefficients,
 and sums of products, which are one factor.  The caps refuse a product or
 power before it is expanded, in the parser and in the library alike; the
 work cap refuses a multiplication with too many coefficient products as
-the expansion reaches it.
+the expansion reaches it.  On the same random products, the library's
+``+`` and ``-`` are checked against the parser's, and ``degree_function``
+against Rees's additivity over products and powers.
 """
 
+import operator
 import os
 import random
 import subprocess
@@ -26,6 +29,7 @@ from antinef import (
     CoordinateError,
     PlaneElement,
     PolynomialSyntaxError,
+    degree_function,
     multiplicity_vector,
     new_cluster,
     parse_poly,
@@ -34,6 +38,7 @@ from antinef import (
 from antinef import curves
 from antinef.cli import main
 from antinef.curves import MAX_BOX
+from antinef.selfcheck import random_integer_divisor
 from oracles import expanded_multiplicity_vector
 from test_integer_curves import _branch, _random_coordinatized_cluster
 
@@ -86,6 +91,40 @@ def test_factor_walk_matches_the_expanded_walk(seed):
         return  # the sum cancelled to zero
     assert len(g._factors) <= 1
     assert multiplicity_vector(cluster, g) == expanded_multiplicity_vector(cluster, g), text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sum_and_difference_are_the_parsed_sum_and_difference(seed):
+    rng = random.Random(seed)
+    cluster = _random_coordinatized_cluster(rng, max_points=10)
+    f, g = (parse_poly(_as_text(*_random_product(rng, cluster))) for _ in range(2))
+    for op, sign in ((operator.add, "+"), (operator.sub, "-")):
+        text = f"({f}) {sign} ({g})"
+        try:
+            expected = parse_poly(text)
+        except ValueError:  # the sum cancelled to zero
+            with pytest.raises(ValueError, match="^zero is not a plane element"):
+                op(f, g)
+            continue
+        got = op(f, g)
+        assert got == expected and str(got) == str(expected), text
+        assert multiplicity_vector(cluster, got) == expanded_multiplicity_vector(cluster, got), text
+    with pytest.raises(ValueError, match="^zero is not a plane element"):
+        f - f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_degree_function_adds_over_products_and_powers(seed):
+    # Rees: d(f g) = d(f) + d(g) for all nonzero f and g, reduced or not
+    rng = random.Random(seed)
+    cluster = _random_coordinatized_cluster(rng, max_points=10)
+    d = random_integer_divisor(rng, cluster, 0, 6)
+    f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
+    e = rng.randint(2, 3)
+    assert degree_function(d, f * g) == degree_function(d, f) + degree_function(d, g)
+    assert degree_function(d, f**e) == e * degree_function(d, f)
 
 
 def test_random_products_reach_deep_points_through_several_factors():
