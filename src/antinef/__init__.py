@@ -26,14 +26,10 @@ from .curves import (
 from .divisor import (
     CompleteIdealModel,
     ExcDivisor,
-    degree_coefficients,
     divisor,
-    fixed_part,
     intersect,
     is_antinef,
-    multiplicity,
     nef_envelope,
-    rees_valuations,
     unload,
 )
 from .errors import (
@@ -76,10 +72,6 @@ __all__ = [
     "is_antinef",
     "unload",
     "nef_envelope",
-    "multiplicity",
-    "degree_coefficients",
-    "rees_valuations",
-    "fixed_part",
     "PlaneElement",
     "ValuationVector",
     "parse_poly",

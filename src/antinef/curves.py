@@ -221,12 +221,12 @@ def _power(f: Parsed, k: int) -> Parsed:
 @dataclass(frozen=True)
 class PlaneElement:
     """Nonzero polynomial in x, y with exact rational coefficients, built by
-    :meth:`from_terms` or :func:`parse_poly`, which set its factors."""
+    :meth:`from_terms` or :func:`parse_poly`, which set its required factors."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
     #: The factors whose product it is, up to a constant; one, the element
     #: itself, unless it was built as a product.
-    _factors: Factors | None = field(default=None, compare=False, repr=False)
+    _factors: Factors = field(compare=False, repr=False)
 
     @staticmethod
     def from_terms(terms: Terms, _factors: Factors | None = None) -> "PlaneElement":

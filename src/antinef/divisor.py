@@ -57,10 +57,6 @@ __all__ = [
     "is_antinef",
     "unload",
     "nef_envelope",
-    "multiplicity",
-    "degree_coefficients",
-    "rees_valuations",
-    "fixed_part",
 ]
 
 
@@ -229,7 +225,9 @@ class CompleteIdealModel:
 
     Models the complete ideal of sections vanishing along the divisor:
     ``degree_coeffs[i]`` is -(D . E_i) and ``multiplicity`` is -(D . D),
-    the Hilbert-Samuel multiplicity of the ideal.
+    the Hilbert-Samuel multiplicity of the ideal.  :func:`unload` builds
+    it; the closure of D is ``unload(D).divisor``, and its fixed part
+    ``unload(D).divisor - D``.
     """
 
     divisor: ExcDivisor
@@ -254,11 +252,6 @@ class CompleteIdealModel:
     def rees_valuations(self) -> frozenset[int]:
         """Curve indices with positive degree coefficient."""
         return frozenset(i for i, d in enumerate(self.degree_coeffs) if d > 0)
-
-    @staticmethod
-    def from_antinef(d: ExcDivisor) -> "CompleteIdealModel":
-        ints = d.as_integers()
-        return _model(d.cluster, ints, _pairings(d.cluster, ints))
 
 
 def _model(cluster: Cluster, coeffs: Sequence[int], pair: Sequence[int]) -> CompleteIdealModel:
@@ -352,26 +345,6 @@ def unload(
         pair = _pairings(cluster, coeffs)
         _raise(form, coeffs, pair, select)
     return _model(cluster, coeffs, pair)
-
-
-def multiplicity(d: ExcDivisor) -> int:
-    """Hilbert-Samuel multiplicity -(D . D) of the antinef closure of ``d``."""
-    return unload(d).multiplicity
-
-
-def degree_coefficients(d: ExcDivisor) -> tuple[int, ...]:
-    """The coefficients -(closure(D) . E_i); all nonnegative."""
-    return unload(d).degree_coeffs
-
-
-def rees_valuations(d: ExcDivisor) -> frozenset[int]:
-    """Curve indices where the degree coefficient is positive."""
-    return unload(d).rees_valuations
-
-
-def fixed_part(d: ExcDivisor) -> ExcDivisor:
-    """closure(D) - D: the divisorial fixed component, always effective."""
-    return unload(d).divisor - d
 
 
 def _solve_active(

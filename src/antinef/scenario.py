@@ -27,11 +27,14 @@ from .filtration import (
 )
 from .rationals import MAX_DIGITS, parse_integer, parse_param, parse_rational
 
-__all__ = ["Scenario", "Task", "parse_scenario", "TASK_KINDS", "MAX_NMAX"]
+__all__ = ["Scenario", "Task", "parse_scenario", "TASK_KINDS", "MAX_NMAX", "MAX_POINTS"]
 
 #: The largest ``nmax`` a task or the CLI accepts.  A sweep to N keeps its N
 #: members alive, O(N^2) data in all (about 160 MB at N = 800).
 MAX_NMAX = 1000
+#: The most ``point`` lines a cluster section takes.  The dense
+#: ``intersection_matrix`` task is O(n^2) in time and in output.
+MAX_POINTS = 2000
 
 #: Every task kind, with the named objects it takes.  A kind that takes a
 #: filtration also needs ``nmax``.
@@ -189,6 +192,9 @@ def _divisor_on(cluster: Cluster, cname: str, text: str, lineno: int, what: str)
 def _finish_cluster(sc: Scenario, reader: _SectionReader, name: str):
     _check_fresh(sc.clusters, "cluster", name, reader.lineno)
     reader.known_keys({"point"})
+    if len(reader.lines) > MAX_POINTS:
+        lineno = reader.lines[MAX_POINTS][0]  # the first point line past the cap
+        raise ScenarioError(f"a cluster takes at most {MAX_POINTS} point lines", lineno)
     cluster = new_cluster()
     for lineno, key, value in reader.lines:
         _parse_point_line(cluster, value, lineno)

@@ -33,6 +33,10 @@ Two independent lattice-counting oracles, which cross-check multiplicity
 computations that go through the intersection form: the doubled area of a
 Newton region's complement, and the scaled colengths of a monomial
 valuation's ideals.
+
+The intersection number of two plane curves at the origin, as the order in
+x of their resultant in y, through sympy: it needs no blowup chart, so it
+checks the charts' multiplicities by Noether's formula.
 """
 
 import math
@@ -469,3 +473,32 @@ def monomial_valuation_volume_oracle(p: int, q: int, nmax: int) -> list[Fraction
             beta += 1
         out.append(Fraction(2 * count, n * n))
     return out
+
+
+def intersection_multiplicity(f, g) -> int:
+    """i_O(f, g) = ord_x Res_y(f, g) for term maps ``{(a, b): c}`` (sympy).
+
+    The identity holds when each equation is monic in y, so that no root in
+    y escapes as x -> 0, and f(0, y) and g(0, y) vanish only at y = 0, so
+    that every root tends to the origin; for a monic equation that means
+    f(0, y) = y^deg.  Both are checked first, and ``ValueError`` names the
+    one that fails, or a zero resultant: a common component.
+    """
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    polys = []
+    for terms in (f, g):
+        expr = sympy.Add(
+            *(sympy.Rational(Fraction(c)) * x**a * y**b for (a, b), c in terms.items())
+        )
+        poly = sympy.Poly(expr, y)
+        if poly.LC() != 1:
+            raise ValueError(f"{expr} is not monic in y")
+        if sympy.expand(expr.subs(x, 0)) != y ** poly.degree():
+            raise ValueError(f"{expr} meets x = 0 away from the origin")
+        polys.append(expr)
+    res = sympy.Poly(sympy.resultant(*polys, y), x)
+    if res.is_zero:
+        raise ValueError("a zero resultant: the curves share a component")
+    return min(a for (a,) in res.monoms())

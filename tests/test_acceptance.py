@@ -37,8 +37,7 @@ from antinef.selfcheck import (
     random_cluster,
     random_integer_divisor,
 )
-from helpers import cusp_cluster, star_cluster, star_family_divisor
-from test_curves import random_poly
+from helpers import cusp_cluster, random_poly, star_cluster, star_family_divisor
 
 
 def report(num, ok, detail=""):

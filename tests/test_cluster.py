@@ -18,14 +18,13 @@ from antinef import (
     new_cluster,
 )
 from antinef.selfcheck import random_cluster, valid_satellite_pairs
-from helpers import chain_cluster, cusp_cluster, star_cluster
+from helpers import chain_cluster, cusp_cluster, random_coordinatized_cluster, star_cluster
 from oracles import (
     fraction_leading_minors,
     fraction_negative_definite,
     proximity_matrix,
     replay_chart_fields,
 )
-from test_integer_curves import _random_coordinatized_cluster
 
 
 class TestConstruction:
@@ -218,7 +217,7 @@ class TestCopy:
     def test_copy_has_the_same_points_and_form(self):
         rng = random.Random(31)
         for _ in range(100):
-            c = _random_coordinatized_cluster(rng)
+            c = random_coordinatized_cluster(rng)
             cold = c.copy()  # copied before the form is memoized
             form = c.tree_form()
             warm = c.copy()
@@ -236,7 +235,7 @@ class TestCopy:
         rng = random.Random(37)
         sizes = Counter()
         for _ in range(100):
-            c = _random_coordinatized_cluster(rng)
+            c = random_coordinatized_cluster(rng)
             dup = c.copy()
             target, other = (dup, c) if grown == "copy" else (c, dup)
             state = _state(other)
@@ -255,7 +254,7 @@ class TestCopy:
         rng = random.Random(41)
         refused = Counter()
         for _ in range(100):
-            c = _random_coordinatized_cluster(rng)
+            c = random_coordinatized_cluster(rng)
             dup = c.copy()
             attempts = [(False, rec.parent, rec.param) for rec in c.points[1:]]
             attempts += [(True, rec.index, j) for rec in c.points for j in rec.prox]
@@ -287,7 +286,7 @@ class TestDerivedFields:
         rng = random.Random(20261018)
         crossings, refusals = Counter(), Counter()
         for _ in range(200):
-            c = _random_coordinatized_cluster(rng)
+            c = random_coordinatized_cluster(rng)
             points, expected = c.points, replay_chart_fields(c)
             for rec, fields in zip(points, expected):
                 assert (rec.kind, rec.axis_curves, rec.crossing_axis) == fields

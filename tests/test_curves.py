@@ -21,9 +21,14 @@ from antinef import (
     value_vector,
 )
 from antinef.curves import MAX_DEGREE
-from helpers import cusp_cluster, star_cluster, star_family_divisor
+from helpers import (
+    cusp_cluster,
+    random_coordinatized_cluster,
+    random_poly,
+    star_cluster,
+    star_family_divisor,
+)
 from oracles import monomial_valuation_volume_oracle, newton_multiplicity_oracle
-from test_integer_curves import _random_coordinatized_cluster
 
 
 class TestParser:
@@ -281,21 +286,6 @@ class TestValueVector:
                 assert m[rec.index] >= incoming
 
 
-def random_poly(rng):
-    """Random small nonzero polynomial over Q."""
-    while True:
-        terms = {}
-        for _ in range(rng.randint(1, 5)):
-            key = (rng.randint(0, 3), rng.randint(0, 3))
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        terms = {k: c for k, c in terms.items() if c != 0}
-        if terms:
-            from antinef import PlaneElement
-
-            return PlaneElement.from_terms(terms)
-
-
 class TestDegreeFunction:
     def test_star_family_line(self):
         c = star_cluster(1, params=[Fraction(0)])
@@ -380,7 +370,7 @@ def test_newton_oracle_matches_unloading_on_monomial_clusters():
     rng = random.Random(5)
     checked = satellites = 0
     for _ in range(150):
-        c = _random_coordinatized_cluster(rng, 14, params=(0, INFINITY))
+        c = random_coordinatized_cluster(rng, 14, params=(0, INFINITY))
         satellites += sum(rec.kind == "satellite" for rec in c.points)
         vx = value_vector(c, parse_poly("x")).values
         vy = value_vector(c, parse_poly("y")).values

@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 
 from antinef import (
     ExcDivisor,
-    degree_coefficients,
     divisor,
-    fixed_part,
     intersect,
     is_antinef,
-    multiplicity,
     nef_envelope,
-    rees_valuations,
     unload,
 )
 from antinef.selfcheck import (
@@ -143,21 +139,13 @@ class TestUnload:
 
 
 class TestCompleteIdealModel:
-    def test_from_antinef_accepts_closure(self):
-        from antinef import CompleteIdealModel
-
+    def test_closure_is_its_own_model(self):
         c = cusp_cluster()
         bar = unload(divisor(c, [0, 0, 1])).divisor
-        model = CompleteIdealModel.from_antinef(bar)
+        model = unload(bar)
+        assert model.divisor == bar
         assert model.multiplicity == 1
         assert model.degree_coeffs == (1, 0, 0)
-
-    def test_from_antinef_rejects_open_divisor(self):
-        from antinef import CompleteIdealModel
-
-        c = cusp_cluster()
-        with pytest.raises(ValueError, match="not antinef"):
-            CompleteIdealModel.from_antinef(divisor(c, [0, 0, 1]))
 
 
 class TestNefEnvelope:
@@ -213,7 +201,7 @@ class TestInvariants:
 
         c = star_cluster(1, params=[Fraction(0)])
         d = star_family_divisor(c, 1)
-        assert multiplicity(d) == 10
+        assert unload(d).multiplicity == 10
         # independent count: sections are spanned by monomials with
         # ord >= 3 and weighted order x + 2y >= 4 when the point sits at
         # the y = 0 direction
@@ -221,11 +209,11 @@ class TestInvariants:
 
     def test_regular_point_multiplicity(self):
         c = cusp_cluster()
-        assert multiplicity(divisor(c, [1, 1, 2])) == 1
+        assert unload(divisor(c, [1, 1, 2])).multiplicity == 1
 
     def test_zero_multiplicity(self):
         c = cusp_cluster()
-        assert multiplicity(ExcDivisor.zero(c)) == 0
+        assert unload(ExcDivisor.zero(c)).multiplicity == 0
 
     def test_scaling_law_on_antinef(self):
         rng = random.Random(8)
@@ -235,7 +223,7 @@ class TestInvariants:
             k = rng.randint(1, 5)
             scaled = k * bar
             assert unload(scaled).divisor.coeffs == scaled.coeffs
-            assert multiplicity(scaled) == k * k * multiplicity(bar)
+            assert unload(scaled).multiplicity == k * k * unload(bar).multiplicity
 
     def test_positive_multiplicity_for_nonzero(self):
         rng = random.Random(9)
@@ -254,32 +242,34 @@ class TestInvariants:
 
     def test_cusp_point_rees(self):
         c = cusp_cluster()
-        assert rees_valuations(divisor(c, [1, 1, 2])) == frozenset({0})
-        assert rees_valuations(ExcDivisor.zero(c)) == frozenset()
+        assert unload(divisor(c, [1, 1, 2])).rees_valuations == frozenset({0})
+        assert unload(ExcDivisor.zero(c)).rees_valuations == frozenset()
 
     def test_degree_support_matches_rees(self):
         rng = random.Random(10)
         for _ in range(60):
             c = random_cluster(rng, max_points=9)
             d = random_integer_divisor(rng, c)
-            coeffs = degree_coefficients(d)
+            model = unload(d)
+            coeffs = model.degree_coeffs
             assert all(x >= 0 for x in coeffs)
-            assert rees_valuations(d) == frozenset(
+            assert model.rees_valuations == frozenset(
                 i for i, x in enumerate(coeffs) if x > 0
             )
 
     def test_fixed_part(self):
         c = cusp_cluster()
-        assert fixed_part(divisor(c, [0, 0, 1])).coeffs == (1, 1, 1)
+        d = divisor(c, [0, 0, 1])
+        assert (unload(d).divisor - d).coeffs == (1, 1, 1)
         d = divisor(c, [1, 1, 2])
-        assert fixed_part(d).is_zero()
+        assert (unload(d).divisor - d).is_zero()
 
     def test_fixed_part_nonnegative(self):
         rng = random.Random(12)
         for _ in range(60):
             c = random_cluster(rng, max_points=9)
             d = random_integer_divisor(rng, c, lo=0, hi=10)
-            assert fixed_part(d).is_effective()
+            assert (unload(d).divisor - d).is_effective()
 
 
 @settings(max_examples=40, deadline=None)

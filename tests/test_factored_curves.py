@@ -39,8 +39,8 @@ from antinef import curves
 from antinef.cli import main
 from antinef.curves import MAX_BOX
 from antinef.selfcheck import random_integer_divisor
+from helpers import random_branch, random_coordinatized_cluster
 from oracles import expanded_multiplicity_vector
-from test_integer_curves import _branch, _random_coordinatized_cluster
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNITS = ("(1 + x)", "(2 - y + x*y)", "(3/2 + x^2)", "(1 - 2/3*y)")
@@ -50,7 +50,9 @@ CONSTANTS = ("3/7", "5", "2/9")
 def _random_product(rng, cluster) -> tuple[int, list[tuple[str, int]]]:
     """A sign and (factor, exponent) pairs: branches through the cluster,
     units and constants, a factor often repeated."""
-    branches = [PlaneElement.from_terms(_branch(rng, cluster)) for _ in range(rng.randint(2, 4))]
+    branches = [
+        PlaneElement.from_terms(random_branch(rng, cluster)) for _ in range(rng.randint(2, 4))
+    ]
     branches = [f"({f})" for f in branches if max(a + b for (a, b), _ in f.terms) <= 12]
     factors = []
     for _ in range(rng.randint(1, 5)):
@@ -74,7 +76,7 @@ def _as_product(sign, factors) -> PlaneElement:
 @given(st.integers(0, 2**32 - 1))
 def test_factor_walk_matches_the_expanded_walk(seed):
     rng = random.Random(seed)
-    cluster = _random_coordinatized_cluster(rng, max_points=10)
+    cluster = random_coordinatized_cluster(rng, max_points=10)
     product = _random_product(rng, cluster)
     f = parse_poly(_as_text(*product))
     expected = expanded_multiplicity_vector(cluster, f)
@@ -97,7 +99,7 @@ def test_factor_walk_matches_the_expanded_walk(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_sum_and_difference_are_the_parsed_sum_and_difference(seed):
     rng = random.Random(seed)
-    cluster = _random_coordinatized_cluster(rng, max_points=10)
+    cluster = random_coordinatized_cluster(rng, max_points=10)
     f, g = (parse_poly(_as_text(*_random_product(rng, cluster))) for _ in range(2))
     for op, sign in ((operator.add, "+"), (operator.sub, "-")):
         text = f"({f}) {sign} ({g})"
@@ -119,7 +121,7 @@ def test_sum_and_difference_are_the_parsed_sum_and_difference(seed):
 def test_degree_function_adds_over_products_and_powers(seed):
     # Rees: d(f g) = d(f) + d(g) for all nonzero f and g, reduced or not
     rng = random.Random(seed)
-    cluster = _random_coordinatized_cluster(rng, max_points=10)
+    cluster = random_coordinatized_cluster(rng, max_points=10)
     d = random_integer_divisor(rng, cluster, 0, 6)
     f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
     e = rng.randint(2, 3)
@@ -133,7 +135,7 @@ def test_random_products_reach_deep_points_through_several_factors():
     rng = random.Random(18)
     deep = several = 0
     for _ in range(200):
-        cluster = _random_coordinatized_cluster(rng, max_points=10)
+        cluster = random_coordinatized_cluster(rng, max_points=10)
         f = parse_poly(_as_text(*_random_product(rng, cluster)))
         got = multiplicity_vector(cluster, f)
         assert got == expanded_multiplicity_vector(cluster, f)
@@ -157,6 +159,12 @@ def test_equal_factors_merge_and_constants_drop():
     assert sorted(f._factors.values()) == [1, 3]
     assert parse_poly("7")._factors == {} and parse_poly("(x - 2)^0")._factors == {}
     assert len((parse_poly("y - x") * parse_poly("x - y"))._factors) == 1
+
+
+def test_an_element_is_not_built_without_its_factors():
+    with pytest.raises(TypeError, match="_factors"):
+        PlaneElement(terms=(((1, 0), Fraction(1)),))
+    assert PlaneElement.from_terms({(1, 0): 1})._factors == parse_poly("x")._factors
 
 
 def test_coordinate_error_names_the_point_the_expanded_walk_names():
@@ -314,8 +322,8 @@ def test_memo_keeps_up_with_inserts_and_copies(seed):
     # products sharing factors, valued on a cluster as it grows towards the
     # points the factors pass through, and on copies of it that stay behind
     rng = random.Random(seed)
-    full = _random_coordinatized_cluster(rng, max_points=9)
-    pool = [PlaneElement.from_terms(_branch(rng, full)) for _ in range(3)]
+    full = random_coordinatized_cluster(rng, max_points=9)
+    pool = [PlaneElement.from_terms(random_branch(rng, full)) for _ in range(3)]
     pool = [f"({f})" for f in pool if max(a + b for (a, b), _ in f.terms) <= 12]
     pool += list(UNITS[:2])
 

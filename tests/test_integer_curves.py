@@ -14,7 +14,7 @@ random cluster generator are checked against the plain loops they replace.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,97 +22,23 @@ from hypothesis import strategies as st
 
 from antinef import multiplicity_vector, new_cluster, parse_poly
 from antinef.curves import PlaneElement, _blow_finite, _is_squarefree, _prs_gcd
-from antinef.errors import ClusterStructureError
 from antinef.rationals import INFINITY
 from antinef import selfcheck
 from antinef.selfcheck import random_cluster, valid_satellite_pairs
+from helpers import random_branch, random_coordinatized_cluster, random_terms
 from oracles import fraction_blow_finite, fraction_multiplicity_vector, scan_satellite_pairs
 
 CASES = 300
-PARAMS = (
-    0, INFINITY, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
-)
 MAX_DEGREE = 24
-
-
-def _random_coordinatized_cluster(rng, max_points=12, params=PARAMS):
-    """Free points at ``params`` (0, ``inf`` and rationals), plus satellites."""
-    c = new_cluster()
-    target = rng.randint(2, max_points)
-    while len(c) < target:
-        pairs = valid_satellite_pairs(c)
-        if pairs and rng.random() < 0.3:
-            c.add_satellite_point(*rng.choice(pairs))
-            continue
-        # lean towards the newest point, so paths get deep
-        parent = len(c) - 1 if rng.random() < 0.5 else rng.randrange(len(c))
-        try:
-            c.add_free_point(parent, rng.choice(params))
-        except ClusterStructureError:
-            pass  # position taken, or a crossing
-    return c
-
-
-def _random_terms(rng, low, high, count):
-    terms = {}
-    for _ in range(count):
-        deg = rng.randint(low, high)
-        a = rng.randint(0, deg)
-        terms[(a, deg - a)] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-    return {k: c for k, c in terms.items() if c}
-
-
-def _push(terms, rec):
-    """An equation in the chart at ``rec`` rewritten in its parent's chart.
-
-    The inverse of the blowup substitution, times the least power of the
-    exceptional coordinate that makes it a polynomial, so the strict
-    transform of the result at ``rec`` is ``terms`` again.
-    """
-    out = {}
-    if rec.kind == "free":
-        infinite, t = rec.param == INFINITY, rec.param
-    else:
-        infinite, t = rec.crossing_axis == "u", Fraction(0)
-    if infinite:
-        # u = x / y, v = y
-        top = max(a for a, _ in terms)
-        for (a, b), c in terms.items():
-            key = (a, b - a + top)
-            out[key] = out.get(key, 0) + c
-    else:
-        # u = x, v = y / x - t, so v^b = (y - t x)^b / x^b
-        top = max(b for _, b in terms)
-        for (a, b), c in terms.items():
-            for k in range(b + 1):
-                # (y - t x)^b = sum binom(b, k) y^k (-t x)^(b - k)
-                coef = c * comb(b, k) * (-t) ** (b - k)
-                key = (a + top - k, k)
-                out[key] = out.get(key, 0) + coef
-    return {k: c for k, c in out.items() if c}
-
-
-def _branch(rng, cluster):
-    """An element whose strict transform reaches a random cluster point."""
-    point = rng.randrange(1, len(cluster))
-    path = []
-    while point:
-        path.append(cluster.point(point))
-        point = cluster.point(point).parent
-    # a random curve through the last point's chart origin
-    terms = _random_terms(rng, 1, 2, rng.randint(1, 3)) or {(0, 1): Fraction(1)}
-    for rec in path:
-        terms = _push(terms, rec)
-    return terms
 
 
 def _random_element(rng, cluster):
     factors = []
     for _ in range(rng.randint(1, 3)):
         if len(cluster) > 1 and rng.random() < 0.7:
-            factors.append(_branch(rng, cluster))
+            factors.append(random_branch(rng, cluster))
         else:
-            factors.append(_random_terms(rng, 0, 4, rng.randint(1, 5)))
+            factors.append(random_terms(rng, 0, 4, rng.randint(1, 5)))
     f = PlaneElement.from_terms({(0, 0): Fraction(1)})
     for terms in factors:
         if terms and max(a + b for a, b in terms) <= MAX_DEGREE:
@@ -134,7 +60,7 @@ def test_multiplicity_vector_matches_fraction_charts():
     rng = random.Random(20261018)
     reached = Counter()
     for _ in range(CASES):
-        cluster = _random_coordinatized_cluster(rng)
+        cluster = random_coordinatized_cluster(rng)
         f = _random_element(rng, cluster)
         got = multiplicity_vector(cluster, f)
         assert got == fraction_multiplicity_vector(cluster, f), str(f)
@@ -212,7 +138,7 @@ def _sympy_verdict(sympy, f):
 
 
 def _small(rng):
-    terms = _random_terms(rng, 0, 3, rng.randint(1, 4))
+    terms = random_terms(rng, 0, 3, rng.randint(1, 4))
     return PlaneElement.from_terms(terms or {(0, 0): Fraction(rng.randint(1, 9))})
 
 

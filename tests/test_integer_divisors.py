@@ -20,7 +20,6 @@ from fractions import Fraction
 import pytest
 
 from antinef import (
-    CompleteIdealModel,
     ExcDivisor,
     Example42Spec,
     divisor,
@@ -178,7 +177,7 @@ class TestClosuresAgainstOracles:
             _assert_is(model.divisor, coeffs)
             assert model.degree_coeffs == degrees
             assert model.multiplicity == -fraction_intersect(c, coeffs, coeffs)
-            assert CompleteIdealModel.from_antinef(model.divisor) == model
+            assert unload(model.divisor) == model
 
     def test_nef_envelope_and_rounded_members(self):
         rng = random.Random(151)
@@ -284,7 +283,7 @@ class TestNoFractionOnIntegralPaths:
             checked += 1
             with fractions_made() as made:
                 model = unload(divisor(c, d.as_integers()))
-                again = CompleteIdealModel.from_antinef(model.divisor)
+                again = unload(model.divisor)
             assert made == []
             with fractions_made() as made:
                 coeffs = again.divisor.coeffs

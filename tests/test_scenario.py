@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from antinef import ScenarioError, parse_scenario
 from antinef.cli import main
 from antinef.filtration import Example42Spec, ExplicitSpec, QDivisorialSpec
+from antinef.scenario import MAX_POINTS
 
 CUSP_SCENARIO = """\
 # family of valuation ideals on the cusp constellation
@@ -213,6 +214,25 @@ class TestErrors:
             "nmax must be positive",
             7,
         )
+
+
+def _chain_of(points):
+    """A cluster section of ``points`` free point lines, each on the last curve."""
+    return "[cluster C]\n" + "".join(f"point = free parent={i}\n" for i in range(points))
+
+
+class TestPointCap:
+    def test_at_the_cap_parses(self):
+        assert len(parse_scenario(_chain_of(MAX_POINTS)).clusters["C"]) == MAX_POINTS + 1
+
+    def test_past_the_cap_exits_2_on_its_line_before_any_task(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        task = "\n[task]\nkind = intersection_matrix\ncluster = C\n"
+        scn.write_text(_chain_of(MAX_POINTS + 1) + task)
+        assert main(["run", "--scenario", str(scn)]) == 2
+        line = MAX_POINTS + 2  # the header, then the point lines
+        message = f"a cluster takes at most {MAX_POINTS} point lines"
+        assert capsys.readouterr() == ("", f"error: line {line}: {message}\n")
 
 
 _EXPLICIT = "[cluster C]\npoint = free parent=0 param=0\n\n[filtration G]\nkind = explicit\n"
