@@ -22,7 +22,10 @@ The ladders (``LADDERS``):
   from its four branch equations, k in 6, 12 and 24; pick j adds j x^N to
   its equation, N beyond the order the tree resolves, so the k factors are
   distinct and the walks grow with k; the product is parsed before the
-  timer starts, on a fresh cluster.
+  timer starts, on a fresh cluster;
+* ``parse`` - ``parse_scenario`` of the ``value_vector`` ladder's scenario
+  for k in 4, 8, 16 and 24: the tree's point lines and the product of k
+  picks; the child prints the tree's size and the product's order.
 
 Each repeat of a rung runs ``scale_child.py`` in a fresh interpreter that
 imports the package from ``--src``.  The child times only the measured call
@@ -99,6 +102,12 @@ LADDERS = {
         "distinct factors; parsed outside the timed call",
         (6, 12, 24),
         (6, 12),
+    ),
+    "parse": (
+        "parse_scenario of the value_vector ladder's scenario, the perfbench curves tree "
+        "(seed 1) and a product of k seeded picks from its four branch equations",
+        (4, 8, 16, 24),
+        (4, 16),  # k = 4 and 8 differ by less than their spread (BENCH_23.json)
     ),
 }
 REPEATS, QUICK_REPEATS = 5, 3
@@ -191,7 +200,7 @@ def main(argv=None) -> int:
     parser.add_argument("--column", default="change", help="column name in --out")
     parser.add_argument("--out", required=True, help="JSON file to write or merge into")
     parser.add_argument("--quick", action="store_true",
-                        help=f"only the two smallest rungs, {QUICK_REPEATS} repeats, "
+                        help=f"only the two quick rungs of each ladder, {QUICK_REPEATS} repeats, "
                              f"one kernel timing per rung: under 10 s")
     args = parser.parse_args(argv)
 

@@ -79,9 +79,9 @@ def seeded_delta():
     ])
 
 
-def curves_product(k: int):
+def curves_product_text(k: int) -> str:
     """The ``curves`` workload's tree (seed 1), and a product of k seeded picks
-    from its four branch equations, read as one scenario.
+    from its four branch equations, as one scenario.
 
     Pick j (1..k) is its branch equation plus j x^N, N one above the
     equation's x-degree: a distinct factor with the branch's multiplicities
@@ -97,7 +97,12 @@ def curves_product(k: int):
     product = "*".join(f"({polys[b]} + {j}*x^{tails[b]})" for j, b in enumerate(picks, 1))
     lines = ["[cluster TREE]", *(f"point = {p}" for p in points)]
     lines += ["[element F]", f"poly = {product}"]
-    scenario = parse_scenario("\n".join(lines))
+    return "\n".join(lines)
+
+
+def curves_product(k: int):
+    """The tree and the product of :func:`curves_product_text`, parsed."""
+    scenario = parse_scenario(curves_product_text(k))
     return scenario.clusters["TREE"], scenario.elements["F"]
 
 
@@ -116,6 +121,14 @@ def prepare(ladder: str, n: int):
             return 0
 
         return lambda: multiplicity_sequence(QDivisorialSpec(delta=delta), n), show
+    if ladder == "parse":
+        text = curves_product_text(n)
+
+        def show(scenario):
+            print(len(scenario.clusters["TREE"]), scenario.elements["F"].order())
+            return 0
+
+        return lambda: parse_scenario(text), show
     if ladder == "value_vector":
         cluster, f = curves_product(n)
 

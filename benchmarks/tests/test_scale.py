@@ -92,3 +92,22 @@ def test_value_vector_ladder_adds_its_branches():
     assert [int(m) for m in multiplicities.split()] == expected
     assert len(values.split()) == len(prox)
     assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0
+
+
+def test_parse_ladder_prints_the_tree_and_the_product_order():
+    # the order of a product is the sum of its factors' orders: each pick
+    # is its branch's equation plus a term beyond it, of the branch's order
+    assert scale.LADDERS["parse"][1:] == ((4, 8, 16, 24), (4, 16))
+    branches = gen.curves_branches(gen.DEFAULT_SEED)
+    polys = [gen._branch_poly(kind, g) for kind, g in branches]
+    points, _prox, _mults = gen.curves_tree(gen.DEFAULT_SEED)
+    rng = random.Random(8)
+    picks = [polys.index(rng.choice(polys)) for _ in range(8)]
+    order = sum(1 if branches[b][0] == "smooth" else 2 for b in picks)
+    proc = subprocess.run(
+        [sys.executable, scale.CHILD, "parse", "8"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert proc.stdout.split() == [str(len(points) + 1), str(order)]
+    assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0

@@ -6,22 +6,33 @@ charts of a coordinatized cluster yields the multiplicity of its strict
 transform at every infinitely near point, hence the vector of divisorial
 values.
 
-An element keeps the factors it was built from, with their exponents, and
-each factor's strict transform is walked on its own: multiplicities add
-over a product, m_i(f^a g^b) = a m_i(f) + b m_i(g), and a factor that
-misses a point drops out of that point's subtree.  A sum is one factor.
-Each distinct factor is charted once per cluster, until the next insert:
-the cluster keeps its multiplicities for every element it is a factor of.
-The values are those of the expanded polynomial.
+An element is a rational constant times the factors it was built from,
+with their exponents, and each factor's strict transform is walked on its
+own: multiplicities add over a product, m_i(f^a g^b) = a m_i(f) + b m_i(g),
+and a factor that misses a point drops out of that point's subtree.  A sum
+is one factor.  Each distinct factor is charted once per cluster, until the
+next insert: the cluster keeps its multiplicities for every element it is a
+factor of.  The values are those of the expanded polynomial.
 
-A product or power is expanded only under three caps, checked in this order
-from its operands: ``MAX_DEGREE`` (``exponent 1001 exceeds the degree cap
-1000``), ``MAX_POWER_BITS`` (``power coefficient bits 11000 exceeds the bit
-cap 10000``) and ``MAX_BOX`` (``power box 20164 exceeds the box cap
-20000``); then every multiplication of the expansion under ``MAX_WORK``
-(``multiplication work 25411681 exceeds the work cap 1000000``).  The
-parser raises :class:`PolynomialSyntaxError` with the position, ``*`` and
-``**`` on elements raise ``ValueError``.
+A product or power is kept factored: its expanded terms are built only
+where a sum needs them, where a cap cannot be read from bounds on the
+factors, or when ``terms`` is first read (``==``, ``hash``, ``str``).  The
+caps refuse the same inputs, with the same messages, as multiplying out
+each product and power as it is read: ``MAX_DEGREE`` (``exponent 1001
+exceeds the degree cap 1000``), ``MAX_POWER_BITS`` (``power coefficient
+bits 11000 exceeds the bit cap 10000``) and ``MAX_BOX`` (``power box 20164
+exceeds the box cap 20000``) in this order, then every multiplication of
+that expansion under ``MAX_WORK`` (``multiplication work 25411681 exceeds
+the work cap 1000000``).  Degrees and boxes are read exactly from the
+factors.  Coefficient bits and work are read from bounds: the terms of a
+product are at most the product of its operands' and at most its box, and
+a coefficient at most the constant's numerator times the factors' integer
+L1 norms, or its denominator.  Where a bound is above its cap the terms
+are built then, and the cap reads the exact number.  A product stays
+unexpanded only while the bounds show that building its terms later keeps
+every multiplication under ``MAX_WORK`` too.  The parser raises
+:class:`PolynomialSyntaxError` with the position, ``*`` and ``**`` on
+elements raise ``ValueError``.
 
 Chart conventions match :mod:`antinef.cluster`: at a free point with finite
 parameter t the previous coordinates are (u, u(t + v)) and the exceptional
@@ -32,14 +43,15 @@ position on its parent's curve (``inf`` or 0), so it takes the same charts.
 The parser keeps integer coefficients as ``int``; a product with an a/b
 literal is multiplied as integers over one common denominator.  An element
 is refused if a coefficient has a numerator or denominator of more than
-``MAX_DIGITS`` digits, which ``str`` could not write.
+``MAX_DIGITS`` digits, which ``str`` could not write; that too is read from
+the bound, and from the expansion where the bound is above the cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 from .cluster import Cluster
@@ -60,6 +72,10 @@ Terms = dict[tuple[int, int], int | Fraction]
 IntTerms = dict[tuple[int, int], int]
 #: Each factor as its sorted primitive integer terms, with its exponent.
 Factors = dict[tuple[tuple[tuple[int, int], int], ...], int]
+#: An element as it is built: a rational constant, the factors it is that
+#: constant times, its expanded terms if they were built (else None), and
+#: at least the number of its terms, exact once they are built.
+Parsed = tuple[int | Fraction, Factors, Terms | None, int]
 
 #: Largest exponent, and total degree of a power or product, that is
 #: expanded; without it one short line such as ``y^100000`` runs for minutes.
@@ -91,15 +107,32 @@ def _numerators(f: Terms) -> tuple[IntTerms, int]:
     return {k: c.numerator * (den // c.denominator) for k, c in f.items()}, den
 
 
+def _primitive(terms: IntTerms) -> IntTerms:
+    """``terms`` divided by the gcd of its coefficients."""
+    g = gcd(*terms.values())
+    return terms if g == 1 else {k: c // g for k, c in terms.items()}
+
+
+def _integer_terms(items) -> IntTerms:
+    """A primitive integer multiple of the polynomial with these (monomial, coefficient) items."""
+    return _primitive(_numerators(dict(items))[0])
+
+
 def _mul_terms(f: Terms, g: Terms) -> Terms:
     """Product of two term dicts; ``ValueError`` above the work cap.
 
-    The coefficients are multiplied as integers over one common
-    denominator, divided out once per term of the result: a ``Fraction``
-    product would pay a gcd per coefficient product.
+    A one-term operand shifts the other's terms.  Otherwise the coefficients
+    are multiplied as integers over one common denominator, divided out once
+    per term of the result: a ``Fraction`` product would pay a gcd per
+    coefficient product.
     """
     if (work := len(f) * len(g)) > MAX_WORK:
         raise ValueError(f"multiplication work {work} exceeds the work cap {MAX_WORK}")
+    if len(f) == 1:
+        f, g = g, f
+    if len(g) == 1:  # a shift of f's terms
+        [((a, b), c)] = g.items()
+        return {(a1 + a, b1 + b): c1 * c for (a1, b1), c1 in f.items()}
     (f, df), (g, dg) = _numerators(f), _numerators(g)
     out = {}
     for (a1, b1), c1 in f.items():
@@ -115,14 +148,14 @@ def _pow_terms(f: Terms, k: int) -> Terms:
     if len(f) == 1:
         [((a, b), c)] = f.items()
         return {(k * a, k * b): c**k}
-    out: Terms = {(0, 0): 1}
+    out = None
     while k:
         if k & 1:
-            out = _mul_terms(out, f)
+            out = f if out is None else _mul_terms(out, f)
         k >>= 1
         if k:
             f = _mul_terms(f, f)
-    return out
+    return {(0, 0): 1} if out is None else out
 
 
 def _accumulate(total: Terms, g: Terms, sign: int = 1) -> Terms:
@@ -151,110 +184,261 @@ def _box(widths) -> int:
     return (a + 1) * (b + 1)
 
 
-def _refusal(f: Terms, g: Terms | None = None, k: int = 1) -> str | None:
-    """Why f*g, or f^k when ``g`` is None, is not expanded; None if it is.
+def _power_work(n: int, widths, k: int) -> int:
+    """At least the coefficient products of each multiplication that
+    :func:`_pow_terms` makes raising a base of at most n terms, with these
+    widths, to the k-th power: each multiplies f^a by f^b, b <= a, a + b <= k,
+    and f^j has at most min(n^j, box of j * widths) terms."""
+    if n <= 1 or k <= 1:
+        return 0
+
+    def terms(j):
+        return min(n**j, _box([j * w for w in widths]))
+
+    return terms(k - 1) * terms(k // 2)
+
+
+@lru_cache(maxsize=1024)
+def _shape(key) -> tuple[int, tuple[int, int, int], int]:
+    """A factor's degree, widths and integer L1 norm."""
+    terms = dict(key)
+    return _degree(terms), _widths(terms), sum(map(abs, terms.values()))
+
+
+def _span(factors: Factors) -> tuple[int, tuple[int, int, int], int, int]:
+    """The degree and widths of the product of these factors, which add over
+    a product, and two bounds read from the factors: on its number of terms,
+    and on the coefficient products of any one multiplication of its
+    expansion by :func:`_terms`."""
+    degree, wx, wy, wt, count, work = 0, 0, 0, 0, 0, 0
+    for key, e in factors.items():
+        d, (x, y, t), _ = _shape(key)
+        degree, wx, wy, wt = degree + e * d, wx + e * x, wy + e * y, wt + e * t
+        n = len(key)
+        if e == 1 or n == 1:  # a factor's box bounds its terms; a monomial's power is one
+            power = n
+        else:
+            power = min(n**e, _box((e * x, e * y, e * t)))
+            work = max(work, _power_work(n, (x, y, t), e))
+        # each factor's power but the first multiplies the terms so far
+        work = max(work, count * power)
+        count = max(count, 1) * power
+        if power > 1:  # else the count is still within the box
+            count = min(count, _box((wx, wy, wt)))
+    return degree, (wx, wy, wt), max(count, 1), work
+
+
+def _height(f: Parsed) -> int:
+    """At least the largest numerator or denominator of f's coefficients:
+    exact once they are built, else the constant's numerator times the
+    factors' L1 norms, or its denominator."""
+    constant, factors, terms, _ = f
+    if terms is not None:
+        return max((max(abs(c.numerator), c.denominator) for c in terms.values()), default=0)
+    size = abs(constant.numerator)
+    for key, e in factors.items():
+        size *= _shape(key)[2] ** e
+    return max(size, constant.denominator)
+
+
+def _terms(f: Parsed) -> Terms:
+    """The expansion of f: its terms if built, else its factors' powers
+    multiplied in turn, times its constant."""
+    constant, factors, terms, _ = f
+    if terms is not None:
+        return terms
+    for key, e in factors.items():
+        power = _pow_terms(dict(key), e)
+        terms = power if terms is None else _mul_terms(terms, power)
+    c = constant.numerator if constant.denominator == 1 else constant
+    if terms is None:
+        return {(0, 0): c} if c else {}
+    return terms if c == 1 else {k: c * v for k, v in terms.items()}
+
+
+def _refusal(what: str, degree: int, widths, bits: int = 0, k: int = 1) -> str | None:
+    """Why a product or power of this degree, with these widths times k (and
+    a power's coefficient bits), is not expanded; None if it is.
 
     The degree cap is checked first, then the coefficient size of a power,
-    then the box of the result; every bound is read from the operands.
+    then the box of the result.
     """
-    if g is None:
-        if k > MAX_DEGREE:
-            return f"exponent {k} exceeds the degree cap {MAX_DEGREE}"
-        what, degree = "power", k * _degree(f)
-    else:
-        what, degree = "product", _degree(f) + _degree(g)
     if degree > MAX_DEGREE:
         return f"{what} degree {degree} exceeds the degree cap {MAX_DEGREE}"
-    if g is None and f:
-        bits = k * max(max(abs(c.numerator), c.denominator) for c in f.values()).bit_length()
-        if bits > MAX_POWER_BITS:
-            return f"power coefficient bits {bits} exceeds the bit cap {MAX_POWER_BITS}"
+    if bits > MAX_POWER_BITS:
+        return f"power coefficient bits {bits} exceeds the bit cap {MAX_POWER_BITS}"
     if (degree + 1) ** 2 > MAX_BOX:  # else no box can exceed the cap
-        if g is None:
-            widths = [k * w for w in _widths(f)]
-        else:
-            widths = map(sum, zip(_widths(f), _widths(g)))
-        if (box := _box(widths)) > MAX_BOX:
+        if (box := _box([k * w for w in widths])) > MAX_BOX:
             return f"{what} box {box} exceeds the box cap {MAX_BOX}"
     return None
 
 
-def _factor(terms: Terms) -> Factors:
-    """``terms`` as one factor, sign-normalized; none for a constant or zero."""
+def _leaf(terms: Terms) -> Parsed:
+    """Expanded terms as a constant times one sign-normalized factor; no
+    factor for a constant or zero."""
     if _degree(terms) == 0:
-        return {}
+        return terms.get((0, 0), 0), {}, terms, len(terms)
     key = tuple(sorted(_integer_terms(terms.items()).items()))
-    sign = 1 if key[0][1] > 0 else -1
-    return {tuple((m, sign * c) for m, c in key): 1}
+    if key[0][1] < 0:
+        key = tuple((m, -c) for m, c in key)
+    (m, c) = key[0]
+    constant = Fraction(terms[m]) / c
+    constant = constant.numerator if constant.denominator == 1 else constant
+    return constant, {key: 1}, terms, len(terms)
 
 
 def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
-    """The factors of f * g^k."""
-    if not g:
+    """The factors of f * g^k, k >= 0: f or g itself where it is that
+    product, since no factors are changed in place."""
+    if not g or not k:
         return f
+    if not f and k == 1:
+        return g
     out = dict(f)
     for key, e in g.items():
         out[key] = out.get(key, 0) + k * e
-    return {key: e for key, e in out.items() if e}
+    return out
 
 
-#: Expanded terms and the factors they are the product of.
-Parsed = tuple[Terms, Factors]
+_ZERO: Parsed = 0, {}, {}, 0
+
+
+def _built(f: Parsed) -> Parsed:
+    """f with its terms built."""
+    terms = _terms(f)
+    return f[0], f[1], terms, len(terms)
+
+
+#: The variables; no parsed value's terms are ever changed in place.
+_X, _Y = _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
+
+
+def _monomial(f: Parsed) -> bool:
+    """Whether f is one built term: its products and powers multiply no
+    more than a pair of coefficients, so they are built at once."""
+    return f[2] is not None and f[3] == 1
 
 
 def _product(f: Parsed, g: Parsed) -> Parsed:
-    """f * g: refused above a cap, else expanded, with the factors merged."""
-    (f, ff), (g, gf) = f, g
-    if refused := _refusal(f, g):
+    """f * g, refused where multiplying out their expansions would be.
+
+    The factors are merged.  The product is left unexpanded where the bounds
+    show that neither that multiplication nor any multiplication of the
+    product's own later expansion can pass the work cap; else it is expanded
+    now, and the work cap reads the exact number.
+    """
+    factors = _merge(f[1], g[1])
+    degree, widths, count, work = _span(factors)
+    if refused := _refusal("product", degree, widths):
         raise ValueError(refused)
-    return _mul_terms(f, g), _merge(ff, gf)
+    constant = f[0] * g[0]
+    if not constant:
+        return _ZERO
+    if not (_monomial(f) and _monomial(g)) and max(f[3] * g[3], work) <= MAX_WORK:
+        return constant, factors, None, min(count, f[3] * g[3])
+    terms = _mul_terms(_terms(f), _terms(g))
+    return constant, factors, terms, len(terms)
 
 
 def _power(f: Parsed, k: int) -> Parsed:
-    """f^k: refused above a cap, else expanded, with the factors scaled."""
-    f, factors = f
-    if refused := _refusal(f, k=k):
+    """f^k, refused where raising its expansion to the k-th power would be.
+
+    The factors' exponents are scaled.  The coefficient bits are read from a
+    bound first, and from the expansion only where the bound is above the
+    cap.  The power is left unexpanded as a product is.
+    """
+    if k > MAX_DEGREE:
+        raise ValueError(f"exponent {k} exceeds the degree cap {MAX_DEGREE}")
+    degree, widths, _, _ = _span(f[1])
+    bits = k * _height(f).bit_length()
+    if bits > MAX_POWER_BITS and k * degree <= MAX_DEGREE and f[2] is None:
+        f = _built(f)
+        bits = k * _height(f).bit_length()
+    if refused := _refusal("power", k * degree, widths, bits, k):
         raise ValueError(refused)
-    return _pow_terms(f, k), _merge({}, factors, k)
+    constant, factors = f[0] ** k, _merge({}, f[1], k)
+    if not constant:
+        return _ZERO
+    if not _monomial(f):
+        _, _, count, work = _span(factors)
+        if max(_power_work(f[3], widths, k), work) <= MAX_WORK:
+            return constant, factors, None, count
+    terms = _pow_terms(_terms(f), k)
+    return constant, factors, terms, len(terms)
 
 
-@dataclass(frozen=True)
+def _sorted(terms: Terms) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    return tuple(sorted((k, Fraction(c)) for k, c in terms.items()))
+
+
+def _element(f: Parsed) -> "PlaneElement":
+    """The element f; refused if it is zero, or if a coefficient has a
+    numerator or denominator of more than ``MAX_DIGITS`` digits, read from
+    :func:`_height`'s bound, and from the expansion where the bound is above."""
+    if not f[0]:
+        raise ValueError("zero is not a plane element (its values are infinite)")
+    try:
+        check_digits(_height(f), "coefficient")
+    except ValueError:
+        f = _built(f)
+        check_digits(_height(f), "coefficient")
+    return PlaneElement(*f[:3])
+
+
 class PlaneElement:
     """Nonzero polynomial in x, y with exact rational coefficients, built by
-    :meth:`from_terms` or :func:`parse_poly`, which set its required factors."""
+    :meth:`from_terms` or :func:`parse_poly`: a rational constant times the
+    factors it was built from, which the constructor requires.
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
-    #: The factors whose product it is, up to a constant; one, the element
-    #: itself, unless it was built as a product.
-    _factors: Factors = field(compare=False, repr=False)
+    ``terms`` is the expansion, sorted by monomial, built when first read:
+    ``==``, ``hash``, ``repr``, ``str``, ``to_dict``, ``+`` and ``-`` read
+    it; :meth:`order` and :func:`multiplicity_vector` read the factors.
+    """
+
+    def __init__(self, _constant: int | Fraction, _factors: Factors, terms: Terms | None = None):
+        #: The constant c and the factors f_k^e_k, one for an element that
+        #: was not built as a product; the element is c * prod f_k^e_k.
+        self._constant, self._factors = _constant, _factors
+        if terms is not None:
+            self.__dict__["terms"] = _sorted(terms)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        return _sorted(_terms((self._constant, self._factors, None, 0)))
 
     @staticmethod
-    def from_terms(terms: Terms, _factors: Factors | None = None) -> "PlaneElement":
-        """The element with these terms, each read by ``exact`` and made a ``Fraction``;
-        ``_factors``, if given, are the factors it is the product of, else
-        it is its own one factor.
+    def from_terms(terms: Terms) -> "PlaneElement":
+        """The element with these terms, each read by ``exact``, as its own
+        one factor.
 
         A numerator or denominator of more than ``MAX_DIGITS`` digits is
         refused: ``str`` could not write it.
         """
         read = ((k, exact(c, "coefficient")) for k, c in terms.items())
-        terms = {k: Fraction(c) for k, c in read if c != 0}
-        if not terms:
-            raise ValueError("zero is not a plane element (its values are infinite)")
-        check_digits(max(max(abs(c.numerator), c.denominator) for c in terms.values()), "coefficient")
-        if _factors is None:
-            _factors = _factor(terms)
-        return PlaneElement(terms=tuple(sorted(terms.items())), _factors=_factors)
+        return _element(_leaf({k: c for k, c in read if c != 0}))
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
 
     def _parsed(self) -> Parsed:
-        return self.to_dict(), self._factors
+        if (built := self.__dict__.get("terms")) is None:
+            return self._constant, self._factors, None, _span(self._factors)[2]
+        return self._constant, self._factors, dict(built), len(built)
 
     def order(self) -> int:
-        """Multiplicity at the origin: least total degree of a term."""
-        return min(a + b for (a, b), _ in self.terms)
+        """Multiplicity at the origin: each factor's least total degree, times its exponent."""
+        return sum(e * min(a + b for (a, b), _ in key) for key, e in self._factors.items())
+
+    def __eq__(self, other):
+        if not isinstance(other, PlaneElement):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.terms,))
+
+    def __repr__(self):
+        return f"PlaneElement(terms={self.terms!r})"
 
     def __add__(self, other: "PlaneElement") -> "PlaneElement":
         return PlaneElement.from_terms(_accumulate(self.to_dict(), other.to_dict()))
@@ -263,12 +447,12 @@ class PlaneElement:
         return PlaneElement.from_terms(_accumulate(self.to_dict(), other.to_dict(), -1))
 
     def __mul__(self, other: "PlaneElement") -> "PlaneElement":
-        return PlaneElement.from_terms(*_product(self._parsed(), other._parsed()))
+        return _element(_product(self._parsed(), other._parsed()))
 
     def __pow__(self, k: int) -> "PlaneElement":
         if integer(k, "exponent k") < 0:
             raise ValueError("negative powers are not plane elements")
-        return PlaneElement.from_terms(*_power(self._parsed(), k))
+        return _element(_power(self._parsed(), k))
 
     def __str__(self):
         """Text that :func:`parse_poly` reads back to an equal element."""
@@ -290,9 +474,11 @@ class PlaneElement:
 # atom   = rational | "x" | "y" | "(" expr ")"
 # rational = natural [ "/" natural ]        (the "/" is part of the literal)
 #
-# Each rule returns the expanded terms and the factors they are the product
-# of: a product merges its operands' factors, a power scales them, and a sum
-# of two or more terms is one factor.
+# Each rule returns a ``Parsed`` value: a constant, the factors it
+# multiplies, the expanded terms if they were built, and a bound on their
+# number.  A product merges its operands' factors and a power scales them,
+# building no terms where the caps allow; a sum of two or more terms
+# expands its terms and is one factor.
 
 
 class _Parser:
@@ -300,18 +486,17 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after any whitespace, which is skipped; "" at the end."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < len(text) else ""
 
-    def take(self) -> str:
-        ch = self.peek()
+    def take(self):
+        """Step past the character :meth:`peek` returned."""
         self.pos += 1
-        return ch
 
     def error(self, message: str):
         raise PolynomialSyntaxError(message, self.pos)
@@ -325,21 +510,20 @@ class _Parser:
 
     def parse(self) -> Parsed:
         parsed = self.expr()
-        self._skip_ws()
+        self.peek()
         if self.pos < len(self.text):
             self.error(f"unexpected character {self.text[self.pos]!r}")
         return parsed
 
     def expr(self) -> Parsed:
-        terms, factors = self.term()
+        first = self.term()
         if self.peek() not in ("+", "-"):
-            return terms, factors
-        terms = dict(terms)
+            return first
+        terms = dict(_terms(first))
         while (ch := self.peek()) in ("+", "-"):
             self.take()
-            _accumulate(terms, self.term()[0], 1 if ch == "+" else -1)
-        terms = {k: c for k, c in terms.items() if c}
-        return terms, _factor(terms)
+            _accumulate(terms, _terms(self.term()), 1 if ch == "+" else -1)
+        return _leaf({k: c for k, c in terms.items() if c})
 
     def term(self) -> Parsed:
         parsed = self.unary()
@@ -352,8 +536,9 @@ class _Parser:
         ch = self.peek()
         if ch == "-":
             self.take()
-            terms, factors = self.unary()
-            return {k: -c for k, c in terms.items()}, factors
+            constant, factors, terms, count = self.unary()
+            negated = None if terms is None else {k: -c for k, c in terms.items()}
+            return -constant, factors, negated, count
         if ch == "+":
             self.take()
             return self.unary()
@@ -367,9 +552,9 @@ class _Parser:
         return parsed
 
     def natural(self, what: str) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+        self.peek()
+        text, start = self.text, self.pos
+        while self.pos < len(text) and "0" <= text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")
@@ -380,12 +565,9 @@ class _Parser:
 
     def atom(self) -> Parsed:
         ch = self.peek()
-        if ch == "x":
+        if ch in ("x", "y"):
             self.take()
-            return {(1, 0): 1}, {(((1, 0), 1),): 1}
-        if ch == "y":
-            self.take()
-            return {(0, 1): 1}, {(((0, 1), 1),): 1}
+            return _X if ch == "x" else _Y
         if ch == "(":
             self.take()
             parsed = self.expr()
@@ -395,33 +577,37 @@ class _Parser:
             return parsed
         if "0" <= ch <= "9":
             value = self.natural("a numerator")
-            self._skip_ws()
+            self.peek()
             if self.pos < len(self.text) and self.text[self.pos] == "/":
                 self.pos += 1
                 den = self.natural("a denominator")
                 if den == 0:
                     self.error("zero denominator")
                 value = Fraction(value, den)
-            return ({(0, 0): value} if value != 0 else {}), {}
+            return (value, {}, {(0, 0): value}, 1) if value else _ZERO
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")
 
 
 def parse_poly(text: str) -> PlaneElement:
-    """Parse polynomial text into a canonical expanded :class:`PlaneElement`.
+    """Parse polynomial text into a :class:`PlaneElement`, a constant times
+    the factors of the product it was written as.
 
     Grammar: variables x and y, operators + - * ^, parentheses, integer and
     a/b rational literals (the slash is part of the literal, there is no
     division operator).  Whitespace is insignificant.  The zero polynomial
-    is rejected by :meth:`PlaneElement.from_terms`: its value vector would
-    be infinite.  A product or power above one of the caps (``MAX_DEGREE``,
-    ``MAX_POWER_BITS``, ``MAX_BOX``) raises before it is expanded, and one
-    above ``MAX_WORK`` when the expansion reaches that multiplication, as
-    does a literal of more than ``MAX_DIGITS`` digits.  The element keeps
-    the factors of a product, for :func:`multiplicity_vector`.
+    is rejected: its value vector would be infinite.  A product or power is
+    kept factored, and expanded only where a sum needs its terms, where a
+    cap cannot be read from bounds on the factors, or when ``terms`` is
+    first read; every cap refuses the same inputs with the same message as
+    expanding each product and power as it is read would.  A product or
+    power above ``MAX_DEGREE``, ``MAX_POWER_BITS`` or ``MAX_BOX`` raises,
+    one whose expansion takes a multiplication above ``MAX_WORK`` raises,
+    and so does a literal, or a coefficient of the element, of more than
+    ``MAX_DIGITS`` digits.
     """
-    return PlaneElement.from_terms(*_Parser(text).parse())
+    return _element(_Parser(text).parse())
 
 
 # -- blowup substitutions ---------------------------------------------------
@@ -430,17 +616,6 @@ def parse_poly(text: str) -> PlaneElement:
 # is the multiplicity), so the charts work on integer polynomials known up to
 # a nonzero constant factor: the root equation is cleared of denominators and
 # every chart divides out its integer content.
-
-
-def _primitive(terms: IntTerms) -> IntTerms:
-    """``terms`` divided by the gcd of its coefficients."""
-    g = gcd(*terms.values())
-    return terms if g == 1 else {k: c // g for k, c in terms.items()}
-
-
-def _integer_terms(items) -> IntTerms:
-    """A primitive integer multiple of the polynomial with these (monomial, coefficient) items."""
-    return _primitive(_numerators(dict(items))[0])
 
 
 def _blow_finite(terms: IntTerms, t: Fraction, m: int) -> IntTerms:
@@ -595,49 +770,78 @@ def _evaluate(a: list[int], x: int) -> int:
     return value
 
 
-def _is_squarefree(f: PlaneElement) -> bool:
-    """Squarefreeness over Q, decided exactly in integer arithmetic.
-
-    Write f = c(x) pp(x, y) with c the content in y.  Then f is squarefree iff
-    c is squarefree in Q[x] and, when d = deg_y f >= 1, disc_y(f) is not the
-    zero polynomial.  The discriminant has degree at most (2d - 1) e in x,
-    with e = deg_x f, and specializes to disc(f(x0, y)) wherever the leading
-    y-coefficient lc_y(f)(x0) is nonzero, which fails at e points at most.
-    So f(x0, y) is tested for a repeated factor at x0 = 1, 2, 3, ..., skipping
-    roots of lc_y(f): the first squarefree specialization proves f squarefree,
-    and (2d - 1) e + 1 repeated ones prove it is not.  That is at most
-    2 d e + 1 points, usually one.  (x0 = 0 is left out: any two branches
-    through the origin meet there, so it would rarely decide.)  The content
-    and every specialization go through :func:`_prs_gcd`.
-    """
-    terms = _integer_terms(f.terms)
-    d = max(b for _, b in terms)
-    e = max(a for a, _ in terms)
+def _rows(key) -> list[list[int]]:
+    """A factor's coefficients of y^0, ..., y^d, each a list in x with no
+    trailing zeros (empty for a zero coefficient)."""
+    d = max(b for (_, b), _ in key)
+    e = max(a for (a, _), _ in key)
     rows = [[0] * (e + 1) for _ in range(d + 1)]
-    for (a, b), c in terms.items():
+    for (a, b), c in key:
         rows[b][a] = c
     for row in rows:
         while row and row[-1] == 0:
             row.pop()
-    coeffs = [row for row in rows if row]
-    if all(len(row) > 1 for row in coeffs):
-        content = coeffs[0]
-        for row in coeffs[1:]:
-            if len(content) == 1:
-                break
-            content = _prs_gcd(content, row)
-        if not _univariate_squarefree(content):
-            return False
+    return rows
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two univariate polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _is_squarefree(f: PlaneElement) -> bool:
+    """Squarefreeness over Q, decided exactly in integer arithmetic from the
+    factors, without expanding f.
+
+    A nonconstant factor of exponent 2 or more decides at once.  Otherwise
+    write f = c(x) pp(x, y) with c the content in y, the product of the
+    factors' contents (Gauss's lemma).  Then f is squarefree iff c is
+    squarefree in Q[x] and, when d = deg_y f >= 1, disc_y(f) is not the
+    zero polynomial.  The discriminant has degree at most (2d - 1) e in x,
+    with e = deg_x f, and specializes to disc(f(x0, y)) wherever the leading
+    y-coefficient lc_y(f)(x0) is nonzero, which fails at e points at most.
+    So f(x0, y), the product of the factors' f_k(x0, y), is tested for a
+    repeated factor at x0 = 1, 2, 3, ..., skipping roots of lc_y(f): the
+    first squarefree specialization proves f squarefree, and (2d - 1) e + 1
+    repeated ones prove it is not.  That is at most 2 d e + 1 points,
+    usually one.  (x0 = 0 is left out: any two branches through the origin
+    meet there, so it would rarely decide.)  The degrees d and e are the
+    sums of the factors'.  The contents and every specialization go
+    through :func:`_prs_gcd`.
+    """
+    if any(e > 1 for e in f._factors.values()):
+        return False
+    factors = [_rows(key) for key in f._factors]
+    content = [1]
+    for rows in factors:
+        coeffs = [row for row in rows if row]
+        if all(len(row) > 1 for row in coeffs):
+            part = coeffs[0]
+            for row in coeffs[1:]:
+                if len(part) == 1:
+                    break
+                part = _prs_gcd(part, row)
+            content = _times(content, part)
+    if not _univariate_squarefree(content):
+        return False
+    d = sum(len(rows) - 1 for rows in factors)
     if d == 0:
         return True
-    lead = rows[d]
+    e = sum(max(map(len, rows)) - 1 for rows in factors)
     needed = (2 * d - 1) * e + 1
     x0 = 0
     while needed:
         x0 += 1
-        if _evaluate(lead, x0) == 0:
+        if any(_evaluate(rows[-1], x0) == 0 for rows in factors):
             continue
-        if _univariate_squarefree([_evaluate(row, x0) for row in rows]):
+        special = [1]
+        for rows in factors:
+            special = _times(special, [_evaluate(row, x0) for row in rows])
+        if _univariate_squarefree(special):
             return True
         needed -= 1
     return False

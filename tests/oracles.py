@@ -34,6 +34,10 @@ computations that go through the intersection form: the doubled area of a
 Newton region's complement, and the scaled colengths of a monomial
 valuation's ideals.
 
+Squarefreeness of the expanded element: its content in y and its
+specializations f(x0, y), on ``Fraction`` rows with Euclid's gcd, as the
+package decided it before it read the factors.
+
 The intersection number of two plane curves at the origin, as the order in
 x of their resultant in y, through sympy: it needs no blowup chart, so it
 checks the charts' multiplicities by Noether's formula.
@@ -265,6 +269,78 @@ def expanded_multiplicity_vector(cluster, f):
                 child = fraction_blow_finite(terms, param, mult)
             stack.append((j, child))
     return tuple(m)
+
+
+# -- squarefree ------------------------------------------------------------------
+#
+# Univariate polynomials over Q are Fraction lists, lowest degree first, with
+# no trailing zeros.
+
+
+def _poly_rem(a, b):
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _poly_gcd(a, b):
+    """The gcd of two nonzero polynomials by Euclid's algorithm over Q."""
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return a
+
+
+def _univariate_squarefree(a) -> bool:
+    if len(a) <= 2:
+        return True
+    return len(_poly_gcd(a, [k * c for k, c in enumerate(a)][1:])) == 1
+
+
+def _value(a, x):
+    return sum(c * x**k for k, c in enumerate(a))
+
+
+def expanded_is_squarefree(f) -> bool:
+    """Squarefreeness over Q of the expanded ``f``, as the package decided it
+    before it read the factors: the content c(x) in y must be squarefree,
+    and f(x0, y) is tested for a repeated factor at x0 = 1, 2, 3, ...,
+    skipping roots of the leading y-coefficient; the first squarefree
+    specialization proves f squarefree, (2d - 1) e + 1 repeated ones prove
+    it is not, d and e the degrees in y and x.  On ``Fraction`` rows with
+    Euclid's gcd, no sympy."""
+    terms = f.to_dict()
+    d = max(b for _, b in terms)
+    e = max(a for a, _ in terms)
+    rows = [[Fraction(0)] * (e + 1) for _ in range(d + 1)]
+    for (a, b), c in terms.items():
+        rows[b][a] = Fraction(c)
+    for row in rows:
+        while row and row[-1] == 0:
+            row.pop()
+    content = None
+    for row in rows:
+        if row:
+            content = row if content is None else _poly_gcd(content, row)
+    if not _univariate_squarefree(content):
+        return False
+    if d == 0:
+        return True
+    needed = (2 * d - 1) * e + 1
+    x0 = 0
+    while needed:
+        x0 += 1
+        if _value(rows[d], x0) == 0:
+            continue
+        if _univariate_squarefree([_value(row, x0) for row in rows]):
+            return True
+        needed -= 1
+    return False
 
 
 # -- random clusters --------------------------------------------------------------
