@@ -30,9 +30,11 @@ a coefficient at most the constant's numerator times the factors' integer
 L1 norms, or its denominator.  Where a bound is above its cap the terms
 are built then, and the cap reads the exact number.  A product stays
 unexpanded only while the bounds show that building its terms later keeps
-every multiplication under ``MAX_WORK`` too.  The parser raises
-:class:`PolynomialSyntaxError` with the position, ``*`` and ``**`` on
-elements raise ``ValueError``.
+every multiplication under ``MAX_WORK`` too.  ``*`` and ``**`` on elements
+run the parser's ``*`` and ``^`` rules on the same type: an element keeps
+the terms it was built with, if any, and a bound on their number.  The
+parser raises :class:`PolynomialSyntaxError` with the position, ``*`` and
+``**`` on elements raise ``ValueError``.
 
 Chart conventions match :mod:`antinef.cluster`: at a free point with finite
 parameter t the previous coordinates are (u, u(t + v)) and the exceptional
@@ -72,10 +74,6 @@ Terms = dict[tuple[int, int], int | Fraction]
 IntTerms = dict[tuple[int, int], int]
 #: Each factor as its sorted primitive integer terms, with its exponent.
 Factors = dict[tuple[tuple[tuple[int, int], int], ...], int]
-#: An element as it is built: a rational constant, the factors it is that
-#: constant times, its expanded terms if they were built (else None), and
-#: at least the number of its terms, exact once they are built.
-Parsed = tuple[int | Fraction, Factors, Terms | None, int]
 
 #: Largest exponent, and total degree of a power or product, that is
 #: expanded; without it one short line such as ``y^100000`` runs for minutes.
@@ -111,11 +109,6 @@ def _primitive(terms: IntTerms) -> IntTerms:
     """``terms`` divided by the gcd of its coefficients."""
     g = gcd(*terms.values())
     return terms if g == 1 else {k: c // g for k, c in terms.items()}
-
-
-def _integer_terms(items) -> IntTerms:
-    """A primitive integer multiple of the polynomial with these (monomial, coefficient) items."""
-    return _primitive(_numerators(dict(items))[0])
 
 
 def _mul_terms(f: Terms, g: Terms) -> Terms:
@@ -168,8 +161,6 @@ def _accumulate(total: Terms, g: Terms, sign: int = 1) -> Terms:
 
 def _widths(f: Terms) -> tuple[int, int, int]:
     """How far the x-degree, y-degree and total degree of f's terms spread."""
-    if not f:
-        return 0, 0, 0
     xs, ys, ts = zip(*((a, b, a + b) for a, b in f))
     return max(xs) - min(xs), max(ys) - min(ys), max(ts) - min(ts)
 
@@ -209,7 +200,7 @@ def _span(factors: Factors) -> tuple[int, tuple[int, int, int], int, int]:
     """The degree and widths of the product of these factors, which add over
     a product, and two bounds read from the factors: on its number of terms,
     and on the coefficient products of any one multiplication of its
-    expansion by :func:`_terms`."""
+    expansion by :meth:`PlaneElement._expansion`."""
     degree, wx, wy, wt, count, work = 0, 0, 0, 0, 0, 0
     for key, e in factors.items():
         d, (x, y, t), _ = _shape(key)
@@ -228,32 +219,16 @@ def _span(factors: Factors) -> tuple[int, tuple[int, int, int], int, int]:
     return degree, (wx, wy, wt), max(count, 1), work
 
 
-def _height(f: Parsed) -> int:
+def _height(f: "PlaneElement") -> int:
     """At least the largest numerator or denominator of f's coefficients:
     exact once they are built, else the constant's numerator times the
     factors' L1 norms, or its denominator."""
-    constant, factors, terms, _ = f
-    if terms is not None:
-        return max((max(abs(c.numerator), c.denominator) for c in terms.values()), default=0)
-    size = abs(constant.numerator)
-    for key, e in factors.items():
+    if f._raw is not None:
+        return max((max(abs(c.numerator), c.denominator) for c in f._raw.values()), default=0)
+    size = abs(f._constant.numerator)
+    for key, e in f._factors.items():
         size *= _shape(key)[2] ** e
-    return max(size, constant.denominator)
-
-
-def _terms(f: Parsed) -> Terms:
-    """The expansion of f: its terms if built, else its factors' powers
-    multiplied in turn, times its constant."""
-    constant, factors, terms, _ = f
-    if terms is not None:
-        return terms
-    for key, e in factors.items():
-        power = _pow_terms(dict(key), e)
-        terms = power if terms is None else _mul_terms(terms, power)
-    c = constant.numerator if constant.denominator == 1 else constant
-    if terms is None:
-        return {(0, 0): c} if c else {}
-    return terms if c == 1 else {k: c * v for k, v in terms.items()}
+    return max(size, f._constant.denominator)
 
 
 def _refusal(what: str, degree: int, widths, bits: int = 0, k: int = 1) -> str | None:
@@ -273,18 +248,18 @@ def _refusal(what: str, degree: int, widths, bits: int = 0, k: int = 1) -> str |
     return None
 
 
-def _leaf(terms: Terms) -> Parsed:
+def _leaf(terms: Terms) -> "PlaneElement":
     """Expanded terms as a constant times one sign-normalized factor; no
     factor for a constant or zero."""
     if _degree(terms) == 0:
-        return terms.get((0, 0), 0), {}, terms, len(terms)
-    key = tuple(sorted(_integer_terms(terms.items()).items()))
+        return PlaneElement(terms.get((0, 0), 0), {}, terms)
+    key = tuple(sorted(_primitive(_numerators(terms)[0]).items()))
     if key[0][1] < 0:
         key = tuple((m, -c) for m, c in key)
     (m, c) = key[0]
     constant = Fraction(terms[m]) / c
     constant = constant.numerator if constant.denominator == 1 else constant
-    return constant, {key: 1}, terms, len(terms)
+    return PlaneElement(constant, {key: 1}, terms)
 
 
 def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
@@ -300,26 +275,13 @@ def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
     return out
 
 
-_ZERO: Parsed = 0, {}, {}, 0
-
-
-def _built(f: Parsed) -> Parsed:
-    """f with its terms built."""
-    terms = _terms(f)
-    return f[0], f[1], terms, len(terms)
-
-
-#: The variables; no parsed value's terms are ever changed in place.
-_X, _Y = _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
-
-
-def _monomial(f: Parsed) -> bool:
+def _monomial(f: "PlaneElement") -> bool:
     """Whether f is one built term: its products and powers multiply no
     more than a pair of coefficients, so they are built at once."""
-    return f[2] is not None and f[3] == 1
+    return f._raw is not None and f._count == 1
 
 
-def _product(f: Parsed, g: Parsed) -> Parsed:
+def _product(f: "PlaneElement", g: "PlaneElement") -> "PlaneElement":
     """f * g, refused where multiplying out their expansions would be.
 
     The factors are merged.  The product is left unexpanded where the bounds
@@ -327,20 +289,19 @@ def _product(f: Parsed, g: Parsed) -> Parsed:
     product's own later expansion can pass the work cap; else it is expanded
     now, and the work cap reads the exact number.
     """
-    factors = _merge(f[1], g[1])
+    factors = _merge(f._factors, g._factors)
     degree, widths, count, work = _span(factors)
     if refused := _refusal("product", degree, widths):
         raise ValueError(refused)
-    constant = f[0] * g[0]
+    constant = f._constant * g._constant
     if not constant:
         return _ZERO
-    if not (_monomial(f) and _monomial(g)) and max(f[3] * g[3], work) <= MAX_WORK:
-        return constant, factors, None, min(count, f[3] * g[3])
-    terms = _mul_terms(_terms(f), _terms(g))
-    return constant, factors, terms, len(terms)
+    if not (_monomial(f) and _monomial(g)) and max(f._count * g._count, work) <= MAX_WORK:
+        return PlaneElement(constant, factors, None, min(count, f._count * g._count))
+    return PlaneElement(constant, factors, _mul_terms(f._expansion(), g._expansion()))
 
 
-def _power(f: Parsed, k: int) -> Parsed:
+def _power(f: "PlaneElement", k: int) -> "PlaneElement":
     """f^k, refused where raising its expansion to the k-th power would be.
 
     The factors' exponents are scaled.  The coefficient bits are read from a
@@ -349,62 +310,88 @@ def _power(f: Parsed, k: int) -> Parsed:
     """
     if k > MAX_DEGREE:
         raise ValueError(f"exponent {k} exceeds the degree cap {MAX_DEGREE}")
-    degree, widths, _, _ = _span(f[1])
+    degree, widths, _, _ = _span(f._factors)
     bits = k * _height(f).bit_length()
-    if bits > MAX_POWER_BITS and k * degree <= MAX_DEGREE and f[2] is None:
-        f = _built(f)
+    if bits > MAX_POWER_BITS and k * degree <= MAX_DEGREE and f._raw is None:
+        f = PlaneElement(f._constant, f._factors, f._expansion())
         bits = k * _height(f).bit_length()
     if refused := _refusal("power", k * degree, widths, bits, k):
         raise ValueError(refused)
-    constant, factors = f[0] ** k, _merge({}, f[1], k)
+    constant, factors = f._constant**k, _merge({}, f._factors, k)
     if not constant:
         return _ZERO
     if not _monomial(f):
         _, _, count, work = _span(factors)
-        if max(_power_work(f[3], widths, k), work) <= MAX_WORK:
-            return constant, factors, None, count
-    terms = _pow_terms(_terms(f), k)
-    return constant, factors, terms, len(terms)
+        if max(_power_work(f._count, widths, k), work) <= MAX_WORK:
+            return PlaneElement(constant, factors, None, count)
+    return PlaneElement(constant, factors, _pow_terms(f._expansion(), k))
 
 
 def _sorted(terms: Terms) -> tuple[tuple[tuple[int, int], Fraction], ...]:
     return tuple(sorted((k, Fraction(c)) for k, c in terms.items()))
 
 
-def _element(f: Parsed) -> "PlaneElement":
-    """The element f; refused if it is zero, or if a coefficient has a
-    numerator or denominator of more than ``MAX_DIGITS`` digits, read from
-    :func:`_height`'s bound, and from the expansion where the bound is above."""
-    if not f[0]:
+def _element(f: "PlaneElement") -> "PlaneElement":
+    """f, the one exit of the parser and of ``*`` and ``**``: refused if it
+    is zero, or if a coefficient has a numerator or denominator of more
+    than ``MAX_DIGITS`` digits, read from :func:`_height`'s bound, and from
+    the expansion where the bound is above.  Built terms are sorted here."""
+    if not f._constant:
         raise ValueError("zero is not a plane element (its values are infinite)")
     try:
         check_digits(_height(f), "coefficient")
     except ValueError:
-        f = _built(f)
+        f = PlaneElement(f._constant, f._factors, f._expansion())
         check_digits(_height(f), "coefficient")
-    return PlaneElement(*f[:3])
+    if f._raw is not None:
+        f.__dict__["terms"] = _sorted(f._raw)
+    return f
 
 
 class PlaneElement:
-    """Nonzero polynomial in x, y with exact rational coefficients, built by
-    :meth:`from_terms` or :func:`parse_poly`: a rational constant times the
-    factors it was built from, which the constructor requires.
+    """Nonzero polynomial in x, y with exact rational coefficients: a
+    rational constant times the factors it was built from, which the
+    constructor requires.  :func:`parse_poly` and :meth:`from_terms` build
+    it; ``*`` and ``**`` run the parser's rules, whose every step, zero
+    included, is an element until :func:`_element` refuses zero and
+    oversized digits.
 
-    ``terms`` is the expansion, sorted by monomial, built when first read:
-    ``==``, ``hash``, ``repr``, ``str``, ``to_dict``, ``+`` and ``-`` read
-    it; :meth:`order` and :func:`multiplicity_vector` read the factors.
+    ``terms`` is the expansion, sorted by monomial: present once built,
+    else built when first read.  ``==``, ``hash``, ``repr``, ``str``,
+    ``to_dict``, ``+`` and ``-`` read it; :meth:`order` and
+    :func:`multiplicity_vector` read the factors.
     """
 
-    def __init__(self, _constant: int | Fraction, _factors: Factors, terms: Terms | None = None):
+    def __init__(self, _constant, _factors: Factors, terms: Terms | None = None, _count=None):
         #: The constant c and the factors f_k^e_k, one for an element that
         #: was not built as a product; the element is c * prod f_k^e_k.
-        self._constant, self._factors = _constant, _factors
-        if terms is not None:
-            self.__dict__["terms"] = _sorted(terms)
+        self._constant = _constant
+        self._factors = _factors
+        #: The expanded terms as built, never changed in place, or None; and
+        #: at least their number, exact once built, else read from the factors.
+        self._raw = terms
+        if _count is None:
+            _count = _span(_factors)[2] if terms is None else len(terms)
+        self._count = _count
 
     @cached_property
     def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-        return _sorted(_terms((self._constant, self._factors, None, 0)))
+        return _sorted(self._expansion())
+
+    def _expansion(self) -> Terms:
+        """The expanded terms: as built, else the factors' powers multiplied
+        in turn, times the constant."""
+        terms = self._raw
+        if terms is not None:
+            return terms
+        for key, e in self._factors.items():
+            power = _pow_terms(dict(key), e)
+            terms = power if terms is None else _mul_terms(terms, power)
+        c = self._constant
+        c = c.numerator if c.denominator == 1 else c
+        if terms is None:
+            return {(0, 0): c} if c else {}
+        return terms if c == 1 else {k: c * v for k, v in terms.items()}
 
     @staticmethod
     def from_terms(terms: Terms) -> "PlaneElement":
@@ -419,11 +406,6 @@ class PlaneElement:
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
-
-    def _parsed(self) -> Parsed:
-        if (built := self.__dict__.get("terms")) is None:
-            return self._constant, self._factors, None, _span(self._factors)[2]
-        return self._constant, self._factors, dict(built), len(built)
 
     def order(self) -> int:
         """Multiplicity at the origin: each factor's least total degree, times its exponent."""
@@ -447,12 +429,12 @@ class PlaneElement:
         return PlaneElement.from_terms(_accumulate(self.to_dict(), other.to_dict(), -1))
 
     def __mul__(self, other: "PlaneElement") -> "PlaneElement":
-        return _element(_product(self._parsed(), other._parsed()))
+        return _element(_product(self, other))
 
     def __pow__(self, k: int) -> "PlaneElement":
         if integer(k, "exponent k") < 0:
             raise ValueError("negative powers are not plane elements")
-        return _element(_power(self._parsed(), k))
+        return _element(_power(self, k))
 
     def __str__(self):
         """Text that :func:`parse_poly` reads back to an equal element."""
@@ -465,6 +447,10 @@ class PlaneElement:
         return " + ".join(parts)
 
 
+#: Zero and the variables; no element's terms are ever changed in place.
+_ZERO, _X, _Y = PlaneElement(0, {}, {}), _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
+
+
 # -- parser ---------------------------------------------------------------
 #
 # expr   = term { ("+" | "-") term }
@@ -474,11 +460,11 @@ class PlaneElement:
 # atom   = rational | "x" | "y" | "(" expr ")"
 # rational = natural [ "/" natural ]        (the "/" is part of the literal)
 #
-# Each rule returns a ``Parsed`` value: a constant, the factors it
-# multiplies, the expanded terms if they were built, and a bound on their
-# number.  A product merges its operands' factors and a power scales them,
-# building no terms where the caps allow; a sum of two or more terms
-# expands its terms and is one factor.
+# Each rule returns a :class:`PlaneElement`, zero included, which
+# :func:`_element` refuses at the end.  A product merges its operands'
+# factors and a power scales them, building no terms where the caps allow,
+# by the rules ``*`` and ``**`` run; a sum of two or more terms expands its
+# terms and is one factor.
 
 
 class _Parser:
@@ -501,50 +487,50 @@ class _Parser:
     def error(self, message: str):
         raise PolynomialSyntaxError(message, self.pos)
 
-    def expand(self, op, *operands) -> Parsed:
+    def expand(self, op, *operands) -> PlaneElement:
         """``op(*operands)``, a refusal by a cap raised at this position."""
         try:
             return op(*operands)
         except ValueError as exc:
             self.error(str(exc))
 
-    def parse(self) -> Parsed:
+    def parse(self) -> PlaneElement:
         parsed = self.expr()
         self.peek()
         if self.pos < len(self.text):
             self.error(f"unexpected character {self.text[self.pos]!r}")
         return parsed
 
-    def expr(self) -> Parsed:
+    def expr(self) -> PlaneElement:
         first = self.term()
         if self.peek() not in ("+", "-"):
             return first
-        terms = dict(_terms(first))
+        terms = dict(first._expansion())
         while (ch := self.peek()) in ("+", "-"):
             self.take()
-            _accumulate(terms, _terms(self.term()), 1 if ch == "+" else -1)
+            _accumulate(terms, self.term()._expansion(), 1 if ch == "+" else -1)
         return _leaf({k: c for k, c in terms.items() if c})
 
-    def term(self) -> Parsed:
+    def term(self) -> PlaneElement:
         parsed = self.unary()
         while self.peek() == "*":
             self.take()
             parsed = self.expand(_product, parsed, self.unary())
         return parsed
 
-    def unary(self) -> Parsed:
+    def unary(self) -> PlaneElement:
         ch = self.peek()
         if ch == "-":
             self.take()
-            constant, factors, terms, count = self.unary()
-            negated = None if terms is None else {k: -c for k, c in terms.items()}
-            return -constant, factors, negated, count
+            f = self.unary()
+            negated = None if f._raw is None else {k: -c for k, c in f._raw.items()}
+            return PlaneElement(-f._constant, f._factors, negated, f._count)
         if ch == "+":
             self.take()
             return self.unary()
         return self.power()
 
-    def power(self) -> Parsed:
+    def power(self) -> PlaneElement:
         parsed = self.atom()
         if self.peek() == "^":
             self.take()
@@ -563,7 +549,7 @@ class _Parser:
             self.error(f"{what} of {digits} digits exceeds the digit cap {MAX_DIGITS}")
         return int(self.text[start : self.pos])
 
-    def atom(self) -> Parsed:
+    def atom(self) -> PlaneElement:
         ch = self.peek()
         if ch in ("x", "y"):
             self.take()
@@ -584,7 +570,7 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator")
                 value = Fraction(value, den)
-            return (value, {}, {(0, 0): value}, 1) if value else _ZERO
+            return PlaneElement(value, {}, {(0, 0): value}) if value else _ZERO
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from antinef import cli, degree_function, parse_scenario
+from antinef import cli, degree_function, parse_scenario, selfcheck
 from antinef.cli import main
 
 CUSP_SCENARIO = """\
@@ -405,6 +405,21 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "unloading_closure_laws: PASS" in out
         assert "nef_envelope_laws: PASS" in out
+
+    def test_a_failing_law_gives_a_fail_row_and_exit_1(self, capsys, monkeypatch):
+        def law(rng, cluster, d):
+            raise AssertionError("closure is not monotone")
+
+        name, offset, max_points, generate, _ = selfcheck._SUITES[0]
+        monkeypatch.setattr(
+            selfcheck, "_SUITES", ((name, offset, max_points, generate, law), selfcheck._SUITES[1])
+        )
+        assert selfcheck.run_selftest(0, 3)[0] == (name, False, "closure is not monotone")
+        assert main(["selftest", "--seed", "0", "--trials", "3"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            f"{name}: FAIL (closure is not monotone)", "nef_envelope_laws: PASS (3 instances)"
+        ]
 
 
 class TestEntryPoint:

@@ -70,6 +70,13 @@ class TestConstruction:
         with pytest.raises(ClusterStructureError):
             c.add_free_point(5)
 
+    def test_satellite_needs_two_distinct_curves(self):
+        c = new_cluster()
+        p1 = c.add_free_point(0)
+        with pytest.raises(ClusterStructureError, match="^satellite needs two distinct curves$"):
+            c.add_satellite_point(p1, p1)
+        assert len(c) == 2
+
     def test_satellite_has_two_proximities(self):
         c = cusp_cluster()
         assert set(c.point(2).prox) == {0, 1}

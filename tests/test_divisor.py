@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antinef import (
+    CompleteIdealModel,
     ExcDivisor,
     divisor,
     intersect,
@@ -138,7 +139,29 @@ class TestUnload:
             assert bar.is_zero() or all(x > 0 for x in bar.coeffs)
 
 
+@pytest.mark.parametrize("i", [-1, 3, 10])
+def test_basis_refuses_an_index_with_no_curve(i):
+    with pytest.raises(ValueError, match=f"^no exceptional curve with index {i}$"):
+        ExcDivisor.basis(cusp_cluster(), i)
+
+
 class TestCompleteIdealModel:
+    @pytest.mark.parametrize(
+        "coeffs, degree_coeffs, multiplicity, message",
+        [
+            ([1, 1, 2], (1, -1, 0), 1, "divisor is not antinef"),
+            ([1, 0, 2], (1, 0, 0), 1, "nonzero antinef divisor must have full positive support"),
+            ([1, 1, 2], (1, 0, 0), 0, "nonzero antinef divisor must have positive self-pairing"),
+            ([0, 0, 0], (0, 0, 0), 3, "zero divisor must have zero multiplicity"),
+        ],
+    )
+    def test_invariants_refuse_a_model_built_with_bad_fields(
+        self, coeffs, degree_coeffs, multiplicity, message
+    ):
+        d = divisor(cusp_cluster(), coeffs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CompleteIdealModel(divisor=d, degree_coeffs=degree_coeffs, multiplicity=multiplicity)
+
     def test_closure_is_its_own_model(self):
         c = cusp_cluster()
         bar = unload(divisor(c, [0, 0, 1])).divisor

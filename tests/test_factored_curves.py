@@ -167,6 +167,19 @@ def test_an_element_is_not_built_without_its_factors():
     assert PlaneElement.from_terms({(1, 0): 1})._factors == parse_poly("x")._factors
 
 
+def test_a_negative_power_is_refused():
+    f = parse_poly("y - x")
+    with pytest.raises(ValueError, match="^negative powers are not plane elements$"):
+        f ** -1
+    assert f**0 == parse_poly("1")
+
+
+def test_an_element_equals_no_other_type():
+    f = parse_poly("3")
+    assert f != 3 and f != "3" and f != {(0, 0): 3}
+    assert (f == 3) is False and f.__eq__(3) is NotImplemented
+
+
 def test_coordinate_error_names_the_point_the_expanded_walk_names():
     # two uncoordinatized points, each reached by a different factor
     c = new_cluster()

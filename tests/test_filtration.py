@@ -49,6 +49,15 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(Example42Spec(), 0)
 
+    def test_non_spec_rejected(self):
+        with pytest.raises(TypeError, match="^not a filtration spec: 'example42'$"):
+            realize("example42", 1)
+
+    def test_empty_sweep_rejected(self):
+        for sweep in (multiplicity_sequence, lambda spec, n: degree_limit(spec, 0, n)):
+            with pytest.raises(ValueError, match="^nmax must be >= 1$"):
+                sweep(cusp_point_spec(), 0)
+
     def test_finite_params_cap(self):
         spec = Example42Spec(params=(Fraction(1), Fraction(2)))
         realize(spec, 2)
@@ -124,6 +133,17 @@ class TestMultiplicitySequence:
         oracle = monomial_valuation_volume_oracle(2, 3, 60)
         for n in range(1, 61):
             assert abs(oracle[n - 1] - rep.closed_form) <= Fraction(3, n)
+
+    def test_limit_estimate_is_the_closed_form_when_known(self):
+        rep = multiplicity_sequence(cusp_point_spec(), 5)
+        assert rep.richardson is not None and rep.richardson != rep.closed_form
+        assert rep.limit_estimate() == rep.closed_form == Fraction(1, 6)
+
+    def test_limit_estimate_of_one_member_is_its_value(self):
+        spec = ExplicitSpec(table={1: divisor(cusp_cluster(), [1, 1, 2])})
+        rep = multiplicity_sequence(spec, 1)
+        assert rep.closed_form is None and rep.richardson is None
+        assert rep.limit_estimate() == rep.last == rep.values[0] == 1
 
     def test_zero_family(self):
         c = cusp_cluster()

@@ -13,6 +13,9 @@ bounds on the factors, or when ``terms`` is first read.  Checked here:
   multiplying out every product and power as it is read refuses, with the
   same message and position, and reading the terms of what it admits never
   raises;
+* under the same lowered caps, ``*`` and ``**`` on parsed elements give what
+  the parser gives for the product or power of their texts: the same terms,
+  built or left unexpanded alike, or the same refusal;
 * a ``run`` of the perfbench ``curves`` scenario, and the ``value_vector``
   ladder's largest element, multiply out only the squares inside the cusp
   equations.
@@ -280,6 +283,37 @@ def test_lowered_caps_refuse_what_expanding_as_read_refuses(monkeypatch):
         assert f.to_dict() == expected, text  # reading the terms raises no cap
         seen["deferred" if deferred else "built"] += 1
     assert min(seen["work"], seen["bits"], seen["deferred"], seen["built"]) >= 30, seen
+
+
+def _outcome(build):
+    """The terms of what ``build`` returns and whether they were built with
+    it, or its refusal's message without the parser's position."""
+    try:
+        f = build()
+    except ValueError as exc:
+        return str(exc).split(" (at position ")[0]
+    return "terms" in f.__dict__, f.to_dict()
+
+
+def test_operators_run_the_parsers_rule(monkeypatch):
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(500):
+        monkeypatch.setattr(curves, "MAX_WORK", rng.choice((1, 4, 12, 40, 150, 600)))
+        monkeypatch.setattr(curves, "MAX_POWER_BITS", rng.choice((5, 8, 20, 60, 10_000)))
+        t1, t2, k = _text(_tree(rng, 3)), _text(_tree(rng, 3)), rng.randint(0, 5)
+        try:
+            f, g = parse_poly(t1), parse_poly(t2)
+        except ValueError:
+            continue
+        for text, operate in ((f"{t1}*{t2}", lambda: f * g), (f"{t1}^{k}", lambda: f**k)):
+            expected = _outcome(lambda: parse_poly(text))
+            assert _outcome(operate) == expected, text
+            if isinstance(expected, tuple):
+                seen["built" if expected[0] else "deferred"] += 1
+            else:
+                seen["work" if "work" in expected else "bits" if "bits" in expected else "?"] += 1
+    assert min(seen["work"], seen["bits"], seen["built"], seen["deferred"]) >= 30, seen
 
 
 def test_a_product_is_built_where_its_own_expansion_would_pass_the_work_cap(monkeypatch):
