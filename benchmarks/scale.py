@@ -2,8 +2,10 @@
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/scale.py --src ../parent/src --column parent --out BENCH.json
-    python3 benchmarks/scale.py --src src --column change --out BENCH.json
+    python3 benchmarks/scale.py --src ../parent/src --column parent \
+        --src src --column change --out BENCH.json
+    python3 benchmarks/scale.py --ladder parse --ladder value_vector \
+        --src ../parent/src --column parent --src src --column change --out BENCH.json
     python3 benchmarks/scale.py --quick --out quick.json
 
 The ladders (``LADDERS``):
@@ -28,7 +30,11 @@ The ladders (``LADDERS``):
   picks; the child prints the tree's size and the product's order.
 
 Each repeat of a rung runs ``scale_child.py`` in a fresh interpreter that
-imports the package from ``--src``.  The child times only the measured call
+imports the package from ``--src``.  Given two or more ``--src`` trees, one
+run measures them all, one ``--column`` each: their repeats of a rung
+alternate, the first tree first on even repeats and last on odd ones, as
+``perfbench/compare.py`` alternates the sides of a pair, so that no column
+is recorded after another.  The child times only the measured call
 (not the import, nor building the seeded input) and reports its own peak
 RSS (Linux ``VmHWM``, else ``ru_maxrss``); this script hashes the
 child's stdout, which is the CLI's output or the printed result.  Seconds
@@ -44,13 +50,13 @@ quartiles ``q1_s``, ``median_s`` and ``q3_s`` (``statistics.quantiles``, as
 ``perfbench/compare.py`` reads a spread), the highest peak RSS, and the
 sha256 of stdout, which must be the same in every repeat.  Once a rung's
 median exceeds ``CAP_SECONDS`` scaled seconds, the larger rungs are
-recorded as ``capped`` and not run.  Per
+recorded as ``capped`` and not run, in that column.  Per
 column it records the log-log slope between the two largest rungs run, the
 checkout's ``git describe``, the Python version and the median kernel time.
 
-``--out`` is merged: the named column of each ladder run is written, and
-everything else already in the file is kept, so parent and change come
-from two runs.
+``--out`` is merged: the named columns of each ladder run are written, and
+everything else already in the file is kept.  ``--ladder`` runs only the
+named ladders.
 """
 
 from __future__ import annotations
@@ -137,39 +143,58 @@ def repeat(src: str, name: str, n: int, timeout: float, kernel: float) -> dict:
     }
 
 
-def ladder(src: str, name: str, rungs, repeats: int, cap: float, timings: int = KERNELS) -> dict:
-    """The column of one ladder for one checkout: every rung, its slope and provenance."""
-    rows, kernels, capped = [], [], False
+def _row(name: str, n: int, runs: list[dict]) -> dict:
+    """One rung of one column: its spread, peak RSS and the one stdout digest."""
+    digests = {r["sha256"] for r in runs}
+    if len(digests) != 1:
+        raise RuntimeError(f"{name} {n}: stdout differs between repeats")
+    times = [r["scaled_s"] for r in runs]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {
+        "n": n,
+        "status": "ok",
+        "repeats": len(runs),
+        "min_s": round(min(times), 5),
+        "q1_s": round(q1, 5),
+        "median_s": round(median, 5),
+        "q3_s": round(q3, 5),
+        "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
+        "sha256": digests.pop(),
+    }
+
+
+def ladder(srcs, name, rungs, repeats: int, cap: float, timings: int = KERNELS) -> list[dict]:
+    """The column of one ladder for each checkout in ``srcs``: every rung,
+    its slope and provenance.
+
+    The checkouts' repeats of a rung alternate, the first checkout first on
+    even repeats and last on odd ones, each after its own kernel timing, so
+    that no column is recorded after another.  A column whose rung median
+    exceeds ``cap`` records its larger rungs as ``capped``.
+    """
+    rows, runs, capped = [[] for _ in srcs], [[] for _ in srcs], set()
     for n in rungs:
-        if capped:
-            rows.append({"n": n, "status": "capped"})
-            continue
+        live = [i for i in range(len(srcs)) if i not in capped]
         shared = None if timings else kernel_seconds()
-        runs = [
-            repeat(src, name, n, 60 + 20 * cap,
-                   shared or min(kernel_seconds() for _ in range(timings)))
-            for _ in range(repeats)
-        ]
-        digests = {r["sha256"] for r in runs}
-        if len(digests) != 1:
-            raise RuntimeError(f"{name} {n}: stdout differs between repeats")
-        times = [r["scaled_s"] for r in runs]
-        kernels += [r["kernel_s"] for r in runs]
-        q1, median, q3 = statistics.quantiles(times, n=4)
-        rows.append({
-            "n": n,
-            "status": "ok",
-            "repeats": repeats,
-            "min_s": round(min(times), 5),
-            "q1_s": round(q1, 5),
-            "median_s": round(median, 5),
-            "q3_s": round(q3, 5),
-            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1),
-            "sha256": digests.pop(),
-        })
-        capped = median > cap
-        print(f"{name} {n}: median {rows[-1]['median_s']} scaled s, "
-              f"{rows[-1]['peak_rss_mb']} MB", file=sys.stderr)
+        rung = {i: [] for i in live}
+        for r in range(repeats):
+            for i in live if r % 2 == 0 else live[::-1]:
+                kernel = shared or min(kernel_seconds() for _ in range(timings))
+                rung[i].append(repeat(srcs[i], name, n, 60 + 20 * cap, kernel))
+        for i, col in enumerate(rows):
+            if i in capped:
+                col.append({"n": n, "status": "capped"})
+                continue
+            col.append(_row(name, n, rung[i]))
+            runs[i] += rung[i]
+            if col[-1]["median_s"] > cap:
+                capped.add(i)
+            print(f"{name} {n} ({srcs[i]}): median {col[-1]['median_s']} scaled s, "
+                  f"{col[-1]['peak_rss_mb']} MB", file=sys.stderr)
+    return [_column(src, col, done, cap) for src, col, done in zip(srcs, rows, runs)]
+
+
+def _column(src: str, rows: list[dict], runs: list[dict], cap: float) -> dict:
     ran = [row for row in rows if row["status"] == "ok"]
     slope = None
     if len(ran) >= 2:
@@ -178,7 +203,7 @@ def ladder(src: str, name: str, rungs, repeats: int, cap: float, timings: int = 
     return {
         "git": _describe(src),
         "python": platform.python_version(),
-        "kernel_median_s": round(statistics.median(kernels), 5),
+        "kernel_median_s": round(statistics.median(r["kernel_s"] for r in runs), 5),
         "cap_s": cap,
         "slope": slope,
         "rungs": rows,
@@ -195,14 +220,22 @@ def _describe(src: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="the checkout's src/ directory to measure (default: this one)")
-    parser.add_argument("--column", default="change", help="column name in --out")
+    parser.add_argument("--src", action="append",
+                        help="a checkout's src/ directory to measure (default: this one); "
+                             "repeat it, one --column each, to interleave checkouts")
+    parser.add_argument("--column", action="append",
+                        help="the column name in --out of each --src (default: change)")
+    parser.add_argument("--ladder", action="append", choices=sorted(LADDERS),
+                        help="a ladder to run; repeat it for more (default: all)")
     parser.add_argument("--out", required=True, help="JSON file to write or merge into")
     parser.add_argument("--quick", action="store_true",
                         help=f"only the two quick rungs of each ladder, {QUICK_REPEATS} repeats, "
-                             f"one kernel timing per rung: under 10 s")
+                             f"one kernel timing per rung: under 10 s for one column")
     args = parser.parse_args(argv)
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    names = args.column or ["change"]
+    if len(names) != len(srcs) or len(set(names)) != len(names):
+        parser.error("give one distinct --column per --src")
 
     data = {}
     if os.path.exists(args.out):
@@ -212,13 +245,14 @@ def main(argv=None) -> int:
         "unit": "scaled s = wall s * reference_s / kernel s; peak RSS in MB",
         "reference_s": REFERENCE_SECONDS,
     })
-    for name, (what, rungs, quick_rungs) in LADDERS.items():
-        column = ladder(args.src, name, quick_rungs if args.quick else rungs,
-                        QUICK_REPEATS if args.quick else REPEATS, CAP_SECONDS,
-                        QUICK_KERNELS if args.quick else KERNELS)
+    for name in args.ladder or LADDERS:
+        what, rungs, quick_rungs = LADDERS[name]
+        columns = ladder(srcs, name, quick_rungs if args.quick else rungs,
+                         QUICK_REPEATS if args.quick else REPEATS, CAP_SECONDS,
+                         QUICK_KERNELS if args.quick else KERNELS)
         entry = data.setdefault("ladders", {}).setdefault(name, {})
         entry["what"] = what
-        entry.setdefault("columns", {})[args.column] = column
+        entry.setdefault("columns", {}).update(zip(names, columns))
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1)
         handle.write("\n")

@@ -56,9 +56,83 @@ def test_quick_ladder_schema_and_merge(tmp_path):
 
 def test_cap_stops_the_ladder():
     for name, rungs in (("example42", (100, 200, 400)), ("unload", (250, 500, 1000))):
-        column = scale.ladder(SRC, name, rungs, repeats=3, cap=0)
+        [column] = scale.ladder([SRC], name, rungs, repeats=3, cap=0)
         assert [r["status"] for r in column["rungs"]] == ["ok", "capped", "capped"]
         assert column["slope"] is None
+
+
+def _stubbed(monkeypatch, seconds):
+    """Replace the children and the kernel by a log of the calls; a repeat
+    of tree ``src`` at rung n takes ``seconds(src, n)``."""
+    calls = []
+
+    def kernel():
+        calls.append("kernel")
+        return 1.0
+
+    def child(src, name, n, timeout, kernel_s):
+        calls.append((src, n))
+        return {"scaled_s": seconds(src, n), "kernel_s": kernel_s, "peak_rss_mb": 1.0,
+                "sha256": f"{name} {n}"}
+
+    monkeypatch.setattr(scale, "kernel_seconds", kernel)
+    monkeypatch.setattr(scale, "repeat", child)
+    monkeypatch.setattr(scale, "_describe", lambda src: src)
+    return calls
+
+
+def test_two_trees_alternate_their_repeats(monkeypatch):
+    calls = _stubbed(monkeypatch, lambda src, n: n / 100)
+    parent, change = scale.ladder(["P", "C"], "parse", (4, 16), repeats=4, cap=30, timings=2)
+    # each repeat after its own two kernel timings; P first, then C first
+    one = ["kernel", "kernel"]
+    for n in (4, 16):
+        order = [("P", n), ("C", n), ("C", n), ("P", n)] * 2
+        assert calls[:24] == [x for run in order for x in (*one, run)]
+        del calls[:24]
+    assert not calls
+    for src, column in (("P", parent), ("C", change)):
+        assert column["git"] == src and column["slope"] == 1.0
+        assert [(r["n"], r["repeats"], r["median_s"]) for r in column["rungs"]] == [
+            (4, 4, 0.04), (16, 4, 0.16)]
+    # --quick: one kernel timing per rung, for both trees
+    calls.clear()
+    scale.ladder(["P", "C"], "parse", (4,), repeats=3, cap=30, timings=0)
+    assert calls == ["kernel", ("P", 4), ("C", 4), ("C", 4), ("P", 4), ("P", 4), ("C", 4)]
+
+
+def test_a_slow_tree_caps_only_its_own_column(monkeypatch):
+    calls = _stubbed(monkeypatch, lambda src, n: 100.0 if src == "P" else 0.1)
+    parent, change = scale.ladder(["P", "C"], "parse", (4, 8, 16), repeats=3, cap=30, timings=0)
+    assert [r["status"] for r in parent["rungs"]] == ["ok", "capped", "capped"]
+    assert [r["status"] for r in change["rungs"]] == ["ok", "ok", "ok"]
+    assert calls.count(("P", 8)) == 0 and calls.count(("C", 16)) == 3
+
+
+def test_quick_run_of_two_trees_writes_both_columns(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--quick", "--ladder", "parse", "--out", str(out),
+         "--src", SRC, "--column", "parent", "--src", SRC, "--column", "change"],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ladders = json.loads(out.read_text())["ladders"]
+    assert set(ladders) == {"parse"}
+    columns = ladders["parse"]["columns"]
+    assert set(columns) == {"parent", "change"}
+    quick_rungs = scale.LADDERS["parse"][2]
+    for column in columns.values():
+        assert [(r["n"], r["repeats"]) for r in column["rungs"]] == [
+            (n, scale.QUICK_REPEATS) for n in quick_rungs]
+    digests = [[r["sha256"] for r in column["rungs"]] for column in columns.values()]
+    assert digests[0] == digests[1]
+    # a --column per --src
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--quick", "--out", str(out), "--src", SRC, "--src", SRC],
+        capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 2 and "one distinct --column per --src" in proc.stderr
 
 
 def test_qdivisorial_ladder_prints_the_sequence():

@@ -34,7 +34,17 @@ every multiplication under ``MAX_WORK`` too.  ``*`` and ``**`` on elements
 run the parser's ``*`` and ``^`` rules on the same type: an element keeps
 the terms it was built with, if any, and a bound on their number.  The
 parser raises :class:`PolynomialSyntaxError` with the position, ``*`` and
-``**`` on elements raise ``ValueError``.
+``**`` on elements raise ``ValueError``.  ``+`` and ``-`` on elements run
+the parser's sum rule.
+
+A parse reads each distinct parenthesized group once: the parser keeps
+each group's element by the exact text between its parentheses, whitespace
+included, and a later copy of that text is not read again.  A scenario
+keeps one such memo for all of its ``poly =`` lines; :func:`parse_poly`
+keeps one for its own call.  Nothing carries over between two parses.  A
+group's element depends only on its text, and a refusal inside a group
+ends the parse before the group is kept, so every element, refusal and
+position is that of parsing each copy.
 
 Chart conventions match :mod:`antinef.cluster`: at a free point with finite
 parameter t the previous coordinates are (u, u(t + v)) and the exceptional
@@ -51,6 +61,7 @@ the bound, and from the expansion where the bound is above the cap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -262,6 +273,13 @@ def _leaf(terms: Terms) -> "PlaneElement":
     return PlaneElement(constant, {key: 1}, terms)
 
 
+def _sum(terms: Terms) -> "PlaneElement":
+    """The element of a sum's accumulated terms, its zero terms dropped: one
+    factor, or a constant.  The parser's sums, ``+``, ``-`` and
+    :meth:`PlaneElement.from_terms` all end here."""
+    return _leaf({k: c for k, c in terms.items() if c})
+
+
 def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
     """The factors of f * g^k, k >= 0: f or g itself where it is that
     product, since no factors are changed in place."""
@@ -357,9 +375,9 @@ class PlaneElement:
     oversized digits.
 
     ``terms`` is the expansion, sorted by monomial: present once built,
-    else built when first read.  ``==``, ``hash``, ``repr``, ``str``,
-    ``to_dict``, ``+`` and ``-`` read it; :meth:`order` and
-    :func:`multiplicity_vector` read the factors.
+    else built when first read.  ``==``, ``hash``, ``repr``, ``str`` and
+    ``to_dict`` read it; ``+`` and ``-`` add the expansions, as the parser's
+    sum does; :meth:`order` and :func:`multiplicity_vector` read the factors.
     """
 
     def __init__(self, _constant, _factors: Factors, terms: Terms | None = None, _count=None):
@@ -401,8 +419,7 @@ class PlaneElement:
         A numerator or denominator of more than ``MAX_DIGITS`` digits is
         refused: ``str`` could not write it.
         """
-        read = ((k, exact(c, "coefficient")) for k, c in terms.items())
-        return _element(_leaf({k: c for k, c in read if c != 0}))
+        return _element(_sum({k: exact(c, "coefficient") for k, c in terms.items()}))
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.terms)
@@ -423,10 +440,10 @@ class PlaneElement:
         return f"PlaneElement(terms={self.terms!r})"
 
     def __add__(self, other: "PlaneElement") -> "PlaneElement":
-        return PlaneElement.from_terms(_accumulate(self.to_dict(), other.to_dict()))
+        return _element(_sum(_accumulate(dict(self._expansion()), other._expansion())))
 
     def __sub__(self, other: "PlaneElement") -> "PlaneElement":
-        return PlaneElement.from_terms(_accumulate(self.to_dict(), other.to_dict(), -1))
+        return _element(_sum(_accumulate(dict(self._expansion()), other._expansion(), -1)))
 
     def __mul__(self, other: "PlaneElement") -> "PlaneElement":
         return _element(_product(self, other))
@@ -464,13 +481,30 @@ _ZERO, _X, _Y = PlaneElement(0, {}, {}), _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
 # :func:`_element` refuses at the end.  A product merges its operands'
 # factors and a power scales them, building no terms where the caps allow,
 # by the rules ``*`` and ``**`` run; a sum of two or more terms expands its
-# terms and is one factor.
+# terms and is one factor.  An atom "(" expr ")" whose text between the
+# parentheses was read before in this parse is the element kept for it.
+
+
+def _closing(text: str) -> dict[int, int]:
+    """The position of each "(" in ``text`` mapped to that of its matching
+    ")", in one pass; an unmatched "(" has none."""
+    closing, open_at = {}, []
+    for match in re.finditer(r"[()]", text):
+        if match.group() == "(":
+            open_at.append(match.start())
+        elif open_at:
+            closing[open_at.pop()] = match.start()
+    return closing
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, groups: dict[str, PlaneElement]):
         self.text = text
         self.pos = 0
+        #: The element of each parenthesized group parsed so far, by its
+        #: exact text between the parentheses, whitespace included.
+        self.groups = groups
+        self.closing = _closing(text)
 
     def peek(self) -> str:
         """The next character after any whitespace, which is skipped; "" at the end."""
@@ -509,7 +543,7 @@ class _Parser:
         while (ch := self.peek()) in ("+", "-"):
             self.take()
             _accumulate(terms, self.term()._expansion(), 1 if ch == "+" else -1)
-        return _leaf({k: c for k, c in terms.items() if c})
+        return _sum(terms)
 
     def term(self) -> PlaneElement:
         parsed = self.unary()
@@ -555,11 +589,17 @@ class _Parser:
             self.take()
             return _X if ch == "x" else _Y
         if ch == "(":
+            end = self.closing.get(self.pos)
+            key = None if end is None else self.text[self.pos + 1 : end]
+            if (parsed := self.groups.get(key)) is not None:
+                self.pos = end + 1
+                return parsed
             self.take()
             parsed = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.take()
+            self.groups[key] = parsed
             return parsed
         if "0" <= ch <= "9":
             value = self.natural("a numerator")
@@ -576,7 +616,7 @@ class _Parser:
         self.error(f"unexpected character {ch!r}")
 
 
-def parse_poly(text: str) -> PlaneElement:
+def parse_poly(text: str, *, _groups: dict[str, PlaneElement] | None = None) -> PlaneElement:
     """Parse polynomial text into a :class:`PlaneElement`, a constant times
     the factors of the product it was written as.
 
@@ -592,8 +632,13 @@ def parse_poly(text: str) -> PlaneElement:
     one whose expansion takes a multiplication above ``MAX_WORK`` raises,
     and so does a literal, or a coefficient of the element, of more than
     ``MAX_DIGITS`` digits.
+
+    Each distinct parenthesized group, keyed by its exact text between the
+    parentheses, whitespace included, is parsed once; ``_groups`` is the
+    memo of the scenario this line belongs to, else the call keeps its own.
+    Nothing carries over between two calls, or two scenarios.
     """
-    return _element(_Parser(text).parse())
+    return _element(_Parser(text, {} if _groups is None else _groups).parse())
 
 
 # -- blowup substitutions ---------------------------------------------------

@@ -137,10 +137,13 @@ def _parse_point_line(scenario_cluster: Cluster, value: str, lineno: int):
 class _SectionReader:
     """Accumulates the key=value lines of one section, then builds the object."""
 
-    def __init__(self, header: str, lineno: int):
+    def __init__(self, header: str, lineno: int, groups: dict[str, PlaneElement]):
         self.header = header
         self.lineno = lineno
         self.lines: list[tuple[int, str, str]] = []
+        #: The file's parenthesized polynomial groups parsed so far, shared
+        #: by all of its sections and kept for this one parse only.
+        self.groups = groups
 
     def single(self, key: str, required: bool = True) -> Optional[tuple[int, str]]:
         hits = [(no, v) for no, k, v in self.lines if k == key]
@@ -214,7 +217,7 @@ def _finish_element(sc: Scenario, reader: _SectionReader, name: str):
     reader.known_keys({"poly"})
     lineno, text = reader.single("poly")
     try:
-        sc.elements[name] = parse_poly(text)
+        sc.elements[name] = parse_poly(text, _groups=reader.groups)
     except ValueError as exc:
         raise ScenarioError(f"bad polynomial: {exc}", lineno) from None
 
@@ -323,10 +326,14 @@ _SECTIONS = {
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; errors carry line numbers."""
+    """Parse and validate scenario text; errors carry line numbers.
+
+    The ``poly =`` lines share one memo of parenthesized groups, kept for
+    this call only: each distinct group text is parsed once per scenario.
+    """
     sc = Scenario()
     reader: Optional[_SectionReader] = None
-    finish, names = None, ()
+    finish, names, groups = None, (), {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -350,7 +357,7 @@ def parse_scenario(text: str) -> Scenario:
             ):
                 raise ScenarioError(f"expected {shape}", lineno)
             names = [f for w, f in zip(words, fields) if w.isupper()]
-            reader = _SectionReader(header, lineno)
+            reader = _SectionReader(header, lineno, groups)
             continue
         if reader is None:
             raise ScenarioError(f"content outside any section: {line!r}", lineno)

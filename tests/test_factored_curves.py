@@ -111,6 +111,9 @@ def test_sum_and_difference_are_the_parsed_sum_and_difference(seed):
             continue
         got = op(f, g)
         assert got == expected and str(got) == str(expected), text
+        # the parser's sum rule: the same constant, factors, terms and count
+        assert got._constant == expected._constant and got._factors == expected._factors
+        assert got._raw == expected._raw and got._count == expected._count, text
         assert multiplicity_vector(cluster, got) == expanded_multiplicity_vector(cluster, got), text
     with pytest.raises(ValueError, match="^zero is not a plane element"):
         f - f

@@ -60,3 +60,18 @@ def test_family_functions_reach_realize_and_unload_through_globals(spans):
     # one per realized member, plus the two embedded members of the spot check
     assert summary["divisor.unload_calls"] == 4 + 3 + 1 + 2
     assert summary["divisor.envelope_calls"] == 1
+
+
+def test_scenario_elements_reach_parse_poly_through_globals(spans):
+    # the scenario's memo of parenthesized groups rides on parse_poly
+    # itself, so the tracer's ``curves.parse`` still times every line
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        scenario = parse_scenario(
+            "[element F]\npoly = (y^2 - x^3)*(y - x)\n\n[element G]\npoly = (y^2 - x^3)^2\n"
+        )
+    finally:
+        tracer.uninstall()
+    assert set(scenario.elements) == {"F", "G"}
+    assert tracer.summary()["curves.parse_calls"] == 2
