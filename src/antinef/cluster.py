@@ -32,7 +32,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -50,8 +49,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class _Record:
+    """A frozen record: a subclass lists its fields in ``_fields`` and sets them in
+    ``__init__`` by ``object.__setattr__``.  Equality, hashing, ``repr``, copies
+    and pickles go by the fields, and none can be assigned or deleted."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class PointRecord(_Record):
     """One point of the constellation.
 
     Stored: ``index``; ``parent`` (None for the origin); ``prox``, the sorted
@@ -64,10 +93,13 @@ class PointRecord:
     carrying the second proximity curve.
     """
 
-    index: int
-    parent: Optional[int]
-    prox: tuple[int, ...]
-    param: object = None  # Fraction | INFINITY | None; a satellite's is its position
+    __slots__ = _fields = ("index", "parent", "prox", "param")
+
+    def __init__(self, index: int, parent: Optional[int], prox: tuple[int, ...], param=None):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "prox", prox)
+        object.__setattr__(self, "param", param)
 
     @property
     def kind(self) -> str:
@@ -88,8 +120,7 @@ class PointRecord:
         return ("u" if self.param == INFINITY else "v") if len(self.prox) == 2 else None
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(_Record):
     """The symmetric form (E_i . E_j) in the strict-transform basis, as row tuples.
 
     Built afresh on each request.  The form is always -(P^T P), hence
@@ -97,7 +128,10 @@ class IntersectionForm:
     demand.  Iterating the form yields its rows.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -114,16 +148,18 @@ class IntersectionForm:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class TreeForm:
+class TreeForm(_Record):
     """The intersection form as a weighted tree.
 
     ``diag[i]`` is E_i . E_i; E_i . E_j is 1 when j is in ``nbrs[i]`` and 0
     for every other j != i.
     """
 
-    diag: tuple[int, ...]
-    nbrs: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("diag", "nbrs")
+
+    def __init__(self, diag: tuple[int, ...], nbrs: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "nbrs", nbrs)
 
 
 def _as_param(value):

@@ -62,12 +62,11 @@ the bound, and from the expansion where the bound is above the cap.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
-from .cluster import Cluster
+from .cluster import Cluster, _Record
 from .divisor import ExcDivisor, unload
 from .errors import CoordinateError, PolynomialSyntaxError
 from .rationals import INFINITY, MAX_DIGITS, check_digits, exact, integer
@@ -734,12 +733,14 @@ def multiplicity_vector(cluster: Cluster, f: PlaneElement) -> tuple[int, ...]:
     return tuple(sum(e * m[i] for m, e in walks) for i in range(len(cluster)))
 
 
-@dataclass(frozen=True)
-class ValuationVector:
+class ValuationVector(_Record):
     """Multiplicities m_i of the strict transforms of f; the values v_i(f) are derived."""
 
-    cluster: Cluster
-    multiplicities: tuple[int, ...]
+    _fields = ("cluster", "multiplicities")
+
+    def __init__(self, cluster: Cluster, multiplicities: tuple[int, ...]):
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "multiplicities", multiplicities)
 
     @cached_property
     def values(self) -> tuple[int, ...]:

@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .cluster import Cluster, TreeForm
+from .cluster import Cluster, TreeForm, _Record
 from .errors import ClusterStructureError
 from .rationals import exact, integer
 
@@ -60,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ExcDivisor:
+class ExcDivisor(_Record):
     """Exceptional divisor with exact rational coefficients.
 
     The coefficients are stored as integer numerators ``_nums`` over one
@@ -72,9 +70,7 @@ class ExcDivisor:
     built on its first read and kept.
     """
 
-    cluster: Cluster
-    _nums: tuple[int, ...]
-    _den: int
+    _fields = ("cluster", "_nums", "_den")
 
     def __init__(self, cluster: Cluster, coeffs):
         """Read each coefficient by ``exact``, one per curve."""
@@ -102,6 +98,9 @@ class ExcDivisor:
         object.__setattr__(out, "_nums", nums)
         object.__setattr__(out, "_den", den)
         return out
+
+    def __reduce__(self):
+        return ExcDivisor._of, self._key()
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -219,8 +218,7 @@ def is_antinef(d: ExcDivisor) -> bool:
     return all(s <= 0 for s in _pairings(d.cluster, d._nums))
 
 
-@dataclass(frozen=True)
-class CompleteIdealModel:
+class CompleteIdealModel(_Record):
     """An antinef integer divisor together with its numerical invariants.
 
     Models the complete ideal of sections vanishing along the divisor:
@@ -230,23 +228,21 @@ class CompleteIdealModel:
     ``unload(D).divisor - D``.
     """
 
-    divisor: ExcDivisor
-    degree_coeffs: tuple[int, ...]
-    multiplicity: int
+    __slots__ = _fields = ("divisor", "degree_coeffs", "multiplicity")
 
-    def __post_init__(self):
-        if any(d < 0 for d in self.degree_coeffs):
+    def __init__(self, divisor: ExcDivisor, degree_coeffs: tuple[int, ...], multiplicity: int):
+        if any(d < 0 for d in degree_coeffs):
             raise ValueError("divisor is not antinef")
-        coeffs = self.divisor._nums
-        if any(coeffs):
-            if any(c <= 0 for c in coeffs):
-                raise ValueError(
-                    "nonzero antinef divisor must have full positive support"
-                )
-            if self.multiplicity <= 0:
+        if any(divisor._nums):
+            if any(c <= 0 for c in divisor._nums):
+                raise ValueError("nonzero antinef divisor must have full positive support")
+            if multiplicity <= 0:
                 raise ValueError("nonzero antinef divisor must have positive self-pairing")
-        elif self.multiplicity != 0:
+        elif multiplicity != 0:
             raise ValueError("zero divisor must have zero multiplicity")
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "degree_coeffs", degree_coeffs)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     @property
     def rees_valuations(self) -> frozenset[int]:

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cluster import Cluster, new_cluster
+from .cluster import Cluster, _Record, new_cluster
 from .curves import PlaneElement, value_vector, _is_squarefree
 from .divisor import (
     CompleteIdealModel,
@@ -76,11 +75,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiltrationSpec:
+class FiltrationSpec(_Record):
     """A graded family: the member memo, and the protocol each kind overrides."""
 
-    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("_members",)
+
+    def __init__(self):
+        object.__setattr__(self, "_members", {})
 
     def build(self, n: int) -> CompleteIdealModel:
         """Member n as a new model; :func:`realize` is the one caller.
@@ -120,15 +121,16 @@ class FiltrationSpec:
         return model
 
 
-@dataclass(frozen=True)
 class QDivisorialSpec(FiltrationSpec):
     """Valuation-theoretic family on a fixed cluster: closure of ceil(n delta)."""
 
-    delta: ExcDivisor
+    _fields = ("delta",)
 
-    def __post_init__(self):
-        if not self.delta.is_effective():
+    def __init__(self, delta: ExcDivisor):
+        if not delta.is_effective():
             raise ValueError("the generating divisor must be effective")
+        super().__init__()
+        object.__setattr__(self, "delta", delta)
 
     @property
     def cluster(self) -> Cluster:
@@ -174,7 +176,6 @@ class QDivisorialSpec(FiltrationSpec):
         return tuple(range(self.cluster.n_curves))
 
 
-@dataclass(frozen=True)
 class Example42Spec(FiltrationSpec):
     """Growing star family: n free points on the first exceptional curve.
 
@@ -188,14 +189,15 @@ class Example42Spec(FiltrationSpec):
     self-intersection counts the later points.
     """
 
-    params: Optional[tuple[Fraction, ...]] = None
+    __slots__ = _fields = ("params",)
 
-    def __post_init__(self):
-        if self.params is not None:
-            params = tuple(Fraction(exact(p, "parameter")) for p in self.params)
-            object.__setattr__(self, "params", params)
-            if len(set(self.params)) != len(self.params):
+    def __init__(self, params: Optional[tuple[Fraction, ...]] = None):
+        if params is not None:
+            params = tuple(Fraction(exact(p, "parameter")) for p in params)
+            if len(set(params)) != len(params):
                 raise ValueError("point parameters must be pairwise distinct")
+        super().__init__()
+        object.__setattr__(self, "params", params)
 
     def param(self, i: int) -> Fraction:
         """Parameter of the i-th added point, 1-indexed."""
@@ -232,22 +234,23 @@ class Example42Spec(FiltrationSpec):
         return unload(divisor(cluster, coeffs + [0] * (cluster.n_curves - len(coeffs))))
 
 
-@dataclass(frozen=True)
 class ExplicitSpec(FiltrationSpec):
     """Explicit table n -> integer divisor; authors own the growth law."""
 
-    table: Mapping[int, ExcDivisor]
+    __slots__ = _fields = ("table",)
 
-    def __post_init__(self):
-        if not self.table:
+    def __init__(self, table: Mapping[int, ExcDivisor]):
+        if not table:
             raise ValueError("explicit filtration needs at least one entry")
-        for n, d in self.table.items():
+        for n, d in table.items():
             if not isinstance(d, ExcDivisor):
                 raise ValueError(
                     f"explicit table entry {n}: expected an ExcDivisor, got {type(d).__name__}"
                 )
             if not d.is_integral():
                 raise ValueError(f"explicit table entry {n}: divisor has non-integer coefficients")
+        super().__init__()
+        object.__setattr__(self, "table", table)
 
     def build(self, n: int) -> CompleteIdealModel:
         if n not in self.table:
@@ -286,8 +289,7 @@ def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
     return total.dominates(big)
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(_Record):
     """An exact sequence s(1..N) with its extrapolated limit.
 
     ``closed_form`` is set when the limit is known exactly; then
@@ -298,13 +300,20 @@ class LimitReport:
     limit, and ``rate_exponent`` is a floating diagnostic.
     """
 
-    values: tuple[Fraction, ...]
-    closed_form: Optional[Fraction]
-    last: Fraction
-    richardson: Optional[Fraction]
-    rate_exponent: Optional[float]
-    envelope_constant: Optional[Fraction] = None
-    monotone_from: Optional[int] = None
+    __slots__ = _fields = ("values", "closed_form", "last", "richardson", "rate_exponent",
+                           "envelope_constant", "monotone_from")
+
+    def __init__(self, values: tuple[Fraction, ...], closed_form: Optional[Fraction],
+                 last: Fraction, richardson: Optional[Fraction], rate_exponent: Optional[float],
+                 envelope_constant: Optional[Fraction] = None,
+                 monotone_from: Optional[int] = None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "last", last)
+        object.__setattr__(self, "richardson", richardson)
+        object.__setattr__(self, "rate_exponent", rate_exponent)
+        object.__setattr__(self, "envelope_constant", envelope_constant)
+        object.__setattr__(self, "monotone_from", monotone_from)
 
     def limit_estimate(self) -> Fraction:
         if self.closed_form is not None:
@@ -390,14 +399,17 @@ def degree_limit(spec: FiltrationSpec, label, nmax: int) -> LimitReport:
     return _make_report(values, closed)
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(_Record):
     """Limit of summed degree contributions versus sum of the limits."""
 
-    lim_of_sums: LimitReport
-    sum_of_lims: Fraction
-    commute: bool
-    sum_is_estimate: bool = False
+    __slots__ = _fields = ("lim_of_sums", "sum_of_lims", "commute", "sum_is_estimate")
+
+    def __init__(self, lim_of_sums: LimitReport, sum_of_lims: Fraction, commute: bool,
+                 sum_is_estimate: bool = False):
+        object.__setattr__(self, "lim_of_sums", lim_of_sums)
+        object.__setattr__(self, "sum_of_lims", sum_of_lims)
+        object.__setattr__(self, "commute", commute)
+        object.__setattr__(self, "sum_is_estimate", sum_is_estimate)
 
 
 def commutation_report(spec: FiltrationSpec, f: PlaneElement, nmax: int) -> CommutationReport:
@@ -449,17 +461,19 @@ def commutation_report(spec: FiltrationSpec, f: PlaneElement, nmax: int) -> Comm
     )
 
 
-@dataclass(frozen=True)
-class ReesUnionReport:
+class ReesUnionReport(_Record):
     """Per-index Rees valuation supports, their union, and a stability flag.
 
     ``stabilized`` only says the running union did not grow over the last
     quarter of the sweep; it is a heuristic, not a verdict.
     """
 
-    per_n: tuple[frozenset[int], ...]
-    union: frozenset[int]
-    stabilized: bool
+    __slots__ = _fields = ("per_n", "union", "stabilized")
+
+    def __init__(self, per_n: tuple[frozenset[int], ...], union: frozenset[int], stabilized: bool):
+        object.__setattr__(self, "per_n", per_n)
+        object.__setattr__(self, "union", union)
+        object.__setattr__(self, "stabilized", stabilized)
 
 
 def rees_union(spec: FiltrationSpec, nmax: int) -> ReesUnionReport:

@@ -9,7 +9,6 @@ references must be defined earlier in the file.  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
@@ -56,28 +55,42 @@ TASK_KINDS = MappingProxyType(
 )
 
 
-@dataclass
 class Task:
-    kind: str
-    cluster: Optional[Cluster] = None
-    divisor: Optional[ExcDivisor] = None
-    element: Optional[PlaneElement] = None
-    element_name: Optional[str] = None
-    filtration: Optional[FiltrationSpec] = None
-    filtration_name: Optional[str] = None
-    cluster_name: Optional[str] = None
-    divisor_name: Optional[str] = None
-    nmax: Optional[int] = None
-    labels: Optional[tuple[int, ...]] = None
+    """One task: its kind, the objects it takes and their names, and its options."""
+
+    __slots__ = ("kind", "cluster", "divisor", "element", "element_name", "filtration",
+                 "filtration_name", "cluster_name", "divisor_name", "nmax", "labels")
+
+    def __init__(self, kind: str, cluster: Optional[Cluster] = None,
+                 divisor: Optional[ExcDivisor] = None, element: Optional[PlaneElement] = None,
+                 element_name: Optional[str] = None, filtration: Optional[FiltrationSpec] = None,
+                 filtration_name: Optional[str] = None, cluster_name: Optional[str] = None,
+                 divisor_name: Optional[str] = None, nmax: Optional[int] = None,
+                 labels: Optional[tuple[int, ...]] = None):
+        self.kind = kind
+        self.cluster = cluster
+        self.divisor = divisor
+        self.element = element
+        self.element_name = element_name
+        self.filtration = filtration
+        self.filtration_name = filtration_name
+        self.cluster_name = cluster_name
+        self.divisor_name = divisor_name
+        self.nmax = nmax
+        self.labels = labels
 
 
-@dataclass
 class Scenario:
-    clusters: dict[str, Cluster] = field(default_factory=dict)
-    divisors: dict[str, ExcDivisor] = field(default_factory=dict)
-    elements: dict[str, PlaneElement] = field(default_factory=dict)
-    filtrations: dict[str, FiltrationSpec] = field(default_factory=dict)
-    tasks: list[Task] = field(default_factory=list)
+    """The named objects of a scenario file, each kind in its own dict, and its tasks."""
+
+    __slots__ = ("clusters", "divisors", "elements", "filtrations", "tasks")
+
+    def __init__(self):
+        self.clusters: dict[str, Cluster] = {}
+        self.divisors: dict[str, ExcDivisor] = {}
+        self.elements: dict[str, PlaneElement] = {}
+        self.filtrations: dict[str, FiltrationSpec] = {}
+        self.tasks: list[Task] = []
 
 
 def _split_kv(line: str, lineno: int) -> tuple[str, str]:

@@ -1,6 +1,6 @@
 """Lattice core: proximity, intersection forms, value/multiplicity duality."""
 
-import dataclasses
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -284,10 +284,19 @@ class TestDerivedFields:
     and crossing_axis are derived, and must equal the insert-time rules."""
 
     def test_stored_fields(self):
-        names = [f.name for f in dataclasses.fields(PointRecord)]
-        assert names == ["index", "parent", "prox", "param"]
-        names = [f.name for f in dataclasses.fields(ValuationVector)]
-        assert names == ["cluster", "multiplicities"]
+        # the declared fields are the constructor's parameters and all an
+        # instance stores: a record has slots only, and a valuation vector
+        # holds nothing else until its values are first read
+        c = cusp_cluster()
+        names = ["index", "parent", "prox", "param"]
+        assert list(PointRecord.__slots__) == list(PointRecord._fields) == names
+        assert list(inspect.signature(PointRecord).parameters) == names
+        assert not hasattr(c.point(2), "__dict__")
+        names = ["cluster", "multiplicities"]
+        vv = ValuationVector(c, (1, 1, 1))
+        assert list(ValuationVector._fields) == names
+        assert list(inspect.signature(ValuationVector).parameters) == names
+        assert list(vars(vv)) == names
 
     def test_derived_fields_match_the_replayed_inserts(self):
         rng = random.Random(20261018)

@@ -37,7 +37,7 @@ from antinef import (
 )
 from antinef import curves
 from antinef.cli import main
-from antinef.curves import MAX_BOX
+from antinef.curves import MAX_BOX, MAX_WORK
 from antinef.selfcheck import random_integer_divisor
 from helpers import random_branch, random_coordinatized_cluster
 from oracles import expanded_multiplicity_vector
@@ -119,6 +119,14 @@ def test_sum_and_difference_are_the_parsed_sum_and_difference(seed):
         f - f
 
 
+def _within_work(f, g) -> bool:
+    """Whether multiplying out f * g and f^3 stays under the work cap, read
+    from the numbers of terms: no multiplication of f^3 takes more than
+    len(f) * len(f^2) <= len(f)^3 coefficient products."""
+    n = len(f.terms)
+    return n * len(g.terms) <= MAX_WORK and n**3 <= MAX_WORK
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_degree_function_adds_over_products_and_powers(seed):
@@ -126,10 +134,25 @@ def test_degree_function_adds_over_products_and_powers(seed):
     rng = random.Random(seed)
     cluster = random_coordinatized_cluster(rng, max_points=10)
     d = random_integer_divisor(rng, cluster, 0, 6)
-    f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
+    while True:  # a product the work cap refuses has no degree to check
+        f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
+        if _within_work(f, g):
+            break
     e = rng.randint(2, 3)
     assert degree_function(d, f * g) == degree_function(d, f) + degree_function(d, g)
     assert degree_function(d, f**e) == e * degree_function(d, f)
+
+
+def test_the_work_cap_refuses_a_drawn_cube():
+    # this seed drew an f of 838 terms, whose cube the work cap refuses;
+    # the Rees test above now draws again instead
+    rng = random.Random(52117823)
+    cluster = random_coordinatized_cluster(rng, max_points=10)
+    random_integer_divisor(rng, cluster, 0, 6)
+    f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
+    assert len(f.terms) == 838 and not _within_work(f, g)
+    with pytest.raises(ValueError, match=f"^multiplication work [0-9]+ exceeds the work cap {MAX_WORK}$"):
+        f**3
 
 
 def test_random_products_reach_deep_points_through_several_factors():
