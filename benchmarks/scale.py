@@ -6,6 +6,7 @@ Usage, from the root of a checkout::
         --src src --column change --out BENCH.json
     python3 benchmarks/scale.py --ladder parse --ladder value_vector \
         --src ../parent/src --column parent --src src --column change --out BENCH.json
+    python3 benchmarks/scale.py --ladder unload --repeats 11 --out BENCH.json
     python3 benchmarks/scale.py --quick --out quick.json
 
 The ladders (``LADDERS``):
@@ -56,7 +57,9 @@ checkout's ``git describe``, the Python version and the median kernel time.
 
 ``--out`` is merged: the named columns of each ladder run are written, and
 everything else already in the file is kept.  ``--ladder`` runs only the
-named ladders.
+named ladders.  ``--repeats`` sets the repeats per rung (default 5, 3 with
+``--quick``): a rung of a few milliseconds needs more than five to show a
+10% change.
 """
 
 from __future__ import annotations
@@ -228,6 +231,9 @@ def main(argv=None) -> int:
     parser.add_argument("--ladder", action="append", choices=sorted(LADDERS),
                         help="a ladder to run; repeat it for more (default: all)")
     parser.add_argument("--out", required=True, help="JSON file to write or merge into")
+    parser.add_argument("--repeats", type=int,
+                        help=f"repeats per rung, at least 2 (default: {REPEATS}, "
+                             f"{QUICK_REPEATS} with --quick)")
     parser.add_argument("--quick", action="store_true",
                         help=f"only the two quick rungs of each ladder, {QUICK_REPEATS} repeats, "
                              f"one kernel timing per rung: under 10 s for one column")
@@ -236,6 +242,9 @@ def main(argv=None) -> int:
     names = args.column or ["change"]
     if len(names) != len(srcs) or len(set(names)) != len(names):
         parser.error("give one distinct --column per --src")
+    repeats = (QUICK_REPEATS if args.quick else REPEATS) if args.repeats is None else args.repeats
+    if repeats < 2:
+        parser.error("--repeats must be at least 2, for the quartiles")
 
     data = {}
     if os.path.exists(args.out):
@@ -248,7 +257,7 @@ def main(argv=None) -> int:
     for name in args.ladder or LADDERS:
         what, rungs, quick_rungs = LADDERS[name]
         columns = ladder(srcs, name, quick_rungs if args.quick else rungs,
-                         QUICK_REPEATS if args.quick else REPEATS, CAP_SECONDS,
+                         repeats, CAP_SECONDS,
                          QUICK_KERNELS if args.quick else KERNELS)
         entry = data.setdefault("ladders", {}).setdefault(name, {})
         entry["what"] = what

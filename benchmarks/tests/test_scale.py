@@ -135,6 +135,38 @@ def test_quick_run_of_two_trees_writes_both_columns(tmp_path):
     assert proc.returncode == 2 and "one distinct --column per --src" in proc.stderr
 
 
+def test_repeats_sets_the_repeats_per_rung(tmp_path, monkeypatch):
+    out = tmp_path / "bench.json"
+    calls = _stubbed(monkeypatch, lambda src, n: n / 100)
+    assert scale.main(["--ladder", "parse", "--repeats", "7", "--out", str(out),
+                       "--src", "P", "--column", "parent", "--src", "C", "--column", "change"]) == 0
+    columns = json.loads(out.read_text())["ladders"]["parse"]["columns"]
+    for column in columns.values():
+        assert [(r["n"], r["repeats"]) for r in column["rungs"]] == [
+            (n, 7) for n in scale.LADDERS["parse"][1]]
+    runs = [c for c in calls if c != "kernel"]
+    assert len(runs) == 2 * 7 * len(scale.LADDERS["parse"][1])
+    assert scale.main(["--ladder", "parse", "--out", str(out)]) == 0
+    rungs = json.loads(out.read_text())["ladders"]["parse"]["columns"]["change"]["rungs"]
+    assert [r["repeats"] for r in rungs] == [scale.REPEATS] * len(rungs) == [5] * len(rungs)
+    # --quick keeps its own default unless --repeats is given
+    calls.clear()
+    assert scale.main(["--quick", "--ladder", "unload", "--repeats", "4", "--out", str(out)]) == 0
+    rungs = json.loads(out.read_text())["ladders"]["unload"]["columns"]["change"]["rungs"]
+    assert [r["repeats"] for r in rungs] == [4, 4]
+    calls.clear()
+    assert scale.main(["--quick", "--ladder", "unload", "--out", str(out)]) == 0
+    rungs = json.loads(out.read_text())["ladders"]["unload"]["columns"]["change"]["rungs"]
+    assert [r["repeats"] for r in rungs] == [scale.QUICK_REPEATS] * 2
+    # the quartiles need two repeats
+    for few in ("1", "0"):
+        proc = subprocess.run(
+            [sys.executable, SCRIPT, "--repeats", few, "--out", str(out)],
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 2 and "--repeats must be at least 2" in proc.stderr
+
+
 def test_qdivisorial_ladder_prints_the_sequence():
     assert scale.LADDERS["qdivisorial"][1:] == ((100, 200, 400), (100, 200))
     proc = subprocess.run(

@@ -18,9 +18,9 @@ Conventions
 * The form is a weighted tree with unit edges: E_i . E_j is 0 or 1 off the
   diagonal, and the pairs with 1 form a tree on the n curves (the dual
   graph of the resolution).  :meth:`Cluster.tree_form` stores it as its
-  diagonal plus neighbour lists, built in O(n); every divisor computation
-  runs on that.  :meth:`Cluster.intersection_matrix` expands it to a dense
-  matrix for output and tests only.
+  diagonal, neighbour lists and edge list, built in O(n); every divisor
+  computation runs on that.  :meth:`Cluster.intersection_matrix` expands
+  it to a dense matrix for output and tests only.
 * Free points may carry a parameter t in Q or ``inf`` locating them on the
   parent's exceptional line.  The blowup charts are fixed: a finite t maps
   parent coordinates (U, V) to (u, u(t + v)), and t = inf maps them to
@@ -152,14 +152,18 @@ class TreeForm(_Record):
     """The intersection form as a weighted tree.
 
     ``diag[i]`` is E_i . E_i; E_i . E_j is 1 when j is in ``nbrs[i]`` and 0
-    for every other j != i.
+    for every other j != i.  ``edges``, derived from ``nbrs``, lists each
+    such pair once, as (i, j) with i < j, in the order of ``nbrs``.
     """
 
-    __slots__ = _fields = ("diag", "nbrs")
+    __slots__ = ("diag", "nbrs", "edges")
+    _fields = ("diag", "nbrs")
 
     def __init__(self, diag: tuple[int, ...], nbrs: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "nbrs", nbrs)
+        object.__setattr__(self, "edges", tuple(
+            [(i, j) for i, ns in enumerate(nbrs) for j in ns if i < j]))
 
 
 def _as_param(value):

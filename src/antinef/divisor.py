@@ -200,22 +200,26 @@ def divisor(cluster: Cluster, coeffs) -> ExcDivisor:
 def intersect(d1: ExcDivisor, d2: ExcDivisor) -> Fraction:
     """Exact intersection product D1 . D2."""
     d1._check_same(d2)
-    pair = _pairings(d1.cluster, d2._nums)
+    pair = _pairings(d1.cluster.tree_form(), d2._nums)
     return Fraction(sum(a * s for a, s in zip(d1._nums, pair) if a), d1._den * d2._den)
 
 
-def _pairings(cluster: Cluster, coeffs: Sequence) -> list:
-    """All products (D . E_i), one pass over the tree form: O(n)."""
-    form = cluster.tree_form()
-    return [
-        d * coeffs[i] + sum(coeffs[j] for j in nbrs)
-        for i, (d, nbrs) in enumerate(zip(form.diag, form.nbrs))
-    ]
+def _pairings(form: TreeForm, coeffs: Sequence) -> list:
+    """All products (D . E_i), one pass over the form's edges: O(n).
+
+    Starts from the self-intersections m_ii c_i, then adds c_j to curve i
+    and c_i to curve j for each edge (i, j).
+    """
+    pair = [d * c for d, c in zip(form.diag, coeffs)]
+    for i, j in form.edges:
+        pair[i] += coeffs[j]
+        pair[j] += coeffs[i]
+    return pair
 
 
 def is_antinef(d: ExcDivisor) -> bool:
     """True iff (D . E_i) <= 0 for every exceptional curve."""
-    return all(s <= 0 for s in _pairings(d.cluster, d._nums))
+    return all(s <= 0 for s in _pairings(d.cluster.tree_form(), d._nums))
 
 
 class CompleteIdealModel(_Record):
@@ -333,12 +337,12 @@ def unload(
     cluster = d.cluster
     form = cluster.tree_form()
     coeffs = list(d.as_integers())
-    pair = _pairings(cluster, coeffs)
+    pair = _pairings(form, coeffs)
     if not _raise(form, coeffs, pair, select, _WARM_START_STEPS * len(coeffs)):
         positive = ExcDivisor._of(cluster, tuple(max(c, 0) for c in d._nums))
         ceiling = nef_envelope(positive).ceil().as_integers()
         coeffs = [max(c, e) for c, e in zip(coeffs, ceiling)]
-        pair = _pairings(cluster, coeffs)
+        pair = _pairings(form, coeffs)
         _raise(form, coeffs, pair, select)
     return _model(cluster, coeffs, pair)
 
@@ -438,7 +442,7 @@ def nef_envelope(delta: ExcDivisor) -> ExcDivisor:
     active = {i for i, c in enumerate(nums) if c == 0}
     while True:
         coeffs, den = _solve_active(form, nums, active)
-        pair = _pairings(cluster, coeffs)
+        pair = _pairings(form, coeffs)
         violated = [i for i, s in enumerate(pair) if s > 0 and i not in active]
         if not violated:
             break

@@ -14,12 +14,12 @@ empirical rate exponent), and never ask which kind they hold.
   cut out by an effective rational divisor: member n is the antinef
   closure of ceil(n * delta), unloaded from ceil(n * env), where env is
   the nef envelope of delta.
-* ``Example42Spec`` - the built-in growing family: member n lives on a
-  cluster with n free points on the first exceptional curve and is the
-  antinef divisor (2n+1, 2n+2, ..., 2n+2).  Its limit of summed degree
-  contributions is twice the order of the test element while the sum of
-  the individual limits is the order itself, so the two operations do
-  not commute.
+* ``Example42Spec`` - the built-in growing family: member n is the
+  antinef divisor (2n+1, 2n+2, ..., 2n+2) on a star of n free points on
+  the first exceptional curve, or its pull-back to any larger star.  Its
+  limit of summed degree contributions is twice the order of the test
+  element while the sum of the individual limits is the order itself, so
+  the two operations do not commute.
 * ``ExplicitSpec`` - a user-supplied table n -> integer divisor, on any
   cluster; no closed forms, estimates only.
 
@@ -28,12 +28,14 @@ the cluster it lives on.  One sweep per family: :meth:`FiltrationSpec.member`
 memoizes, so member n is realized (through :func:`realize`) at most once per
 spec and is shared by every task and label that reads the family; a
 ``QDivisorialSpec`` likewise computes its nef envelope and closed degrees
-once, and an ``Example42Spec`` grows member n's cluster from a copy of
-member n-1's, so a sweep to N inserts N points, not N(N+1)/2.  The memo
-lives exactly as long as the spec object, so nothing carries over between
-scenario parses or CLI runs.  It assumes that a spec, its table and its
-clusters are not mutated after the first sweep.  :func:`realize` itself is
-not cached: every call returns a new member.
+once.  A sweep first tells the spec how far it goes
+(:meth:`FiltrationSpec.reserve`): an ``Example42Spec`` builds one star of N
+points there and realizes every member of the sweep on it, so a sweep to N
+inserts N points and builds one tree form.  The memo lives exactly as long
+as the spec object, so nothing carries over between scenario parses or CLI
+runs.  It assumes that a spec, its table and its clusters are not mutated
+after the first sweep.  :func:`realize` itself is not cached: every call
+returns a new member.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .divisor import (
     CompleteIdealModel,
     ExcDivisor,
     _pairings,
-    divisor,
     nef_envelope,
     intersect,
     unload,
@@ -90,6 +91,13 @@ class FiltrationSpec(_Record):
         :meth:`member` for one: that would recurse once per missing index.
         """
         raise NotImplementedError
+
+    def reserve(self, nmax: int) -> None:
+        """Told by a sweep, before its first member, that it goes to ``nmax``.
+
+        Nothing to do here; a kind whose members can share one cluster
+        builds it now.
+        """
 
     def member(self, n: int) -> CompleteIdealModel:
         """Member n, realized on the first request only."""
@@ -145,7 +153,8 @@ class QDivisorialSpec(FiltrationSpec):
     def closed_degrees(self) -> tuple[Fraction, ...]:
         """Every -(envelope . E_v), from one pass over the form."""
         env = self.envelope
-        return tuple(Fraction(-s, env._den) for s in _pairings(self.cluster, env._nums))
+        pair = _pairings(self.cluster.tree_form(), env._nums)
+        return tuple(Fraction(-s, env._den) for s in pair)
 
     def build(self, n: int) -> CompleteIdealModel:
         """closure(ceil(n delta)), unloaded from ceil(n env) with env the envelope.
@@ -183,13 +192,15 @@ class Example42Spec(FiltrationSpec):
     i - 1 (any pairwise distinct choice works).  A finite tuple caps the
     realizable index.
 
-    Member n's cluster is a copy of the memoized member n-1's plus point n,
-    or a new star when member n-1 is not memoized.  Each member keeps its
-    own ``Cluster``: divisors compare clusters by identity, and E_0's
-    self-intersection counts the later points.
+    Members share one star: a sweep to N builds the star of N points once
+    (:meth:`reserve`), and member n is its divisor pulled back to that star
+    (:meth:`embed`).  A later sweep, or a :func:`realize`, that needs more
+    points builds a new, larger star; members realized earlier stay on the
+    star they were realized on.
     """
 
-    __slots__ = _fields = ("params",)
+    __slots__ = ("params", "_star")
+    _fields = ("params",)
 
     def __init__(self, params: Optional[tuple[Fraction, ...]] = None):
         if params is not None:
@@ -198,6 +209,7 @@ class Example42Spec(FiltrationSpec):
                 raise ValueError("point parameters must be pairwise distinct")
         super().__init__()
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_star", new_cluster())
 
     def param(self, i: int) -> Fraction:
         """Parameter of the i-th added point, 1-indexed."""
@@ -209,12 +221,17 @@ class Example42Spec(FiltrationSpec):
             )
         return self.params[i - 1]
 
+    def reserve(self, nmax: int) -> None:
+        """Build the star of ``nmax`` points, unless the kept one has as many."""
+        if len(self._star) <= nmax:
+            star = new_cluster()
+            for i in range(1, nmax + 1):
+                star.add_free_point(0, self.param(i))
+            object.__setattr__(self, "_star", star)
+
     def build(self, n: int) -> CompleteIdealModel:
-        previous = self._members.get(n - 1)
-        cluster = new_cluster() if previous is None else previous.divisor.cluster.copy()
-        for i in range(len(cluster), n + 1):
-            cluster.add_free_point(0, self.param(i))
-        return self.embed(n, cluster)
+        self.reserve(n)
+        return self.embed(n, self._star)
 
     def closed_multiplicity(self) -> Fraction:
         return Fraction(4)
@@ -226,12 +243,26 @@ class Example42Spec(FiltrationSpec):
         return Fraction(2 * vv[0])
 
     def embed(self, k: int, cluster: Cluster) -> CompleteIdealModel:
-        """Closure of (2k+1, 2k+2, ..., 2k+2) zero-padded to ``cluster``.
+        """I_k on a star of N >= k free points: its divisor pulled back there.
 
-        On the cluster of any member n >= k this is the complete ideal I_k.
+        On the star of k points I_k is (2k+1, 2k+2, ..., 2k+2), which is
+        antinef.  Blowing up a point that is not a base point of an ideal
+        leaves the ideal as it is (Lipman 1969), so on a star of N points
+        I_k's divisor is the pull-back (2k+1, 2k+2 k times, 2k+1 on each of
+        the N - k further points).  That is antinef, with pairings 0 on the
+        further curves, so :func:`unload` makes no raise step; the closure
+        of the zero-padded divisor is the same, after one raise step per
+        further curve.
         """
-        coeffs = [2 * k + 1] + [2 * k + 2] * k
-        return unload(divisor(cluster, coeffs + [0] * (cluster.n_curves - len(coeffs))))
+        points = len(cluster)
+        if not 0 <= k < points:
+            raise ValueError(f"example42 member {k} needs a star of at least {k + 1} points, "
+                             f"origin included; the cluster has {points}")
+        if len(cluster.children(0)) != points - 1:
+            raise ValueError(f"example42 member {k} needs a star, but not every point of "
+                             f"the cluster is on curve 0")
+        tail = (2 * k + 1,) * (points - 1 - k)
+        return unload(ExcDivisor._of(cluster, (2 * k + 1,) + (2 * k + 2,) * k + tail))
 
 
 class ExplicitSpec(FiltrationSpec):
@@ -267,7 +298,8 @@ def realize(spec: FiltrationSpec, n: int) -> CompleteIdealModel:
 
     Every call returns a new model; the family functions share members
     through :meth:`FiltrationSpec.member` instead.  An ``Example42Spec``
-    grows the new cluster from a copy of the memoized member n-1's.
+    realizes it on the spec's star, which it first replaces by a star of n
+    points if the kept one has fewer.
     """
     if integer(n, "family index n") < 1:
         raise ValueError("family index must be >= 1")
@@ -364,6 +396,7 @@ def _sweep(spec: FiltrationSpec, nmax: int) -> list[CompleteIdealModel]:
     """Models for n = 1..nmax, in index order, shared through the spec's memo."""
     if integer(nmax, "nmax") < 1:
         raise ValueError("nmax must be >= 1")
+    spec.reserve(nmax)
     return [spec.member(n) for n in range(1, nmax + 1)]
 
 

@@ -5,8 +5,10 @@ every shared member equal to an independent build, pin how often
 ``realize``, ``nef_envelope`` and ``add_free_point`` run, and check that the
 constant-time insertion bookkeeping in ``Cluster`` still rejects what the
 old sibling scan rejected.  The independent build is a fresh ``realize`` for
-the kinds on fixed clusters.  An example42 ``realize`` grows its cluster
-from the memoized member n-1, so there the test builds each star itself.
+the kinds on fixed clusters.  The members of one example42 sweep share one
+star, so there the test builds each member's own star of n points itself
+and compares what is intrinsic to the ideal: e, the degree coefficients and
+the Rees set.
 """
 
 import importlib
@@ -50,15 +52,14 @@ divisor_module = importlib.import_module("antinef.divisor")
 NMAX = 16
 
 
-def assert_shared_members_match_fresh(spec, nmax=NMAX, fresh_member=None):
-    """Sweep through the family functions, then compare every member with
-    ``fresh_member(n)``, by default a fresh ``realize``."""
-    fresh_member = fresh_member or (lambda n: realize(spec, n))
+def assert_shared_members_match_fresh(spec, nmax=NMAX):
+    """Sweep through the family functions, then compare every member with a
+    fresh ``realize``."""
     mult = multiplicity_sequence(spec, nmax)
     deg0 = degree_limit(spec, 0, nmax)
     rees = rees_union(spec, nmax)
     for n in range(1, nmax + 1):
-        shared, fresh = spec.member(n), fresh_member(n)
+        shared, fresh = spec.member(n), realize(spec, n)
         shared_cluster, fresh_cluster = shared.divisor.cluster, fresh.divisor.cluster
         assert shared_cluster.tree_form() == fresh_cluster.tree_form()
         assert shared_cluster.points == fresh_cluster.points  # parent, prox and param
@@ -93,25 +94,159 @@ def star_member(params, n):
     return unload(divisor(cluster, [2 * n + 1] + [2 * n + 2] * n))
 
 
+def assert_members_match_own_stars(spec, params, nmax=NMAX):
+    """Sweep to ``nmax`` through the family functions, then compare each
+    member n with ``star_member(params, n)``, built on its own star of n
+    points: the same e and Rees set, the same degree coefficients with the
+    fresh ones zero-padded, and on the shared star the pull-back of the
+    fresh divisor, 2n+1 on every further point."""
+    mult = multiplicity_sequence(spec, nmax)
+    deg0 = degree_limit(spec, 0, nmax)
+    rees = rees_union(spec, nmax)
+    for n in range(1, nmax + 1):
+        shared, fresh = spec.member(n), star_member(params, n)
+        extra = shared.divisor.cluster.n_curves - fresh.divisor.cluster.n_curves
+        assert extra >= 0
+        assert shared.divisor.coeffs == fresh.divisor.coeffs + (2 * n + 1,) * extra
+        assert shared.degree_coeffs == fresh.degree_coeffs + (0,) * extra
+        assert shared.multiplicity == fresh.multiplicity
+        assert shared.rees_valuations == fresh.rees_valuations
+        assert mult.values[n - 1] == Fraction(fresh.multiplicity, n * n)
+        assert deg0.values[n - 1] == Fraction(fresh.degree_coeffs[0], n)
+        assert rees.per_n[n - 1] == fresh.rees_valuations
+
+
+def random_params(rng, count=NMAX):
+    params = set()
+    while len(params) < count:
+        params.add(Fraction(rng.randint(-40, 40), rng.choice([1, 2, 7, 11, 13, 49, 143])))
+    params = sorted(params)
+    rng.shuffle(params)
+    return params
+
+
 def test_example42_members_match_fresh_realize():
-    assert_shared_members_match_fresh(
-        Example42Spec(), fresh_member=lambda n: star_member([Fraction(i) for i in range(NMAX)], n)
-    )
+    """The members of one sweep share one star, and each is its own fresh
+    star's member there."""
     rng = random.Random(7)
-    for _ in range(5):
-        params = set()
-        while len(params) < NMAX:
-            params.add(Fraction(rng.randint(-40, 40), rng.choice([1, 2, 7, 11, 13, 49, 143])))
-        params = sorted(params)
-        rng.shuffle(params)
-        spec = Example42Spec(params=tuple(params))
-        assert_shared_members_match_fresh(spec, fresh_member=lambda n: star_member(params, n))
-        # each member keeps its own cluster; a realize on a new spec agrees
-        assert len({id(spec.member(n).divisor.cluster) for n in range(1, NMAX + 1)}) == NMAX
+    for spec, params in [(Example42Spec(), [Fraction(i) for i in range(NMAX)])] + [
+        (Example42Spec(params=tuple(params)), params)
+        for params in (random_params(rng) for _ in range(5))
+    ]:
+        assert_members_match_own_stars(spec, params)
+        [star] = {spec.member(n).divisor.cluster for n in range(1, NMAX + 1)}
+        assert star.points == star_member(params, NMAX).divisor.cluster.points
+        # a realize on a new spec lands on a star of its own, with the same member
         cold = realize(Example42Spec(params=tuple(params)), NMAX)
         warm = spec.member(NMAX)
-        assert cold.divisor.cluster.points == warm.divisor.cluster.points
+        assert cold.divisor.cluster is not star
+        assert cold.divisor.cluster.points == star.points
         assert cold.divisor.coeffs == warm.divisor.coeffs
+
+
+def test_example42_sweeps_at_5_then_40_on_one_spec(free_point_calls):
+    """A longer second sweep builds a new star for its new members; the
+    members of the first stay on the first star, and both sweeps read what
+    a new spec reads."""
+    params = random_params(random.Random(42), 40)
+    spec = Example42Spec(params=tuple(params))
+    multiplicity_sequence(spec, 5)
+    assert len(free_point_calls) == 5
+    degree_limit(spec, 1, 40)
+    assert len(free_point_calls) == 5 + 40
+    small, big = spec.member(1).divisor.cluster, spec.member(40).divisor.cluster
+    assert (len(small), len(big)) == (6, 41)
+    assert all(spec.member(n).divisor.cluster is small for n in range(1, 6))
+    assert all(spec.member(n).divisor.cluster is big for n in range(6, 41))
+    # a shorter sweep reuses the star it finds
+    free_point_calls.clear()
+    rees_union(spec, 17)
+    assert free_point_calls == []
+    assert_members_match_own_stars(spec, params, 40)
+    fresh = Example42Spec(params=tuple(params))
+    for nmax in (5, 40, 17):
+        assert multiplicity_sequence(spec, nmax) == multiplicity_sequence(fresh, nmax)
+        assert rees_union(spec, nmax) == rees_union(fresh, nmax)
+        for v in (0, 1, 5, 6, 40):
+            assert degree_limit(spec, v, nmax) == degree_limit(fresh, v, nmax)
+
+
+def test_example42_commutation_after_a_smaller_sweep():
+    """``commutation`` reads its valuations on the cluster of its last
+    member, here a star built for a longer or a shorter sweep; the report
+    is the one a new spec gives."""
+    f = parse_poly("y - 3*x")
+    for first, nmax in ((5, 12), (40, 10), (12, 12)):
+        spec = Example42Spec()
+        multiplicity_sequence(spec, first)
+        report = commutation_report(spec, f, nmax)
+        assert len(spec.member(nmax).divisor.cluster) == max(first, nmax) + 1
+        assert report == commutation_report(Example42Spec(), f, nmax)
+        assert report.lim_of_sums.closed_form == 2 and report.sum_of_lims == 1
+        assert not report.commute
+
+
+def test_example42_spot_check_on_a_shared_star(free_point_calls):
+    """After a sweep, the graded-law check embeds both members on the
+    sweep's star and inserts no point."""
+    spec = Example42Spec()
+    multiplicity_sequence(spec, 30)
+    star = spec.member(1).divisor.cluster
+    for n, m in [(1, 1), (1, 2), (2, 3), (5, 7), (10, 3), (15, 15), (1, 29)]:
+        assert spot_check_graded_law(spec, n, m)
+        total = spec.embed(n, star).divisor + spec.embed(m, star).divisor
+        assert spec.member(n + m).divisor.cluster is star
+        assert total.dominates(spec.member(n + m).divisor)
+    assert len(free_point_calls) == 30
+
+
+def _counting_unload(monkeypatch):
+    """Route the module's ``unload`` through a select that counts raise steps."""
+    steps = []
+    original = filtration.unload
+
+    def counting(d, select=None):
+        return original(d, lambda violated: steps.append(violated[0]) or violated[0])
+
+    monkeypatch.setattr(filtration, "unload", counting)
+    return steps
+
+
+def test_example42_embedding_is_the_closure_of_the_padded_divisor(monkeypatch):
+    """On stars of 1..60 points with random distinct parameters, member k's
+    pull-back is antinef (no raise step) and equals the closure of its
+    divisor zero-padded to the star, for every k < len(star)."""
+    rng = random.Random(2027)
+    steps = _counting_unload(monkeypatch)
+    for points in range(1, 61):
+        params = random_params(rng, points - 1)
+        spec = Example42Spec(params=tuple(params))
+        star = new_cluster()
+        for p in params:
+            star.add_free_point(0, p)
+        for k in range(points):
+            steps.clear()
+            model = spec.embed(k, star)
+            assert steps == []
+            padded = [2 * k + 1] + [2 * k + 2] * k + [0] * (points - 1 - k)
+            assert model == filtration.unload(divisor(star, padded))
+            # the count sees the raising that the padded divisor needs
+            assert len(steps) >= points - 1 - k
+
+
+def test_example42_embed_names_the_index_and_the_cluster():
+    spec = Example42Spec()
+    small = spec.member(3).divisor.cluster
+    assert len(small) == 4
+    with pytest.raises(ValueError, match=r"^example42 member 5 needs a star of at least 6 "
+                       r"points, origin included; the cluster has 4$"):
+        spec.embed(5, small)
+    with pytest.raises(ValueError, match="example42 member 4 .* the cluster has 4$"):
+        spec.embed(4, small)
+    assert spec.embed(3, small) == spec.member(3)
+    chain = chain_cluster(4)
+    with pytest.raises(ValueError, match="example42 member 2 needs a star, but not every"):
+        spec.embed(2, chain)
 
 
 def test_explicit_members_match_fresh_realize():
@@ -214,8 +349,8 @@ def test_explicit_commutation_realizes_each_member_once(realize_calls):
 
 def test_swept_members_live_on_the_clusters_the_sweep_built(monkeypatch):
     """A member's cluster is ``member(n).divisor.cluster``, by identity: the
-    spec's for qdivisorial, member n's own grown star for example42, and the
-    entry's for an explicit table."""
+    spec's for qdivisorial, the one star the sweep built for example42, and
+    the entry's for an explicit table."""
     qspec = QDivisorialSpec(delta=divisor(cusp_cluster(), [0, 0, 1]))
     multiplicity_sequence(qspec, 8)
     assert all(qspec.member(n).divisor.cluster is qspec.cluster for n in range(1, 9))
@@ -231,9 +366,9 @@ def test_swept_members_live_on_the_clusters_the_sweep_built(monkeypatch):
     espec = Example42Spec()
     multiplicity_sequence(espec, 8)
     assert len(grown) == 8
-    for n in range(1, 9):
-        assert espec.member(n).divisor.cluster is grown[n - 1]
-        assert len(grown[n - 1]) == n + 1
+    [star] = set(grown)
+    assert len(star) == 9
+    assert all(espec.member(n).divisor.cluster is star for n in range(1, 9))
 
     cusp, chain = cusp_cluster(), chain_cluster(4)
     clusters = {n: cusp if n % 2 else chain for n in range(1, 7)}

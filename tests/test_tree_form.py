@@ -17,7 +17,7 @@ from antinef.cluster import TreeForm
 from antinef.errors import ClusterStructureError
 from antinef.selfcheck import random_cluster, random_effective_divisor, random_integer_divisor
 from helpers import chain_cluster, star_cluster
-from oracles import cold_unload, dense_envelope, dense_form
+from oracles import cold_unload, dense_envelope, dense_form, fraction_pairings
 
 # the package's ``divisor`` function shadows the submodule's attribute name
 divisor_module = importlib.import_module("antinef.divisor")
@@ -114,6 +114,41 @@ def test_form_is_a_tree_with_unit_edges():
         assert sorted(tuple(sorted(e)) for e in edges) == sorted(
             (i, j) for i, nbrs in enumerate(form.nbrs) for j in nbrs if i < j
         )
+
+
+def _neighbour_pairs(form):
+    return {(min(i, j), max(i, j)) for i, nbrs in enumerate(form.nbrs) for j in nbrs}
+
+
+def test_edges_list_each_neighbour_pair_once():
+    for c in _tree_families():
+        form = c.tree_form()
+        assert all(i < j for i, j in form.edges)
+        assert len(form.edges) == len(set(form.edges)) == len(_neighbour_pairs(form))
+        assert set(form.edges) == _neighbour_pairs(form)
+    triangle = TreeForm(diag=(-3, -3, -3), nbrs=((1, 2), (0, 2), (0, 1)))
+    assert triangle.edges == ((0, 1), (0, 2), (1, 2))
+
+
+def test_pairings_from_edges_match_the_dense_form():
+    """``_pairings`` adds along the edge list; the oracle multiplies by the
+    dense -(P^T P), on clusters with satellites and on integer and rational
+    coefficients."""
+    rng = random.Random(2710)
+    for _ in range(CLUSTERS):
+        c = random_cluster(rng, max_points=rng.choice((5, 25, 60)), satellite_rate=0.5)
+        form = c.tree_form()
+        ints = [rng.randint(-10**6, 10**6) for _ in range(c.n_curves)]
+        rationals = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(c.n_curves)]
+        for coeffs in (ints, tuple(ints), rationals):
+            assert divisor_module._pairings(form, coeffs) == fraction_pairings(c, coeffs)
+    # a hand-built form with a cycle, which no cluster has: each of its
+    # three edges still adds once in each direction
+    triangle = TreeForm(diag=(-3, -3, -3), nbrs=((1, 2), (0, 2), (0, 1)))
+    dense = [[-3, 1, 1], [1, -3, 1], [1, 1, -3]]
+    for coeffs in ([1, 1, 1], [2, -5, 7], [0, 0, 4]):
+        expected = [sum(m * c for m, c in zip(row, coeffs)) for row in dense]
+        assert divisor_module._pairings(triangle, coeffs) == expected
 
 
 def test_leaf_elimination_refuses_a_cycle():
