@@ -28,7 +28,11 @@ The ladders (``LADDERS``):
   timer starts, on a fresh cluster;
 * ``parse`` - ``parse_scenario`` of the ``value_vector`` ladder's scenario
   for k in 4, 8, 16 and 24: the tree's point lines and the product of k
-  picks; the child prints the tree's size and the product's order.
+  picks; the child prints the tree's size and the product's order;
+* ``definite`` - ``is_negative_definite`` of the intersection matrix of the
+  ``unload`` ladder's seeded n-point cluster, n in 100, 200 and 400; the
+  matrix is built before the timer starts; the child prints its size and
+  the verdict.
 
 Each repeat of a rung runs ``scale_child.py`` in a fresh interpreter that
 imports the package from ``--src``.  Given two or more ``--src`` trees, one
@@ -117,6 +121,12 @@ LADDERS = {
         "(seed 1) and a product of k seeded picks from its four branch equations",
         (4, 8, 16, 24),
         (4, 16),  # k = 4 and 8 differ by less than their spread (BENCH_23.json)
+    ),
+    "definite": (
+        "is_negative_definite of the intersection matrix of the unload ladder's seeded "
+        "n-point cluster; the matrix is built outside the timed call",
+        (100, 200, 400),
+        (100, 200),
     ),
 }
 REPEATS, QUICK_REPEATS = 5, 3

@@ -25,6 +25,7 @@ from antinef import (
     ClusterStructureError,
     QDivisorialSpec,
     divisor,
+    is_negative_definite,
     multiplicity_sequence,
     nef_envelope,
     new_cluster,
@@ -138,6 +139,9 @@ def prepare(ladder: str, n: int):
             return 0
 
         return lambda: value_vector(cluster, f), show
+    if ladder == "definite":
+        form = seeded_cluster(n).intersection_matrix()
+        return lambda: is_negative_definite(form), lambda verdict: print(form.n, verdict) or 0
     d = seeded_divisor(n)
     if ladder == "unload":
         def show(model):

@@ -217,3 +217,14 @@ def test_parse_ladder_prints_the_tree_and_the_product_order():
     )
     assert proc.stdout.split() == [str(len(points) + 1), str(order)]
     assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0
+
+
+def test_definite_ladder_prints_the_verdict():
+    assert scale.LADDERS["definite"][1:] == ((100, 200, 400), (100, 200))
+    proc = subprocess.run(
+        [sys.executable, scale.CHILD, "definite", "30"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert proc.stdout.split() == ["30", "True"]
+    assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0

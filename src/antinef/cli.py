@@ -13,6 +13,7 @@ All exact values are serialized ``a/b``; floating diagnostics carry ``~``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
 
@@ -54,6 +55,12 @@ def _labels(indices) -> str:
 def _indexed(*columns):
     """Rows ``(i, c_0[i], c_1[i], ...)`` of equally long columns."""
     return ((i, *cells) for i, cells in enumerate(zip(*columns)))
+
+
+def _ratio(a: int, d: int) -> str:
+    """``str(Fraction(a, d))`` for d > 0, without building the Fraction."""
+    g = math.gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 def _limit_summary(report: flt.LimitReport) -> str:
@@ -129,10 +136,10 @@ def _nef_envelope(task: Task, nmax):
 
 def _multiplicity_limit(task: Task, nmax):
     report = flt.multiplicity_sequence(task.filtration, nmax)
-    closed = [] if report.closed_form is None else [report.closed_form]
+    closed = [] if report.closed_form is None else [format_rational(report.closed_form)]
     header = ["n", "e_In", "e_In_over_n2"] + ["closed_form"] * len(closed)
-    values = enumerate(report.values, start=1)
-    rows = ([n, value * n * n, value, *closed] for n, value in values)
+    nums = enumerate(report.numerators, start=1)
+    rows = ([n, e, _ratio(e, n * n), *closed] for n, e in nums)
     return _Table(header, rows), [_limit_summary(report)]
 
 
@@ -148,8 +155,8 @@ def _degree_limits(task: Task, nmax):
     for n in range(1, nmax + 1):
         row = [n]
         for report in reports:
-            value = report.values[n - 1]
-            row += [value * n, value]
+            d = report.numerators[n - 1]
+            row += [d, _ratio(d, n)]
         rows.append(row)
     summary = [f"# {_label(v)} " + _limit_summary(r)[2:] for v, r in zip(labels, reports)]
     return _Table(header, rows), summary
@@ -157,8 +164,8 @@ def _degree_limits(task: Task, nmax):
 
 def _commutation(task: Task, nmax):
     rep = flt.commutation_report(task.filtration, task.element, nmax)
-    values = enumerate(rep.lim_of_sums.values, start=1)
-    rows = ((n, value * n, value) for n, value in values)
+    sums = enumerate(rep.lim_of_sums.numerators, start=1)
+    rows = ((n, s, _ratio(s, n)) for n, s in sums)
     if rep.lim_of_sums.closed_form is not None:
         lim_part = format_rational(rep.lim_of_sums.closed_form)
     else:

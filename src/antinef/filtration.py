@@ -8,7 +8,10 @@ member n and gives its closed forms, the default labels of a
 ``degree_limits`` task and the embedding of the graded-law spot check.
 Where the theory gives no closed form a method returns ``None``; the family
 functions then report an estimate (last iterate, Richardson value and an
-empirical rate exponent), and never ask which kind they hold.
+empirical rate exponent), and never ask which kind they hold.  A report
+carries its sequence as integer numerators a_n over n^k, from the members'
+own integers to the printed cells; only its O(1) summary values are
+``Fraction``s.
 
 * ``QDivisorialSpec`` - the valuation-theoretic family on a fixed cluster
   cut out by an effective rational divisor: member n is the antinef
@@ -322,8 +325,10 @@ def spot_check_graded_law(spec: FiltrationSpec, n: int, m: int) -> bool:
 
 
 class LimitReport(_Record):
-    """An exact sequence s(1..N) with its extrapolated limit.
+    """An exact sequence s(n) = a_n / n^k, n = 1..N, with its extrapolated limit.
 
+    It stores the integers a_n as ``numerators`` and k as ``power`` (2 for
+    e(I_n)/n^2, 1 for degrees); ``values`` derives s(1..N) as Fractions.
     ``closed_form`` is set when the limit is known exactly; then
     ``envelope_constant`` C and ``monotone_from`` n0 are measured over 1..N,
     not certified beyond: |s(n) - L| <= C/n and is nonincreasing from n0 on.
@@ -332,20 +337,27 @@ class LimitReport(_Record):
     limit, and ``rate_exponent`` is a floating diagnostic.
     """
 
-    __slots__ = _fields = ("values", "closed_form", "last", "richardson", "rate_exponent",
-                           "envelope_constant", "monotone_from")
+    __slots__ = _fields = ("numerators", "power", "closed_form", "last", "richardson",
+                           "rate_exponent", "envelope_constant", "monotone_from")
 
-    def __init__(self, values: tuple[Fraction, ...], closed_form: Optional[Fraction],
+    def __init__(self, numerators: tuple[int, ...], power: int, closed_form: Optional[Fraction],
                  last: Fraction, richardson: Optional[Fraction], rate_exponent: Optional[float],
                  envelope_constant: Optional[Fraction] = None,
                  monotone_from: Optional[int] = None):
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "power", power)
         object.__setattr__(self, "closed_form", closed_form)
         object.__setattr__(self, "last", last)
         object.__setattr__(self, "richardson", richardson)
         object.__setattr__(self, "rate_exponent", rate_exponent)
         object.__setattr__(self, "envelope_constant", envelope_constant)
         object.__setattr__(self, "monotone_from", monotone_from)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """s(1..N) as exact rationals."""
+        k = self.power
+        return tuple(Fraction(a, n**k) for n, a in enumerate(self.numerators, start=1))
 
     def limit_estimate(self) -> Fraction:
         if self.closed_form is not None:
@@ -355,34 +367,44 @@ class LimitReport(_Record):
         return self.last
 
 
-def _make_report(values: Sequence[Fraction], closed_form: Optional[Fraction]) -> LimitReport:
-    values = tuple(values)
-    n = len(values)
-    last = values[-1]
+def _make_report(nums: Sequence[int], power: int, closed_form: Optional[Fraction]) -> LimitReport:
+    """The report of s(n) = nums[n-1] / n^power.  With L = p/q, |s(n) - L| is
+    dev_n / (q n^power), dev_n = |a_n q - p n^power|: the envelope and the
+    monotone tail compare integers, and only O(1) summary values are Fractions."""
+    nums = tuple(nums)
+    n = len(nums)
+
+    def value(k: int) -> Fraction:
+        return Fraction(nums[k - 1], k**power)
+
+    last = value(n)
     richardson = None
     if n >= 2:
-        richardson = n * values[-1] - (n - 1) * values[-2]
+        richardson = n * last - (n - 1) * value(n - 1)
     rate = None
     base = n // 4
     if base >= 1:
-        s1, s2, s3 = values[base - 1], values[2 * base - 1], values[4 * base - 1]
+        s1, s2, s3 = value(base), value(2 * base), value(4 * base)
         d1, d2 = s2 - s1, s3 - s2
         if d1 != 0 and d2 != 0 and abs(d2) < abs(d1):
             rate = math.log(abs(float(d1 / d2)), 2.0)
     envelope = None
     monotone_from = None
     if closed_form is not None:
-        devs = [abs(v - closed_form) for v in values]
-        envelope = max((i + 1) * dev for i, dev in enumerate(devs))
-        monotone_from = 1
-        for i in range(n - 1, 0, -1):
-            if devs[i] > devs[i - 1]:
-                monotone_from = i + 2
-                break
+        p, q = closed_form.numerator, closed_form.denominator
+        devs = [0] + [abs(a * q - p * k**power) for k, a in enumerate(nums, start=1)]
+        top, lower = 1, power - 1  # k |s(k) - L| = devs[k] / (q k^lower)
+        for k in range(2, n + 1):
+            if devs[k] * top**lower > devs[top] * k**lower:
+                top = k
+        envelope = Fraction(devs[top], q * top**lower)
+        rises = (k for k in range(n, 1, -1) if devs[k] * (k - 1) ** power > devs[k - 1] * k**power)
+        monotone_from = next(rises, 0) + 1
         if monotone_from > n:
             monotone_from = None
     return LimitReport(
-        values=values,
+        numerators=nums,
+        power=power,
         closed_form=closed_form,
         last=last,
         richardson=richardson,
@@ -403,8 +425,7 @@ def _sweep(spec: FiltrationSpec, nmax: int) -> list[CompleteIdealModel]:
 def multiplicity_sequence(spec: FiltrationSpec, nmax: int) -> LimitReport:
     """The sequence e(I_n)/n^2 with its limit, closed where the spec has one."""
     models = _sweep(spec, nmax)
-    values = [Fraction(model.multiplicity, n * n) for n, model in enumerate(models, start=1)]
-    return _make_report(values, spec.closed_multiplicity())
+    return _make_report([model.multiplicity for model in models], 2, spec.closed_multiplicity())
 
 
 def parse_label(label) -> int:
@@ -425,11 +446,8 @@ def degree_limit(spec: FiltrationSpec, label, nmax: int) -> LimitReport:
     v = parse_label(label)
     closed = spec.closed_degree(v)
     models = _sweep(spec, nmax)
-    values = []
-    for n, model in enumerate(models, start=1):
-        coeffs = model.degree_coeffs
-        values.append(Fraction(coeffs[v], n) if v < len(coeffs) else Fraction(0))
-    return _make_report(values, closed)
+    coeffs = [model.degree_coeffs for model in models]
+    return _make_report([d[v] if v < len(d) else 0 for d in coeffs], 1, closed)
 
 
 class CommutationReport(_Record):
@@ -464,8 +482,7 @@ def commutation_report(spec: FiltrationSpec, f: PlaneElement, nmax: int) -> Comm
     # One valuation computation on the largest realized cluster covers all
     # indices: values are intrinsic to the valuations.
     vv = value_vector(big_cluster, f).values
-    values = [Fraction(sum(a * c for a, c in zip(vv, model.degree_coeffs)), n)
-              for n, model in enumerate(models, start=1)]
+    sums = [sum(a * c for a, c in zip(vv, model.degree_coeffs)) for model in models]
 
     sum_of_lims = Fraction(0)
     sum_is_estimate = False
@@ -477,7 +494,7 @@ def commutation_report(spec: FiltrationSpec, f: PlaneElement, nmax: int) -> Comm
         sum_of_lims += vv[v] * limit
     closed = None if sum_is_estimate else spec.closed_sum_limit(vv, sum_of_lims)
 
-    report = _make_report(values, closed)
+    report = _make_report(sums, 1, closed)
     if closed is not None:
         commute = closed == sum_of_lims
     else:

@@ -41,6 +41,11 @@ package decided it before it read the factors.
 The intersection number of two plane curves at the origin, as the order in
 x of their resultant in y, through sympy: it needs no blowup chart, so it
 checks the charts' multiplicities by Noether's formula.
+
+A family's limit report on ``Fraction`` values: every s(n) a ``Fraction``,
+the deviations from the closed form and the envelope taken in ``Fraction``
+arithmetic, as the package reported a sequence before it carried the
+integer numerators a_n of s(n) = a_n / n^k.
 """
 
 import math
@@ -463,6 +468,47 @@ def fraction_solve_active(form, delta, active) -> list:
         for u in order[1:]:
             x[u] = (rhs[u] - x[parent[u]]) / pivot[u]
     return x
+
+
+# -- a family's limit report on Fraction values ------------------------------
+
+
+def fraction_make_report(values, closed_form) -> dict:
+    """The fields of a family's ``LimitReport`` from its values s(1..N)."""
+    values = tuple(values)
+    n = len(values)
+    last = values[-1]
+    richardson = None
+    if n >= 2:
+        richardson = n * values[-1] - (n - 1) * values[-2]
+    rate = None
+    base = n // 4
+    if base >= 1:
+        s1, s2, s3 = values[base - 1], values[2 * base - 1], values[4 * base - 1]
+        d1, d2 = s2 - s1, s3 - s2
+        if d1 != 0 and d2 != 0 and abs(d2) < abs(d1):
+            rate = math.log(abs(float(d1 / d2)), 2.0)
+    envelope = None
+    monotone_from = None
+    if closed_form is not None:
+        devs = [abs(v - closed_form) for v in values]
+        envelope = max((i + 1) * dev for i, dev in enumerate(devs))
+        monotone_from = 1
+        for i in range(n - 1, 0, -1):
+            if devs[i] > devs[i - 1]:
+                monotone_from = i + 2
+                break
+        if monotone_from > n:
+            monotone_from = None
+    return dict(
+        values=values,
+        closed_form=closed_form,
+        last=last,
+        richardson=richardson,
+        rate_exponent=rate,
+        envelope_constant=envelope,
+        monotone_from=monotone_from,
+    )
 
 
 # -- independent oracles ----------------------------------------------------

@@ -13,8 +13,10 @@ import contextlib
 import copy
 import io
 import math
+import os
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ import pytest
 from antinef import (
     ExcDivisor,
     Example42Spec,
+    degree_limit,
     divisor,
     intersect,
     is_antinef,
@@ -49,6 +52,7 @@ from oracles import (
     fraction_sub,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = 200
 DENOMINATORS = (1, 2, 7, 11, 13, 143)
 
@@ -299,10 +303,11 @@ class TestNoFractionOnIntegralPaths:
             assert made == [] and rounded.is_integral()
 
     def test_example42_sweep(self, monkeypatch):
-        """Only the point parameters and the report's e(I_n)/n^2 are Fractions.
+        """The sweep hands the report the integers e(I_n) = (n+1)(4n+1) over n^2.
 
-        The cluster stores each free point's parameter as a ``Fraction``;
-        the report's own arithmetic is left out by capturing its input.
+        The cluster stores each free point's parameter as a ``Fraction``; the
+        report's own arithmetic is left out by capturing its input, so the one
+        other ``Fraction`` is the closed form.
         """
         nmax = 40
         reports = []
@@ -310,12 +315,42 @@ class TestNoFractionOnIntegralPaths:
         spec = Example42Spec()
         with fractions_made() as made:
             multiplicity_sequence(spec, nmax)
-        (values, closed), = reports
-        params = [Fraction(i) for i in range(nmax)]
-        assert made == params + list(values) + [closed]
-        assert values == [Fraction((n + 1) * (4 * n + 1), n * n) for n in range(1, nmax + 1)]
+        (nums, power, closed), = reports
+        assert made == [Fraction(i) for i in range(nmax)] + [closed]
+        assert power == 2 and all(type(e) is int for e in nums)
+        assert nums == [(n + 1) * (4 * n + 1) for n in range(1, nmax + 1)]
         model = spec.member(nmax)
         assert all(type(x) is Fraction for x in model.divisor.coeffs)
+
+    def test_family_reports_make_no_fraction_per_member(self):
+        """On an already swept spec a report's Fractions do not grow with nmax."""
+        spec = Example42Spec()
+        multiplicity_sequence(spec, 48)
+        counts = []
+        for nmax in (12, 48):
+            with fractions_made() as made:
+                multiplicity_sequence(spec, nmax)
+                degree_limit(spec, 0, nmax)
+                degree_limit(spec, "v1", nmax)
+            counts.append(len(made))
+        assert counts[0] == counts[1]
+
+    def test_family_tables_make_no_fraction_per_member(self):
+        """A run of the ``growing`` benchmark scenario (seed 1), its spec swept
+        first: every task's Fractions, rows included, do not grow with nmax."""
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        try:
+            import gen
+        finally:
+            sys.path.pop(0)
+        scenario = parse_scenario(gen.generate("growing", gen.DEFAULT_SEED))
+        run_scenario(scenario, io.StringIO(), "csv")
+        counts = []
+        for nmax in (12, gen.GROWING_NMAX):
+            with fractions_made() as made:
+                assert run_scenario(scenario, io.StringIO(), "csv", nmax) == 0
+            counts.append(len(made))
+        assert counts[0] == counts[1]
 
     def test_rendering_an_unload_task(self):
         """The table cells and summary of an integral closure are rendered from ints."""
