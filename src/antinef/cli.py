@@ -30,7 +30,8 @@ __all__ = ["main", "run_scenario"]
 class _Table:
     def __init__(self, header, rows):
         self.header = list(header)
-        self.rows = [[c if isinstance(c, str) else format_rational(c) for c in row] for row in rows]
+        self.rows = [[str(c) if isinstance(c, (str, int)) else format_rational(c) for c in row]
+                     for row in rows]
 
     def render(self, fmt: str) -> list[str]:
         if fmt == "csv":
@@ -49,7 +50,7 @@ def _label(i: int) -> str:
 
 
 def _labels(indices) -> str:
-    return " ".join(_label(i) for i in sorted(indices))
+    return " ".join(["v" + str(i) for i in sorted(indices)])
 
 
 def _indexed(*columns):

@@ -52,11 +52,14 @@ curve of the blown-up point is u = 0; at parameter ``inf`` they are (uv, v)
 with the exceptional curve v = 0.  A finite chart is the substitution
 itself, term by term.  A satellite's recorded parameter is its
 position on its parent's curve (``inf`` or 0), so it takes the same charts.
-The parser keeps integer coefficients as ``int``; a product with an a/b
-literal is multiplied as integers over one common denominator.  An element
-is refused if a coefficient has a numerator or denominator of more than
-``MAX_DIGITS`` digits, which ``str`` could not write; that too is read from
-the bound, and from the expansion where the bound is above the cap.
+A child off the strict transform's tangent cone is not charted: its
+multiplicity is 0, read from the initial form at its parent, and the walk
+skips its subtree.  The parser keeps integer coefficients as ``int``; a
+product with an a/b literal is multiplied as integers over one common
+denominator.  An element is refused if a coefficient has a numerator or
+denominator of more than ``MAX_DIGITS`` digits, which ``str`` could not
+write; that too is read from the bound, and from the expansion where the
+bound is above the cap.
 """
 
 from __future__ import annotations
@@ -678,7 +681,11 @@ def _walk(cluster: Cluster, terms: IntTerms) -> tuple[int, ...] | int:
     point it reaches whose position was never recorded.
 
     The walk is a preorder from a stack, last child first; a point where
-    the transform has order 0 is missed, and so is its subtree.
+    the transform has order 0 is missed, and so is its subtree.  A child
+    off the transform's tangent cone is not charted: at a point of order m
+    with initial form sum_b c_b x^(m-b) y^b, the chart at t = p/q has order
+    0 unless sum_b c_b p^b q^(m-b) = 0, and the chart at ``inf`` unless
+    c_m = 0, so such a child keeps multiplicity 0 and its subtree is missed.
     """
     m = [0] * len(cluster)
     stack = [(0, terms)]
@@ -687,12 +694,17 @@ def _walk(cluster: Cluster, terms: IntTerms) -> tuple[int, ...] | int:
         m[i] = order = min(a + b for a, b in terms)
         if not order:
             continue  # unit: the strict transform misses this point and its subtree
+        cone = {b: c for (a, b), c in terms.items() if a + b == order}
         for j in cluster.children(i):
             param = cluster.point(j).param
             if param is None:
                 return j
-            stack.append((j, _blow_infinity(terms, order) if param == INFINITY
-                          else _blow_finite(terms, param, order)))
+            if param == INFINITY:
+                if order not in cone:
+                    stack.append((j, _blow_infinity(terms, order)))
+            elif not sum(c * param.numerator**b * param.denominator ** (order - b)
+                         for b, c in cone.items()):
+                stack.append((j, _blow_finite(terms, param, order)))
     return tuple(m)
 
 

@@ -39,6 +39,8 @@ import heapq
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from operator import mul, neg
 from typing import Callable, Optional, Sequence
 
 from .cluster import Cluster, TreeForm, _Record
@@ -210,7 +212,7 @@ def _pairings(form: TreeForm, coeffs: Sequence) -> list:
     Starts from the self-intersections m_ii c_i, then adds c_j to curve i
     and c_i to curve j for each edge (i, j).
     """
-    pair = [d * c for d, c in zip(form.diag, coeffs)]
+    pair = list(map(mul, form.diag, coeffs))
     for i, j in form.edges:
         pair[i] += coeffs[j]
         pair[j] += coeffs[i]
@@ -235,10 +237,11 @@ class CompleteIdealModel(_Record):
     __slots__ = _fields = ("divisor", "degree_coeffs", "multiplicity")
 
     def __init__(self, divisor: ExcDivisor, degree_coeffs: tuple[int, ...], multiplicity: int):
-        if any(d < 0 for d in degree_coeffs):
+        if min(degree_coeffs, default=0) < 0:
             raise ValueError("divisor is not antinef")
-        if any(divisor._nums):
-            if any(c <= 0 for c in divisor._nums):
+        nums = divisor._nums
+        if any(nums):
+            if min(nums) <= 0:
                 raise ValueError("nonzero antinef divisor must have full positive support")
             if multiplicity <= 0:
                 raise ValueError("nonzero antinef divisor must have positive self-pairing")
@@ -250,16 +253,20 @@ class CompleteIdealModel(_Record):
 
     @property
     def rees_valuations(self) -> frozenset[int]:
-        """Curve indices with positive degree coefficient."""
-        return frozenset(i for i, d in enumerate(self.degree_coeffs) if d > 0)
+        """Curve indices with positive degree coefficient.
+
+        Every degree coefficient is >= 0 (the constructor checks it), so the
+        positive ones are the nonzero ones.
+        """
+        return frozenset(compress(range(len(self.degree_coeffs)), self.degree_coeffs))
 
 
 def _model(cluster: Cluster, coeffs: Sequence[int], pair: Sequence[int]) -> CompleteIdealModel:
     """Model of the integer divisor ``coeffs`` with pairings ``pair``; e = -sum c_i (D . E_i)."""
     return CompleteIdealModel(
         divisor=ExcDivisor._of(cluster, tuple(coeffs)),
-        degree_coeffs=tuple(-s for s in pair),
-        multiplicity=-sum(c * s for c, s in zip(coeffs, pair)),
+        degree_coeffs=tuple(map(neg, pair)),
+        multiplicity=-sum(map(mul, coeffs, pair)),
     )
 
 
@@ -281,6 +288,8 @@ def _raise(
     the divisor is antinef.  A ``select`` pick outside the violated set
     raises ``ValueError``: raising nothing, the loop would never end.
     """
+    if max(pair) <= 0:
+        return True  # already antinef: no heap to build
     violated = [i for i, s in enumerate(pair) if s > 0]  # ascending, so a heap
     steps = 0
     while violated:

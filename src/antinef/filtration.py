@@ -16,7 +16,8 @@ own integers to the printed cells; only its O(1) summary values are
 * ``QDivisorialSpec`` - the valuation-theoretic family on a fixed cluster
   cut out by an effective rational divisor: member n is the antinef
   closure of ceil(n * delta), unloaded from ceil(n * env), where env is
-  the nef envelope of delta.
+  the nef envelope of delta, or from its max with member n - 1 when the
+  memo holds that one.
 * ``Example42Spec`` - the built-in growing family: member n is the
   antinef divisor (2n+1, 2n+2, ..., 2n+2) on a star of n free points on
   the first exceptional curve, or its pull-back to any larger star.  Its
@@ -47,6 +48,7 @@ import math
 import re
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .cluster import Cluster, _Record, new_cluster
@@ -172,8 +174,20 @@ class QDivisorialSpec(FiltrationSpec):
         r = n mod k, closure(D) - n env <= closure(ceil(r delta)) - r env,
         since (n - r) env is integral and antinef, so the raising does not
         grow with n as it does from D.
+
+        When member n - 1 is in the memo, the start is the componentwise
+        max of E and D' = closure(ceil((n - 1) delta)), which lies in the
+        same interval: delta is effective, so ceil((n - 1) delta) <= D, and
+        the closure is monotone, so D' <= closure(D).  Thus
+        D <= E <= max(E, D') <= closure(D), and raising from there ends at
+        closure(D) too.
         """
-        return unload((n * self.envelope).ceil())
+        env = self.envelope
+        start = [-(-n * a // env._den) for a in env._nums]  # E = ceil(n env)
+        prev = self._members.get(n - 1)
+        if prev is not None:
+            start = map(max, start, prev.divisor._nums)
+        return unload(ExcDivisor._of(self.cluster, tuple(start)))
 
     def closed_multiplicity(self) -> Fraction:
         return -intersect(self.envelope, self.envelope)
@@ -482,16 +496,20 @@ def commutation_report(spec: FiltrationSpec, f: PlaneElement, nmax: int) -> Comm
     # One valuation computation on the largest realized cluster covers all
     # indices: values are intrinsic to the valuations.
     vv = value_vector(big_cluster, f).values
-    sums = [sum(a * c for a, c in zip(vv, model.degree_coeffs)) for model in models]
+    sums = [sum(map(mul, vv, model.degree_coeffs)) for model in models]
 
-    sum_of_lims = Fraction(0)
+    limits = []
     sum_is_estimate = False
     for v in range(big_cluster.n_curves):
         limit = spec.closed_degree(v)
         if limit is None:
             limit = degree_limit(spec, v, nmax).limit_estimate()
             sum_is_estimate = True
-        sum_of_lims += vv[v] * limit
+        limits.append(limit)
+    # One Fraction: integer numerators over the lcm of the limits' denominators.
+    den = math.lcm(*(q.denominator for q in limits))
+    sum_of_lims = Fraction(sum(a * q.numerator * (den // q.denominator)
+                               for a, q in zip(vv, limits)), den)
     closed = None if sum_is_estimate else spec.closed_sum_limit(vv, sum_of_lims)
 
     report = _make_report(sums, 1, closed)

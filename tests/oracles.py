@@ -46,6 +46,10 @@ A family's limit report on ``Fraction`` values: every s(n) a ``Fraction``,
 the deviations from the closed form and the envelope taken in ``Fraction``
 arithmetic, as the package reported a sequence before it carried the
 integer numerators a_n of s(n) = a_n / n^k.
+
+A commutation report's sum of limits, one ``Fraction`` addition per curve,
+as the package summed it before it took the limits over one common
+denominator; its sums and its verdict on ``Fraction`` values.
 """
 
 import math
@@ -509,6 +513,41 @@ def fraction_make_report(values, closed_form) -> dict:
         envelope_constant=envelope,
         monotone_from=monotone_from,
     )
+
+
+# -- a commutation report on Fraction values ---------------------------------
+
+
+def fraction_commutation(spec, f, nmax) -> dict:
+    """``sum_of_lims``, ``commute`` and ``sum_is_estimate`` of a family's
+    commutation report, each limit added as a ``Fraction``."""
+    from antinef import degree_limit, value_vector
+
+    models = [spec.member(n) for n in range(1, nmax + 1)]
+    big_cluster = models[-1].divisor.cluster
+    vv = value_vector(big_cluster, f).values
+    sums = [sum(a * c for a, c in zip(vv, model.degree_coeffs)) for model in models]
+
+    sum_of_lims = Fraction(0)
+    sum_is_estimate = False
+    for v in range(big_cluster.n_curves):
+        limit = spec.closed_degree(v)
+        if limit is None:
+            limit = degree_limit(spec, v, nmax).limit_estimate()
+            sum_is_estimate = True
+        sum_of_lims += vv[v] * limit
+    closed = None if sum_is_estimate else spec.closed_sum_limit(vv, sum_of_lims)
+
+    report = fraction_make_report([Fraction(s, n) for n, s in enumerate(sums, start=1)], closed)
+    if closed is not None:
+        commute = closed == sum_of_lims
+    else:
+        estimate = report["richardson"] if report["richardson"] is not None else report["last"]
+        tol = Fraction(1, nmax)
+        if report["richardson"] is not None:
+            tol = max(tol, 2 * abs(report["last"] - report["richardson"]))
+        commute = abs(estimate - sum_of_lims) <= tol
+    return dict(sum_of_lims=sum_of_lims, commute=commute, sum_is_estimate=sum_is_estimate)
 
 
 # -- independent oracles ----------------------------------------------------
