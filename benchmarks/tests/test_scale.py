@@ -168,7 +168,7 @@ def test_repeats_sets_the_repeats_per_rung(tmp_path, monkeypatch):
 
 
 def test_qdivisorial_ladder_prints_the_sequence():
-    assert scale.LADDERS["qdivisorial"][1:] == ((100, 200, 400), (100, 200))
+    assert scale.LADDERS["qdivisorial"][1:] == ((100, 200, 400), (100, 400))
     proc = subprocess.run(
         [sys.executable, scale.CHILD, "qdivisorial", "6"],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
@@ -203,7 +203,7 @@ def test_value_vector_ladder_adds_its_branches():
 def test_parse_ladder_prints_the_tree_and_the_product_order():
     # the order of a product is the sum of its factors' orders: each pick
     # is its branch's equation plus a term beyond it, of the branch's order
-    assert scale.LADDERS["parse"][1:] == ((4, 8, 16, 24), (4, 16))
+    assert scale.LADDERS["parse"][1:] == ((4, 8, 16, 24), (4, 24))
     branches = gen.curves_branches(gen.DEFAULT_SEED)
     polys = [gen._branch_poly(kind, g) for kind, g in branches]
     points, _prox, _mults = gen.curves_tree(gen.DEFAULT_SEED)

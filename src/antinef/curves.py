@@ -14,28 +14,21 @@ is one factor.  Each distinct factor is charted once per cluster, until the
 next insert: the cluster keeps its multiplicities for every element it is a
 factor of.  The values are those of the expanded polynomial.
 
-A product or power is kept factored: its expanded terms are built only
-where a sum needs them, where a cap cannot be read from bounds on the
-factors, or when ``terms`` is first read (``==``, ``hash``, ``str``).  The
-caps refuse the same inputs, with the same messages, as multiplying out
-each product and power as it is read: ``MAX_DEGREE`` (``exponent 1001
-exceeds the degree cap 1000``), ``MAX_POWER_BITS`` (``power coefficient
-bits 11000 exceeds the bit cap 10000``) and ``MAX_BOX`` (``power box 20164
-exceeds the box cap 20000``) in this order, then every multiplication of
-that expansion under ``MAX_WORK`` (``multiplication work 25411681 exceeds
-the work cap 1000000``).  Degrees and boxes are read exactly from the
-factors.  Coefficient bits and work are read from bounds: the terms of a
-product are at most the product of its operands' and at most its box, and
-a coefficient at most the constant's numerator times the factors' integer
-L1 norms, or its denominator.  Where a bound is above its cap the terms
-are built then, and the cap reads the exact number.  A product stays
-unexpanded only while the bounds show that building its terms later keeps
-every multiplication under ``MAX_WORK`` too.  ``*`` and ``**`` on elements
-run the parser's ``*`` and ``^`` rules on the same type: an element keeps
-the terms it was built with, if any, and a bound on their number.  The
-parser raises :class:`PolynomialSyntaxError` with the position, ``*`` and
-``**`` on elements raise ``ValueError``.  ``+`` and ``-`` on elements run
-the parser's sum rule.
+A product or power is kept factored: ``*`` and ``^`` merge the factors
+and scale their exponents, and build no terms.  The expanded terms are
+built only where a sum reads a summand, and when ``terms`` is first read
+(``==``, ``hash``, ``repr``, ``str``, ``to_dict``).  Each cap is checked
+where its work runs.  ``MAX_DEGREE`` refuses an exponent, and a product or
+power whose degree, read exactly from the factors, is above it (``exponent
+1001 exceeds the degree cap 1000``).  ``MAX_POWER_BITS`` refuses a power of
+numbers too long to take: the constant's, at ``^`` (``power coefficient
+bits 11000 exceeds the bit cap 10000``), and a factor's coefficients', where
+that power is built.  ``MAX_WORK`` is one budget per expansion: the
+coefficient products len(f) * len(g) of all of its multiplications
+(``expansion work 1119960 exceeds the work cap 1000000``).  The parser
+raises :class:`PolynomialSyntaxError` with the position; ``*``, ``**``,
+``+``, ``-`` and reading ``terms`` raise ``ValueError``.  So an element
+whose expansion a cap refuses is still valued factor by factor.
 
 A parse reads each distinct parenthesized group once: the parser keeps
 each group's element by the exact text between its parentheses, whitespace
@@ -56,17 +49,17 @@ A child off the strict transform's tangent cone is not charted: its
 multiplicity is 0, read from the initial form at its parent, and the walk
 skips its subtree.  The parser keeps integer coefficients as ``int``; a
 product with an a/b literal is multiplied as integers over one common
-denominator.  An element is refused if a coefficient has a numerator or
-denominator of more than ``MAX_DIGITS`` digits, which ``str`` could not
-write; that too is read from the bound, and from the expansion where the
-bound is above the cap.
+denominator.  An element is refused if its constant or a factor's
+coefficient has a numerator or denominator of more than ``MAX_DIGITS``
+digits, which ``str`` could not write, and so is reading ``terms`` where an
+expanded coefficient has.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, gcd, lcm
 
 from .cluster import Cluster, _Record
@@ -88,26 +81,16 @@ IntTerms = dict[tuple[int, int], int]
 #: Each factor as its sorted primitive integer terms, with its exponent.
 Factors = dict[tuple[tuple[tuple[int, int], int], ...], int]
 
-#: Largest exponent, and total degree of a power or product, that is
-#: expanded; without it one short line such as ``y^100000`` runs for minutes.
+#: Largest exponent, and total degree of a power or product; without it one
+#: short line such as ``y^100000`` runs for minutes.
 MAX_DEGREE = 1000
-#: Largest k * b of a power f^k that is expanded, b the longest numerator or
-#: denominator of f in bits: ``(2^999)^999`` would be a million-bit integer.
+#: Largest k * b of a power of numbers c^k, b the longest numerator or
+#: denominator of the c in bits: ``(2^999)^999`` would be a million-bit integer.
 MAX_POWER_BITS = 10_000
-#: Largest box of a product or power that is expanded (its spread in the two
-#: narrowest of x-degree, y-degree and total degree, plus one, multiplied): a
-#: dense product costs about the square of its box, and ``(1+x+y)^1000``
-#: would run for hours.
-MAX_BOX = 20_000
-#: Most coefficient products, len(f) * len(g), that one multiplication of an
-#: expansion may take, checked as it runs, after the three caps: the box
-#: bounds a result's terms but not the work that builds them, and
-#: ``((1+x)^70*(1+y)^70)^2`` would square 5,041 terms in about 16 s.
+#: Most coefficient products, len(f) * len(g) summed over all the
+#: multiplications of one expansion, checked before each of them:
+#: ``(1+x+y)^1000`` would run for hours.
 MAX_WORK = 1_000_000
-
-
-def _degree(terms: Terms) -> int:
-    return max((a + b for a, b in terms), default=0)
 
 
 def _numerators(f: Terms) -> tuple[IntTerms, int]:
@@ -124,43 +107,60 @@ def _primitive(terms: IntTerms) -> IntTerms:
     return terms if g == 1 else {k: c // g for k, c in terms.items()}
 
 
-def _mul_terms(f: Terms, g: Terms) -> Terms:
-    """Product of two term dicts; ``ValueError`` above the work cap.
+def _magnitude(numbers) -> int:
+    """The largest numerator or denominator of these numbers."""
+    return max((max(abs(c.numerator), c.denominator) for c in numbers), default=0)
+
+
+def _check_bits(numbers, k: int) -> None:
+    """Refuse raising these numbers to the k-th power above the bit cap."""
+    if (bits := k * _magnitude(numbers).bit_length()) > MAX_POWER_BITS:
+        raise ValueError(f"power coefficient bits {bits} exceeds the bit cap {MAX_POWER_BITS}")
+
+
+def _mul_terms(f: Terms, g: Terms, spent: list[int]) -> Terms:
+    """Product of two term dicts, its len(f) * len(g) coefficient products
+    charged to ``spent[0]``, the work of the expansion so far; ``ValueError``
+    where that passes the work cap.
 
     A one-term operand shifts the other's terms.  Otherwise the coefficients
     are multiplied as integers over one common denominator, divided out once
     per term of the result: a ``Fraction`` product would pay a gcd per
     coefficient product.
     """
-    if (work := len(f) * len(g)) > MAX_WORK:
-        raise ValueError(f"multiplication work {work} exceeds the work cap {MAX_WORK}")
-    if len(f) == 1:
+    spent[0] += len(f) * len(g)
+    if spent[0] > MAX_WORK:
+        raise ValueError(f"expansion work {spent[0]} exceeds the work cap {MAX_WORK}")
+    if len(f) < len(g):
         f, g = g, f
     if len(g) == 1:  # a shift of f's terms
         [((a, b), c)] = g.items()
         return {(a1 + a, b1 + b): c1 * c for (a1, b1), c1 in f.items()}
     (f, df), (g, dg) = _numerators(f), _numerators(g)
     out = {}
-    for (a1, b1), c1 in f.items():
-        for (a2, b2), c2 in g.items():
+    for (a2, b2), c2 in g.items():  # the shorter operand outside
+        for (a1, b1), c1 in f.items():
             key = (a1 + a2, b1 + b2)
             out[key] = out.get(key, 0) + c1 * c2
     den = df * dg
     return {k: c if den == 1 else Fraction(c, den) for k, c in out.items() if c}
 
 
-def _pow_terms(f: Terms, k: int) -> Terms:
-    """f^k: a term's power at once, else by square-and-multiply."""
+def _pow_terms(f: Terms, k: int, spent: list[int]) -> Terms:
+    """f^k, refused above the bit cap for k >= 2: a term's power at once,
+    else by square-and-multiply, each multiplication charged to ``spent``."""
+    if k >= 2:
+        _check_bits(f.values(), k)
     if len(f) == 1:
         [((a, b), c)] = f.items()
         return {(k * a, k * b): c**k}
     out = None
     while k:
         if k & 1:
-            out = f if out is None else _mul_terms(out, f)
+            out = f if out is None else _mul_terms(out, f, spent)
         k >>= 1
         if k:
-            f = _mul_terms(f, f)
+            f = _mul_terms(f, f, spent)
     return {(0, 0): 1} if out is None else out
 
 
@@ -172,107 +172,19 @@ def _accumulate(total: Terms, g: Terms, sign: int = 1) -> Terms:
     return total
 
 
-def _widths(f: Terms) -> tuple[int, int, int]:
-    """How far the x-degree, y-degree and total degree of f's terms spread."""
-    xs, ys, ts = zip(*((a, b, a + b) for a, b in f))
-    return max(xs) - min(xs), max(ys) - min(ys), max(ts) - min(ts)
-
-
-def _box(widths) -> int:
-    """Lattice points of the least box bounding a support with these widths.
-
-    Any two of x-degree, y-degree and total degree place a term, so the box
-    spans the two narrowest; it bounds the number of terms.
-    """
-    a, b, _ = sorted(widths)
-    return (a + 1) * (b + 1)
-
-
-def _power_work(n: int, widths, k: int) -> int:
-    """At least the coefficient products of each multiplication that
-    :func:`_pow_terms` makes raising a base of at most n terms, with these
-    widths, to the k-th power: each multiplies f^a by f^b, b <= a, a + b <= k,
-    and f^j has at most min(n^j, box of j * widths) terms."""
-    if n <= 1 or k <= 1:
-        return 0
-
-    def terms(j):
-        return min(n**j, _box([j * w for w in widths]))
-
-    return terms(k - 1) * terms(k // 2)
-
-
-@lru_cache(maxsize=1024)
-def _shape(key) -> tuple[int, tuple[int, int, int], int]:
-    """A factor's degree, widths and integer L1 norm."""
-    terms = dict(key)
-    return _degree(terms), _widths(terms), sum(map(abs, terms.values()))
-
-
-def _span(factors: Factors) -> tuple[int, tuple[int, int, int], int, int]:
-    """The degree and widths of the product of these factors, which add over
-    a product, and two bounds read from the factors: on its number of terms,
-    and on the coefficient products of any one multiplication of its
-    expansion by :meth:`PlaneElement._expansion`."""
-    degree, wx, wy, wt, count, work = 0, 0, 0, 0, 0, 0
-    for key, e in factors.items():
-        d, (x, y, t), _ = _shape(key)
-        degree, wx, wy, wt = degree + e * d, wx + e * x, wy + e * y, wt + e * t
-        n = len(key)
-        if e == 1 or n == 1:  # a factor's box bounds its terms; a monomial's power is one
-            power = n
-        else:
-            power = min(n**e, _box((e * x, e * y, e * t)))
-            work = max(work, _power_work(n, (x, y, t), e))
-        # each factor's power but the first multiplies the terms so far
-        work = max(work, count * power)
-        count = max(count, 1) * power
-        if power > 1:  # else the count is still within the box
-            count = min(count, _box((wx, wy, wt)))
-    return degree, (wx, wy, wt), max(count, 1), work
-
-
-def _height(f: "PlaneElement") -> int:
-    """At least the largest numerator or denominator of f's coefficients:
-    exact once they are built, else the constant's numerator times the
-    factors' L1 norms, or its denominator."""
-    if f._raw is not None:
-        return max((max(abs(c.numerator), c.denominator) for c in f._raw.values()), default=0)
-    size = abs(f._constant.numerator)
-    for key, e in f._factors.items():
-        size *= _shape(key)[2] ** e
-    return max(size, f._constant.denominator)
-
-
-def _refusal(what: str, degree: int, widths, bits: int = 0, k: int = 1) -> str | None:
-    """Why a product or power of this degree, with these widths times k (and
-    a power's coefficient bits), is not expanded; None if it is.
-
-    The degree cap is checked first, then the coefficient size of a power,
-    then the box of the result.
-    """
-    if degree > MAX_DEGREE:
-        return f"{what} degree {degree} exceeds the degree cap {MAX_DEGREE}"
-    if bits > MAX_POWER_BITS:
-        return f"power coefficient bits {bits} exceeds the bit cap {MAX_POWER_BITS}"
-    if (degree + 1) ** 2 > MAX_BOX:  # else no box can exceed the cap
-        if (box := _box([k * w for w in widths])) > MAX_BOX:
-            return f"{what} box {box} exceeds the box cap {MAX_BOX}"
-    return None
-
-
 def _leaf(terms: Terms) -> "PlaneElement":
     """Expanded terms as a constant times one sign-normalized factor; no
     factor for a constant or zero."""
-    if _degree(terms) == 0:
-        return PlaneElement(terms.get((0, 0), 0), {}, terms)
+    degree = max((a + b for a, b in terms), default=0)
+    if degree == 0:
+        return PlaneElement(terms.get((0, 0), 0), {}, 0, terms)
     key = tuple(sorted(_primitive(_numerators(terms)[0]).items()))
     if key[0][1] < 0:
         key = tuple((m, -c) for m, c in key)
     (m, c) = key[0]
     constant = Fraction(terms[m]) / c
     constant = constant.numerator if constant.denominator == 1 else constant
-    return PlaneElement(constant, {key: 1}, terms)
+    return PlaneElement(constant, {key: 1}, degree, terms)
 
 
 def _sum(terms: Terms) -> "PlaneElement":
@@ -295,74 +207,47 @@ def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
     return out
 
 
-def _monomial(f: "PlaneElement") -> bool:
-    """Whether f is one built term: its products and powers multiply no
-    more than a pair of coefficients, so they are built at once."""
-    return f._raw is not None and f._count == 1
-
-
 def _product(f: "PlaneElement", g: "PlaneElement") -> "PlaneElement":
-    """f * g, refused where multiplying out their expansions would be.
-
-    The factors are merged.  The product is left unexpanded where the bounds
-    show that neither that multiplication nor any multiplication of the
-    product's own later expansion can pass the work cap; else it is expanded
-    now, and the work cap reads the exact number.
-    """
-    factors = _merge(f._factors, g._factors)
-    degree, widths, count, work = _span(factors)
-    if refused := _refusal("product", degree, widths):
-        raise ValueError(refused)
+    """f * g: the factors merged and the constants multiplied, refused
+    above the degree cap."""
+    if (degree := f._degree + g._degree) > MAX_DEGREE:
+        raise ValueError(f"product degree {degree} exceeds the degree cap {MAX_DEGREE}")
     constant = f._constant * g._constant
     if not constant:
         return _ZERO
-    if not (_monomial(f) and _monomial(g)) and max(f._count * g._count, work) <= MAX_WORK:
-        return PlaneElement(constant, factors, None, min(count, f._count * g._count))
-    return PlaneElement(constant, factors, _mul_terms(f._expansion(), g._expansion()))
+    return PlaneElement(constant, _merge(f._factors, g._factors), degree)
 
 
 def _power(f: "PlaneElement", k: int) -> "PlaneElement":
-    """f^k, refused where raising its expansion to the k-th power would be.
-
-    The factors' exponents are scaled.  The coefficient bits are read from a
-    bound first, and from the expansion only where the bound is above the
-    cap.  The power is left unexpanded as a product is.
-    """
+    """f^k: the exponents scaled and the constant's power taken, refused
+    above the degree cap, then the bit cap on the constant."""
     if k > MAX_DEGREE:
         raise ValueError(f"exponent {k} exceeds the degree cap {MAX_DEGREE}")
-    degree, widths, _, _ = _span(f._factors)
-    bits = k * _height(f).bit_length()
-    if bits > MAX_POWER_BITS and k * degree <= MAX_DEGREE and f._raw is None:
-        f = PlaneElement(f._constant, f._factors, f._expansion())
-        bits = k * _height(f).bit_length()
-    if refused := _refusal("power", k * degree, widths, bits, k):
-        raise ValueError(refused)
-    constant, factors = f._constant**k, _merge({}, f._factors, k)
+    if (degree := k * f._degree) > MAX_DEGREE:
+        raise ValueError(f"power degree {degree} exceeds the degree cap {MAX_DEGREE}")
+    _check_bits((f._constant,), k)
+    constant = f._constant**k
     if not constant:
         return _ZERO
-    if not _monomial(f):
-        _, _, count, work = _span(factors)
-        if max(_power_work(f._count, widths, k), work) <= MAX_WORK:
-            return PlaneElement(constant, factors, None, count)
-    return PlaneElement(constant, factors, _pow_terms(f._expansion(), k))
+    return PlaneElement(constant, _merge({}, f._factors, k), degree)
 
 
 def _sorted(terms: Terms) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+    """The terms sorted by monomial, refused where a coefficient has a
+    numerator or denominator of more than ``MAX_DIGITS`` digits."""
+    check_digits(_magnitude(terms.values()), "coefficient")
     return tuple(sorted((k, Fraction(c)) for k, c in terms.items()))
 
 
 def _element(f: "PlaneElement") -> "PlaneElement":
-    """f, the one exit of the parser and of ``*`` and ``**``: refused if it
-    is zero, or if a coefficient has a numerator or denominator of more
-    than ``MAX_DIGITS`` digits, read from :func:`_height`'s bound, and from
-    the expansion where the bound is above.  Built terms are sorted here."""
+    """f, the one exit of the parser and of ``*``, ``**``, ``+`` and ``-``:
+    refused if it is zero, or if its constant or a factor's coefficient has
+    a numerator or denominator of more than ``MAX_DIGITS`` digits.  Built
+    terms are read here, under the same digit cap."""
     if not f._constant:
         raise ValueError("zero is not a plane element (its values are infinite)")
-    try:
-        check_digits(_height(f), "coefficient")
-    except ValueError:
-        f = PlaneElement(f._constant, f._factors, f._expansion())
-        check_digits(_height(f), "coefficient")
+    coefficients = (c for key in f._factors for _, c in key)
+    check_digits(_magnitude((f._constant, *coefficients)), "coefficient")
     if f._raw is not None:
         f.__dict__["terms"] = _sorted(f._raw)
     return f
@@ -372,27 +257,27 @@ class PlaneElement:
     """Nonzero polynomial in x, y with exact rational coefficients: a
     rational constant times the factors it was built from, which the
     constructor requires.  :func:`parse_poly` and :meth:`from_terms` build
-    it; ``*`` and ``**`` run the parser's rules, whose every step, zero
-    included, is an element until :func:`_element` refuses zero and
-    oversized digits.
+    it; ``*``, ``**``, ``+`` and ``-`` run the parser's rules, whose every
+    step, zero included, is an element until :func:`_element` refuses zero
+    and oversized digits.
 
-    ``terms`` is the expansion, sorted by monomial: present once built,
-    else built when first read.  ``==``, ``hash``, ``repr``, ``str`` and
-    ``to_dict`` read it; ``+`` and ``-`` add the expansions, as the parser's
-    sum does; :meth:`order` and :func:`multiplicity_vector` read the factors.
+    ``terms`` is the expansion, sorted by monomial, built when first read
+    and refused there by the work, bit and digit caps.  ``==``, ``hash``,
+    ``repr``, ``str`` and ``to_dict`` read it; ``+`` and ``-`` add the
+    expansions, as the parser's sum does; :meth:`order` and
+    :func:`multiplicity_vector` read the factors.
     """
 
-    def __init__(self, _constant, _factors: Factors, terms: Terms | None = None, _count=None):
+    def __init__(self, _constant, _factors: Factors, _degree: int, terms: Terms | None = None):
         #: The constant c and the factors f_k^e_k, one for an element that
         #: was not built as a product; the element is c * prod f_k^e_k.
         self._constant = _constant
         self._factors = _factors
-        #: The expanded terms as built, never changed in place, or None; and
-        #: at least their number, exact once built, else read from the factors.
+        #: The total degree, the factors' degrees times their exponents.
+        self._degree = _degree
+        #: The expanded terms of a sum or a number, never changed in place,
+        #: or None for a product or power.
         self._raw = terms
-        if _count is None:
-            _count = _span(_factors)[2] if terms is None else len(terms)
-        self._count = _count
 
     @cached_property
     def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
@@ -400,13 +285,14 @@ class PlaneElement:
 
     def _expansion(self) -> Terms:
         """The expanded terms: as built, else the factors' powers multiplied
-        in turn, times the constant."""
+        in turn, under one work budget, times the constant."""
         terms = self._raw
         if terms is not None:
             return terms
+        spent = [0]
         for key, e in self._factors.items():
-            power = _pow_terms(dict(key), e)
-            terms = power if terms is None else _mul_terms(terms, power)
+            power = _pow_terms(dict(key), e, spent)
+            terms = power if terms is None else _mul_terms(terms, power, spent)
         c = self._constant
         c = c.numerator if c.denominator == 1 else c
         if terms is None:
@@ -467,7 +353,7 @@ class PlaneElement:
 
 
 #: Zero and the variables; no element's terms are ever changed in place.
-_ZERO, _X, _Y = PlaneElement(0, {}, {}), _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
+_ZERO, _X, _Y = PlaneElement(0, {}, 0, {}), _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
 
 
 # -- parser ---------------------------------------------------------------
@@ -481,9 +367,9 @@ _ZERO, _X, _Y = PlaneElement(0, {}, {}), _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
 #
 # Each rule returns a :class:`PlaneElement`, zero included, which
 # :func:`_element` refuses at the end.  A product merges its operands'
-# factors and a power scales them, building no terms where the caps allow,
-# by the rules ``*`` and ``**`` run; a sum of two or more terms expands its
-# terms and is one factor.  An atom "(" expr ")" whose text between the
+# factors and a power scales them, building no terms, by the rules ``*``
+# and ``**`` run; a sum of two or more terms expands its terms and is one
+# factor.  An atom "(" expr ")" whose text between the
 # parentheses was read before in this parse is the element kept for it.
 
 
@@ -541,10 +427,11 @@ class _Parser:
         first = self.term()
         if self.peek() not in ("+", "-"):
             return first
-        terms = dict(first._expansion())
+        # each summand is expanded, and refused, at the token after it, where term() stops
+        terms = dict(self.expand(first._expansion))
         while (ch := self.peek()) in ("+", "-"):
             self.take()
-            _accumulate(terms, self.term()._expansion(), 1 if ch == "+" else -1)
+            _accumulate(terms, self.expand(self.term()._expansion), 1 if ch == "+" else -1)
         return _sum(terms)
 
     def term(self) -> PlaneElement:
@@ -560,7 +447,7 @@ class _Parser:
             self.take()
             f = self.unary()
             negated = None if f._raw is None else {k: -c for k, c in f._raw.items()}
-            return PlaneElement(-f._constant, f._factors, negated, f._count)
+            return PlaneElement(-f._constant, f._factors, f._degree, negated)
         if ch == "+":
             self.take()
             return self.unary()
@@ -612,7 +499,7 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator")
                 value = Fraction(value, den)
-            return PlaneElement(value, {}, {(0, 0): value}) if value else _ZERO
+            return PlaneElement(value, {}, 0, {(0, 0): value}) if value else _ZERO
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")
@@ -626,14 +513,13 @@ def parse_poly(text: str, *, _groups: dict[str, PlaneElement] | None = None) -> 
     a/b rational literals (the slash is part of the literal, there is no
     division operator).  Whitespace is insignificant.  The zero polynomial
     is rejected: its value vector would be infinite.  A product or power is
-    kept factored, and expanded only where a sum needs its terms, where a
-    cap cannot be read from bounds on the factors, or when ``terms`` is
-    first read; every cap refuses the same inputs with the same message as
-    expanding each product and power as it is read would.  A product or
-    power above ``MAX_DEGREE``, ``MAX_POWER_BITS`` or ``MAX_BOX`` raises,
-    one whose expansion takes a multiplication above ``MAX_WORK`` raises,
-    and so does a literal, or a coefficient of the element, of more than
-    ``MAX_DIGITS`` digits.
+    kept factored, and expanded only where a sum reads it as a summand, or
+    when ``terms`` is first read.  An exponent, product or power above
+    ``MAX_DEGREE`` raises, and so does a power of a constant above
+    ``MAX_POWER_BITS``, at the end of its exponent; a summand whose
+    expansion passes ``MAX_POWER_BITS`` or ``MAX_WORK`` raises at the token
+    after it; and so does a literal, or the element's constant or a
+    factor's coefficient, of more than ``MAX_DIGITS`` digits.
 
     Each distinct parenthesized group, keyed by its exact text between the
     parentheses, whitespace included, is parsed once; ``_groups`` is the
@@ -855,7 +741,10 @@ def _is_squarefree(f: PlaneElement) -> bool:
     usually one.  (x0 = 0 is left out: any two branches through the origin
     meet there, so it would rarely decide.)  The degrees d and e are the
     sums of the factors'.  The contents and every specialization go
-    through :func:`_prs_gcd`.
+    through :func:`_prs_gcd`.  Each specialization tried is charged d^2
+    against ``MAX_WORK``, and past it the check raises ``ValueError``: a
+    product with a repeated factor and a large d e, such as
+    (y - x)(y^2 - x^2)(1 + x^60 y^60), would try thousands.
     """
     if any(e > 1 for e in f._factors.values()):
         return False
@@ -877,11 +766,13 @@ def _is_squarefree(f: PlaneElement) -> bool:
         return True
     e = sum(max(map(len, rows)) - 1 for rows in factors)
     needed = (2 * d - 1) * e + 1
-    x0 = 0
+    x0 = spent = 0
     while needed:
         x0 += 1
         if any(_evaluate(rows[-1], x0) == 0 for rows in factors):
             continue
+        if (spent := spent + d * d) > MAX_WORK:
+            raise ValueError(f"squarefree work {spent} exceeds the work cap {MAX_WORK}")
         special = [1]
         for rows in factors:
             special = _times(special, [_evaluate(row, x0) for row in rows])

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -214,15 +215,30 @@ class TestRun:
         "poly, message",
         [
             ("(2^999)^999", "power coefficient bits 999000 exceeds the bit cap 10000"),
-            ("(1+x+y)^1000", "power box 1002001 exceeds the box cap 20000"),
+            ("(1+x+y)^1000 + 1", "expansion work 2212515 exceeds the work cap 1000000"),
         ],
+        ids=["bits", "work"],
     )
-    def test_polynomial_above_the_bit_and_box_caps(self, poly, message, tmp_path, capsys):
+    def test_polynomial_above_the_bit_and_work_caps(self, poly, message, tmp_path, capsys):
         scn = tmp_path / "s.scn"
         scn.write_text(CUSP_SCENARIO.replace("poly = y^2 - x^3", f"poly = {poly}"))
         assert main(["run", "--scenario", str(scn)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    def test_squarefree_work_cap_gives_an_error_row(self, tmp_path):
+        # a 30-character line whose repeated factor would take seconds to prove
+        scn = tmp_path / "s.scn"
+        poly = "(y-x)*(y^2-x^2)*(1+x^60*y^60)"
+        scn.write_text(
+            CUSP_SCENARIO.replace("poly = y^2 - x^3", f"poly = {poly}")
+            + "\n[task]\nkind = commutation\nfiltration = FAM\nelement = CURVE\nnmax = 4\n"
+        )
+        start = time.perf_counter()
+        code, data = run_cli(["run", "--scenario", str(scn)], tmp_path)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert b"ERROR" in data and b"squarefree work 1000188 exceeds the work cap 1000000" in data
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["run", "--scenario", "/nonexistent/file.scn"]) == 2

@@ -4,7 +4,7 @@ The parser accumulates a sum in place, so its time is linear in the number
 of summands; it raises a one-term base to a power at once; ``_mul_terms``
 multiplies ``Fraction`` coefficients as integers over one common
 denominator, checked against the plain ``Fraction`` product on random
-input.  An element whose coefficient ``str`` could not write (more than
+input, and charges its coefficient products to the expansion's work.  An element whose coefficient ``str`` could not write (more than
 ``MAX_DIGITS`` digits) is refused wherever it is built.
 """
 
@@ -53,11 +53,11 @@ def test_a_one_term_power_multiplies_nothing(monkeypatch):
         raise AssertionError("a one-term power went through _mul_terms")
 
     text = "(-2/3*x^2*y)^5"
-    base = parse_poly("-2/3*x^2*y")
+    base = parse_poly("-2/3*x^2*y").to_dict()
     monkeypatch.setattr(curves, "_mul_terms", fail)
-    assert curves._pow_terms(base.to_dict(), 5) == {(10, 5): Fraction(-32, 243)}
-    assert curves._pow_terms({(1, 0): 1}, 14) == {(14, 0): 1}
-    assert curves._pow_terms({(0, 1): 7}, 0) == {(0, 0): 1}
+    assert curves._pow_terms(base, 5, [0]) == {(10, 5): Fraction(-32, 243)}
+    assert curves._pow_terms({(1, 0): 1}, 14, [0]) == {(14, 0): 1}
+    assert curves._pow_terms({(0, 1): 7}, 0, [0]) == {(0, 0): 1}
     monkeypatch.undo()
     assert parse_poly(text).to_dict() == {(10, 5): Fraction(-32, 243)}
     assert parse_poly("0^0 + x") == parse_poly("1 + x")
@@ -86,16 +86,22 @@ def _fraction_product(f, g):
 @settings(max_examples=300, deadline=None)
 @given(_terms(12), _terms(12))
 def test_integer_product_equals_the_fraction_product(f, g):
-    assert curves._mul_terms(f, g) == _fraction_product(f, g)
+    spent = [0]
+    assert curves._mul_terms(f, g, spent) == _fraction_product(f, g)
+    assert spent == [len(f) * len(g)]
 
 
 def test_rational_product_costs_about_the_integer_one():
     # 980,100 coefficient products on a/b coefficients: about 0.6 s over
     # integers, about 6 s as Fractions
+    f, g = parse_poly("(1/2+x+y)^43").to_dict(), parse_poly("(1+x+y)^43").to_dict()
     start = time.perf_counter()
-    f = parse_poly("(1/2+x+y)^43*(1+x+y)^43")
+    product = curves._mul_terms(f, g, [0])
     assert time.perf_counter() - start < 3
-    assert len(f.terms) == 3828 and f.to_dict()[(0, 0)] == Fraction(1, 2**43)
+    assert len(product) == 3828 and product[(0, 0)] == Fraction(1, 2**43)
+    # as one expansion, with the 69,930 coefficient products of each power
+    with pytest.raises(ValueError, match="^expansion work 1119960 exceeds the work cap 1000000$"):
+        parse_poly("(1/2+x+y)^43*(1+x+y)^43").terms
 
 
 # -- the digit cap on computed coefficients ----------------------------------------

@@ -5,12 +5,13 @@ element was built from, and adds exponent times order at every point.  It
 is checked against ``oracles.expanded_multiplicity_vector``, the walk of
 the fully expanded polynomial, on random coordinatized clusters and random
 products: repeated factors, unit and constant factors, a/b coefficients,
-and sums of products, which are one factor.  The caps refuse a product or
-power before it is expanded, in the parser and in the library alike; the
-work cap refuses a multiplication with too many coefficient products as
-the expansion reaches it.  On the same random products, the library's
-``+`` and ``-`` are checked against the parser's, and ``degree_function``
-against Rees's additivity over products and powers.
+and sums of products, which are one factor.  The degree and bit caps
+refuse a product or power before anything is expanded, in the parser and
+in the library alike; the work cap is one budget per expansion, and
+refuses a summand, or the first read of ``terms``, whose multiplications
+take too many coefficient products in all.  On the same random products,
+the library's ``+`` and ``-`` are checked against the parser's, and
+``degree_function`` against Rees's additivity over products and powers.
 """
 
 import operator
@@ -37,7 +38,7 @@ from antinef import (
 )
 from antinef import curves
 from antinef.cli import main
-from antinef.curves import MAX_BOX, MAX_WORK
+from antinef.curves import MAX_WORK
 from antinef.selfcheck import random_integer_divisor
 from helpers import random_branch, random_coordinatized_cluster
 from oracles import expanded_multiplicity_vector
@@ -111,20 +112,12 @@ def test_sum_and_difference_are_the_parsed_sum_and_difference(seed):
             continue
         got = op(f, g)
         assert got == expected and str(got) == str(expected), text
-        # the parser's sum rule: the same constant, factors, terms and count
+        # the parser's sum rule: the same constant, factors, terms and degree
         assert got._constant == expected._constant and got._factors == expected._factors
-        assert got._raw == expected._raw and got._count == expected._count, text
+        assert got._raw == expected._raw and got._degree == expected._degree, text
         assert multiplicity_vector(cluster, got) == expanded_multiplicity_vector(cluster, got), text
     with pytest.raises(ValueError, match="^zero is not a plane element"):
         f - f
-
-
-def _within_work(f, g) -> bool:
-    """Whether multiplying out f * g and f^3 stays under the work cap, read
-    from the numbers of terms: no multiplication of f^3 takes more than
-    len(f) * len(f^2) <= len(f)^3 coefficient products."""
-    n = len(f.terms)
-    return n * len(g.terms) <= MAX_WORK and n**3 <= MAX_WORK
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,25 +127,25 @@ def test_degree_function_adds_over_products_and_powers(seed):
     rng = random.Random(seed)
     cluster = random_coordinatized_cluster(rng, max_points=10)
     d = random_integer_divisor(rng, cluster, 0, 6)
-    while True:  # a product the work cap refuses has no degree to check
-        f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
-        if _within_work(f, g):
-            break
+    # * and ** expand nothing, so every draw has a degree to check
+    f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
     e = rng.randint(2, 3)
     assert degree_function(d, f * g) == degree_function(d, f) + degree_function(d, g)
     assert degree_function(d, f**e) == e * degree_function(d, f)
 
 
 def test_the_work_cap_refuses_a_drawn_cube():
-    # this seed drew an f of 838 terms, whose cube the work cap refuses;
-    # the Rees test above now draws again instead
+    # this seed drew an f of 838 terms: its cube is accepted and valued
+    # factor by factor, and only reading the cube's terms passes the cap
     rng = random.Random(52117823)
     cluster = random_coordinatized_cluster(rng, max_points=10)
-    random_integer_divisor(rng, cluster, 0, 6)
+    d = random_integer_divisor(rng, cluster, 0, 6)
     f, g = (_as_product(*_random_product(rng, cluster)) for _ in range(2))
-    assert len(f.terms) == 838 and not _within_work(f, g)
-    with pytest.raises(ValueError, match=f"^multiplication work [0-9]+ exceeds the work cap {MAX_WORK}$"):
-        f**3
+    assert len(f.terms) == 838
+    cube = f**3
+    assert degree_function(d, cube) == 3 * degree_function(d, f)
+    with pytest.raises(ValueError, match=f"^expansion work 1477859 exceeds the work cap {MAX_WORK}$"):
+        cube.terms
 
 
 def test_random_products_reach_deep_points_through_several_factors():
@@ -242,9 +235,8 @@ def test_library_power_scales_the_multiplicities(k):
 def test_caps_admit_their_own_values():
     # 10 * 1000 bits, the bit cap itself
     assert parse_poly("(2^999)^10").to_dict() == {(0, 0): 2**9990}
-    # box (199 + 1)(99 + 1) = 20000, sparse enough to expand at once
-    assert len(parse_poly("(1+x)^199*(1+y)^99").terms) == MAX_BOX
-    # homogeneous: total degree spans 0, so the box is 601 however wide x and y are
+    # 20,000 terms, built with 20,000 coefficient products and the powers' few
+    assert len(parse_poly("(1+x)^199*(1+y)^99").terms) == 20_000
     assert len(parse_poly("(x+y)^600").terms) == 601
 
 
@@ -256,15 +248,11 @@ def test_caps_admit_their_own_values():
             "(3/1024*x)^910",
             "power coefficient bits 10010 exceeds the bit cap 10000 (at position 14)",
         ),
-        ("(1+x)^199*(1+y)^100", "product box 20200 exceeds the box cap 20000 (at position 19)"),
-        ("(1+x+y)^141", "power box 20164 exceeds the box cap 20000 (at position 11)"),
-        ("(1+x+y)^1000", "power box 1002001 exceeds the box cap 20000 (at position 12)"),
         # the degree cap is checked first
         ("(1+x+y)^1001", "exponent 1001 exceeds the degree cap 1000 (at position 12)"),
     ],
 )
 def test_caps_refuse_before_expanding(text, message):
-    # (1+x+y)^1000 would take hours to expand
     with pytest.raises(PolynomialSyntaxError) as info:
         parse_poly(text)
     assert str(info.value) == message
@@ -276,8 +264,6 @@ def test_caps_refuse_before_expanding(text, message):
         ("y - x", 1001, "exponent 1001 exceeds the degree cap 1000"),
         ("x^600", "y^401", "product degree 1001 exceeds the degree cap 1000"),
         ("2^999", 11, "power coefficient bits 11000 exceeds the bit cap 10000"),
-        ("1 + x + y", 141, "power box 20164 exceeds the box cap 20000"),
-        ("(1+x)^199", "(1+y)^100", "product box 20200 exceeds the box cap 20000"),
     ],
 )
 def test_library_caps_raise_value_error_before_expanding(left, right, message, monkeypatch):
@@ -294,10 +280,44 @@ def test_library_caps_raise_value_error_before_expanding(left, right, message, m
     assert type(info.value) is ValueError and str(info.value) == message
 
 
-# -- the work cap -----------------------------------------------------------------
+@pytest.mark.parametrize(
+    "text", ["(1+x+y)^1000", "(1+x)^199*(1+y)^100", "x*(1+x+y)^140", "((1+x)^70*(1+y)^70)^2"]
+)
+def test_an_element_whose_expansion_is_large_is_valued_factor_by_factor(text, monkeypatch):
+    def expand(*args):
+        raise AssertionError("a product or power was expanded")
 
-DENSE_SQUARE = "((1+x)^70*(1+y)^70)^2"  # squares 71^2 = 5,041 terms, within every other cap
-DENSE_SQUARE_REFUSAL = "multiplication work 25411681 exceeds the work cap 1000000"
+    monkeypatch.setattr(curves, "_mul_terms", expand)
+    monkeypatch.setattr(curves, "_pow_terms", expand)
+    c = new_cluster()
+    c.add_free_point(c.add_free_point(0, -1), -1)  # two points on y = -x, off every factor's cone
+    f = parse_poly(text)
+    assert "terms" not in f.__dict__
+    assert multiplicity_vector(c, f) == (f.order(), 0, 0)
+
+
+def test_reading_the_terms_of_a_large_element_names_the_cap():
+    f = parse_poly("(1+x+y)^1000")
+    for read in (lambda: f.terms, lambda: f == f, lambda: hash(f), lambda: str(f), f.to_dict):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"expansion work 2212515 exceeds the work cap {MAX_WORK}"
+    # a factor's coefficients are raised to a power only where it is expanded
+    g = parse_poly("(2^999 + x)^11")
+    with pytest.raises(ValueError, match="^power coefficient bits 11000 exceeds the bit cap 10000$"):
+        g.terms
+    # a summand's expansion is refused at the token after it
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly("(2^999 + x)^11 + 1")
+    assert str(info.value).endswith("(at position 15)")
+
+
+# -- the work budget ------------------------------------------------------------
+
+DENSE = "(1+x)^70*(1+y)^70 + x"  # one factor of 71^2 = 5,041 terms
+DENSE_SQUARE = f"y - ({DENSE})^2"  # its square takes 5,041^2 coefficient products
+DENSE_SQUARE_REFUSAL = "expansion work 25411681 exceeds the work cap 1000000"
 
 
 def test_work_cap_refuses_the_dense_square_from_the_parser():
@@ -305,23 +325,29 @@ def test_work_cap_refuses_the_dense_square_from_the_parser():
     with pytest.raises(PolynomialSyntaxError) as info:
         parse_poly(DENSE_SQUARE)
     assert time.perf_counter() - start < 1
-    assert str(info.value) == f"{DENSE_SQUARE_REFUSAL} (at position 21)"
-    # a squaring inside a power the box cap admits: (1+x+y)^64 has 2,145 terms
+    assert str(info.value) == f"{DENSE_SQUARE_REFUSAL} (at position 29)"
+    # a power whose squarings add up past the cap: (1+x+y)^64 has 2,145 terms
     with pytest.raises(PolynomialSyntaxError) as info:
-        parse_poly("(1+x+y)^140")
+        parse_poly("(1+x+y)^140 + 1")
     assert str(info.value) == (
-        "multiplication work 4601025 exceeds the work cap 1000000 (at position 11)"
+        "expansion work 4942125 exceeds the work cap 1000000 (at position 12)"
     )
+    # the product of the two powers, 19,881 terms, is built factor by factor
+    start = time.perf_counter()
+    assert len(parse_poly("y - ((1+x)^70*(1+y)^70)^2").terms) == 19_881
+    assert time.perf_counter() - start < 1
 
 
 def test_work_cap_refuses_the_dense_square_from_the_library():
-    f = parse_poly("(1+x)^70*(1+y)^70")
+    f = parse_poly(DENSE)
     for square in (lambda: f**2, lambda: f * f):
         start = time.perf_counter()
-        with pytest.raises(ValueError) as info:
-            square()
+        g = square()  # kept factored
+        for read in (lambda: g.terms, lambda: g + f, lambda: f - g):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert type(info.value) is ValueError and str(info.value) == DENSE_SQUARE_REFUSAL
         assert time.perf_counter() - start < 1
-        assert type(info.value) is ValueError and str(info.value) == DENSE_SQUARE_REFUSAL
 
 
 def test_work_cap_refuses_the_dense_square_from_a_scenario(tmp_path, capsys):
@@ -331,7 +357,39 @@ def test_work_cap_refuses_the_dense_square_from_a_scenario(tmp_path, capsys):
     assert main(["run", "--scenario", str(scn)]) == 2
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
-    assert out == "" and f"line 2: bad polynomial: {DENSE_SQUARE_REFUSAL}" in err
+    assert out == "" and f"line 2: bad polynomial: {DENSE_SQUARE_REFUSAL} (at position 29)" in err
+
+
+def _pairs(n: int) -> str:
+    """(1+1*x)*(1+1*y)*...*(1+n*x)*(1+n*y): 2n distinct factors of degree 1."""
+    return "*".join(f"(1+{i}*x)*(1+{i}*y)" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [140, 250, 500])
+def test_work_cap_is_one_budget_for_all_of_an_expansion(n):
+    # no one multiplication passes the cap, (n + 1)^2 terms times 2 at most,
+    # but all of them together do; the budget ends each in well under 1 s,
+    # where multiplying out 250 pairs would take about 15 s
+    text = f"{_pairs(n)} + 1"
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly(text)
+    assert time.perf_counter() - start < 1
+    # refused at the "+" after the product
+    at = len(_pairs(n)) + 1
+    assert str(info.value) == f"expansion work 1013010 exceeds the work cap 1000000 (at position {at})"
+
+
+def test_work_cap_refuses_a_large_power_in_a_sum_at_once():
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly("(1+x+y)^1000 + 1")
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "expansion work 2212515 exceeds the work cap 1000000 (at position 13)"
+    # a later summand too is refused at the token after it, past any blanks
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_poly("1 + (1+x+y)^1000  - x")
+    assert str(info.value).endswith("(at position 18)")
 
 
 def test_work_cap_admits_the_benchmark_ladder_element():

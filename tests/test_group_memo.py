@@ -7,7 +7,7 @@ again.  ``parse_poly`` keeps a memo for its one call.  Checked here:
 
 * every element of a scenario built from shared groups equals
   ``parse_poly`` of its own line, with the same factors, constant, built
-  terms and term-count bound, and the scenario refuses the first line that
+  terms and degree, and the scenario refuses the first line that
   ``parse_poly`` refuses, with the same message;
 * a refused power or product of a repeated group gives the same message,
   line and position as without the earlier copy;
@@ -35,7 +35,7 @@ def _scenario(*polys: str) -> str:
 
 def _state(f: PlaneElement):
     """Everything an element carries into a later product, power or sum."""
-    return f._constant, f._factors, f._raw, f._count, "terms" in f.__dict__
+    return f._constant, f._factors, f._raw, f._degree, "terms" in f.__dict__
 
 
 def _expression(rng, pool, depth) -> str:
@@ -88,8 +88,10 @@ def _refusal(text: str) -> tuple[int, str]:
 @pytest.mark.parametrize(
     "group, refused",
     [
-        ("(1 + x + y)", "x*(1 + x + y)^140"),
-        ("((1 + x)^70*(1 + y)^70)", "y - ((1 + x)^70*(1 + y)^70)^2"),
+        ("(1 + x + y)", "x*(1 + x + y)^140 + 1"),
+        pytest.param(
+            "((1 + x)^70*(1 + y)^70 + x)", "y - ((1 + x)^70*(1 + y)^70 + x)^2", id="dense-square"
+        ),
         ("((1 + x)^70)", "((1 + x)^70)^3*((1 + x)^70)^20"),
     ],
 )

@@ -1,21 +1,24 @@
 """Products kept factored: an element is a constant times its factors.
 
-A product or power merges or scales its operands' factors, and builds its
-expanded terms only where a sum needs them, where a cap cannot be read from
-bounds on the factors, or when ``terms`` is first read.  Checked here:
+A product or power merges or scales its operands' factors and builds no
+terms; a sum expands its summands, and ``terms`` is built when first read.
+Checked here:
 
 * a factored element and its expansion are one element: ``==``, ``hash``,
   ``repr``, ``str``, ``order`` and ``multiplicity_vector`` agree, and its
   text reads back;
 * ``_is_squarefree``, which reads the factors, against
-  ``oracles.expanded_is_squarefree``, which reads the expanded rows;
-* under lowered work and bit caps, the parser refuses exactly what
-  multiplying out every product and power as it is read refuses, with the
-  same message and position, and reading the terms of what it admits never
-  raises;
+  ``oracles.expanded_is_squarefree``, which reads the expanded rows, and
+  its work cap on a product with a repeated factor;
+* under lowered work and bit caps, the parser refuses exactly what an
+  oracle of the rule refuses, with the same message and position: ``*``
+  and ``^`` refused by the degree cap and the bit cap on the constant, a
+  summand by the bit cap on a factor's power and one work budget for its
+  expansion.  What it admits has the oracle's constant and factors, and
+  its terms are the plain expansion, or refused by the same cap;
 * under the same lowered caps, ``*`` and ``**`` on parsed elements give what
-  the parser gives for the product or power of their texts: the same terms,
-  built or left unexpanded alike, or the same refusal;
+  the parser gives for the product or power of their texts: the same
+  constant, factors and terms, or the same refusal;
 * a ``run`` of the perfbench ``curves`` scenario, and the ``value_vector``
   ladder's largest element, multiply out only the squares inside the cusp
   equations.
@@ -25,6 +28,7 @@ import importlib.util
 import os
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -108,13 +112,17 @@ def test_a_zeroth_power_leaves_the_other_factors():
 
 
 def test_a_one_term_power_is_built_at_once(monkeypatch):
+    # the power of each one-term factor is taken at once, and the only
+    # multiplication shifts one term by another
     f = parse_poly("(-2/3*x^2*y)^5")
-    assert "terms" in f.__dict__
+    assert "terms" not in f.__dict__
+    multiply = curves._mul_terms
 
-    def fail(*args):
-        raise AssertionError("a one-term power went through _mul_terms")
+    def shift(g, h, spent):
+        assert len(g) == len(h) == 1, "a one-term power went through square-and-multiply"
+        return multiply(g, h, spent)
 
-    monkeypatch.setattr(curves, "_mul_terms", fail)
+    monkeypatch.setattr(curves, "_mul_terms", shift)
     assert f.to_dict() == {(10, 5): Fraction(-32, 243)}
     assert str(f) == "-32/243*x^10*y^5" and f.order() == 15
 
@@ -164,6 +172,37 @@ def test_squarefree_cases_reach_both_verdicts_through_shared_factors():
     assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
+@pytest.mark.parametrize(
+    "k, outcome",
+    [
+        (20, False),  # decided within the cap: 1,036 specializations of d^2 = 529
+        (30, "squarefree work 1000791 exceeds the work cap 1000000"),
+        (100, "squarefree work 1007855 exceeds the work cap 1000000"),
+        (300, "squarefree work 1009899 exceeds the work cap 1000000"),
+        (495, "squarefree work 1240020 exceeds the work cap 1000000"),
+    ],
+)
+def test_squarefree_work_cap_ends_a_repeated_factor_check(k, outcome):
+    # the repeated factor y - x needs (2d - 1) e + 1 specializations to
+    # prove, d = e = k + 3; each is charged d^2, and the cap ends the check
+    # where it would take seconds to minutes
+    f = parse_poly(f"(y-x)*(y^2-x^2)*(1+x^{k}*y^{k})")
+    start = time.perf_counter()
+    try:
+        got = _is_squarefree(f)
+    except ValueError as exc:
+        got = str(exc)
+    assert time.perf_counter() - start < 1
+    assert got == outcome
+
+
+def test_squarefree_work_cap_leaves_a_first_squarefree_specialization():
+    f = parse_poly("(y-x)*(y^2-2*x^3)*(1+x^495*y^495)")
+    start = time.perf_counter()
+    assert _is_squarefree(f) is True
+    assert time.perf_counter() - start < 1
+
+
 # -- refusals under lowered caps --------------------------------------------------------
 
 LEAVES = (
@@ -195,112 +234,179 @@ class _Refused(Exception):
     pass
 
 
-def _degree(f):
-    return max((a + b for a, b in f), default=0)
+#: An oracle's value: the constant, the factors with their exponents, the
+#: total degree, and the expanded terms of a sum or a number (else None).
+_ZERO = (Fraction(0), {}, 0, {})
 
 
-def _widths(f):
-    if not f:
-        return 0, 0, 0
-    xs, ys, ts = zip(*((a, b, a + b) for a, b in f))
-    return max(xs) - min(xs), max(ys) - min(ys), max(ts) - min(ts)
+def _summed(terms) -> tuple:
+    """The value of a sum: one factor, or a constant, its terms built; the
+    factor is normalized by the library's sum rule, which the sum tests check."""
+    terms = {k: c for k, c in terms.items() if c}
+    if not terms:
+        return _ZERO
+    f = PlaneElement.from_terms(terms)
+    return Fraction(f._constant), f._factors, max(a + b for a, b in terms), terms
 
 
-def _box(widths):
-    a, b, _ = sorted(widths)
-    return (a + 1) * (b + 1)
+def _plain_product(f, g):
+    out = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + Fraction(c1) * c2
+    return {k: c for k, c in out.items() if c}
 
 
-def _multiplied(what, degree, widths, bits, multiply, at):
-    """The caps in their order, read from the expanded operands, then the
-    multiplication itself, whose work cap is checked as it runs."""
-    if degree > curves.MAX_DEGREE:
-        raise _Refused(f"{what} degree {degree} exceeds the degree cap {curves.MAX_DEGREE}", at)
-    if bits > curves.MAX_POWER_BITS:
-        raise _Refused(
-            f"power coefficient bits {bits} exceeds the bit cap {curves.MAX_POWER_BITS}", at
-        )
-    if (degree + 1) ** 2 > curves.MAX_BOX and (box := _box(widths)) > curves.MAX_BOX:
-        raise _Refused(f"{what} box {box} exceeds the box cap {curves.MAX_BOX}", at)
-    try:
-        return multiply()
-    except ValueError as exc:
-        raise _Refused(str(exc), at) from None
+def _expanded(value, at):
+    """The terms of a value, refused at position ``at``: as built, else each
+    factor's power by square-and-multiply, refused above the bit cap for an
+    exponent of 2 or more, multiplied in turn under one work budget, the
+    coefficient products len(f) * len(g) of every multiplication."""
+    constant, factors, _, built = value
+    if built is not None:
+        return built
+    spent = 0
+
+    def multiply(f, g):
+        nonlocal spent
+        spent += len(f) * len(g)
+        if spent > curves.MAX_WORK:
+            raise _Refused(f"expansion work {spent} exceeds the work cap {curves.MAX_WORK}", at)
+        return _plain_product(f, g)
+
+    terms = {(0, 0): Fraction(1)}
+    for i, (key, e) in enumerate(factors.items()):
+        base, power = dict(key), None
+        bits = e * max(map(abs, base.values())).bit_length()
+        if e >= 2 and bits > curves.MAX_POWER_BITS:  # a factor's coefficients are integers
+            raise _Refused(
+                f"power coefficient bits {bits} exceeds the bit cap {curves.MAX_POWER_BITS}", at
+            )
+        if len(base) == 1:
+            [((a, b), c)] = base.items()
+            power, e = {(e * a, e * b): c**e}, 0
+        while e:  # square-and-multiply, as the library takes a power
+            if e & 1:
+                power = base if power is None else multiply(power, base)
+            e >>= 1
+            if e:
+                base = multiply(base, base)
+        terms = power if i == 0 else multiply(terms, power)
+    return {k: constant * c for k, c in terms.items()}
 
 
-def _eager(node, at):
-    """The expanded terms of the node whose text starts at position ``at``,
-    every product and power multiplied out as it is read (left to right), as
-    the parser did before it kept products factored."""
+def _ruled(node, at) -> tuple:
+    """The value of the node whose text starts at position ``at``, by the
+    rule: ``*`` and ``^`` merge and scale factors, refused above the degree
+    cap, then ``^`` above the bit cap on the constant, at the end of the
+    operand; a sum expands each summand at the token after it."""
     if isinstance(node, str):
-        return parse_poly(node).to_dict()
+        return _summed(parse_poly(node).to_dict())
     kind, left, right = node
-    f = _eager(left, at + 1)
-    end = at + 1 + len(_text(left)) + 1
+    constant, factors, degree, built = _ruled(left, at + 1)
+    end = at + 1 + len(_text(left))
     if kind == "^":
+        end += 1 + len(str(right))
         if right > curves.MAX_DEGREE:
             raise _Refused(f"exponent {right} exceeds the degree cap {curves.MAX_DEGREE}", end)
-        height = max((max(abs(c.numerator), c.denominator) for c in f.values()), default=0)
-        return _multiplied(
-            "power", right * _degree(f), [right * w for w in _widths(f)],
-            right * height.bit_length(), lambda: curves._pow_terms(f, right),
-            end + len(str(right)),
-        )
-    g = _eager(right, end)
-    end += len(_text(right))
+        if right * degree > curves.MAX_DEGREE:
+            raise _Refused(
+                f"power degree {right * degree} exceeds the degree cap {curves.MAX_DEGREE}", end
+            )
+        bits = right * max(abs(constant.numerator), constant.denominator).bit_length()
+        if bits > curves.MAX_POWER_BITS:
+            raise _Refused(
+                f"power coefficient bits {bits} exceeds the bit cap {curves.MAX_POWER_BITS}", end
+            )
+        if not constant**right:
+            return _ZERO
+        scaled = {k: right * e for k, e in factors.items()} if right else {}
+        return constant**right, scaled, right * degree, None
     if kind == "+":
-        total = dict(f)
-        for k, c in g.items():
+        # the parser expands the left summand at the "+", before it reads the right one
+        total = dict(_expanded((constant, factors, degree, built), end))
+        other = _ruled(right, end + 1)
+        end += 1 + len(_text(right))
+        for k, c in _expanded(other, end).items():
             total[k] = total.get(k, 0) + c
-        return {k: c for k, c in total.items() if c}
-    widths = [a + b for a, b in zip(_widths(f), _widths(g))]
-    return _multiplied(
-        "product", _degree(f) + _degree(g), widths, 0, lambda: curves._mul_terms(f, g), end
-    )
+        return _summed(total)
+    other = _ruled(right, end + 1)
+    end += 1 + len(_text(right))
+    if degree + other[2] > curves.MAX_DEGREE:
+        raise _Refused(
+            f"product degree {degree + other[2]} exceeds the degree cap {curves.MAX_DEGREE}", end
+        )
+    if not constant * other[0]:
+        return _ZERO
+    merged = dict(factors)
+    for k, e in other[1].items():
+        merged[k] = merged.get(k, 0) + e
+    return constant * other[0], merged, degree + other[2], None
+
+
+def _lowered_caps(rng, monkeypatch):
+    monkeypatch.setattr(curves, "MAX_WORK", rng.choice((1, 4, 12, 40, 150, 600, 3000)))
+    monkeypatch.setattr(curves, "MAX_POWER_BITS", rng.choice((5, 8, 20, 60, 10_000)))
 
 
 def test_lowered_caps_refuse_what_expanding_as_read_refuses(monkeypatch):
+    # expanding as read: each summand as its sum reads it, and the terms of
+    # what is admitted as they are first read
     rng = random.Random(2023)
     seen = Counter()
     for _ in range(600):
-        monkeypatch.setattr(curves, "MAX_WORK", rng.choice((1, 4, 12, 40, 150, 600)))
-        monkeypatch.setattr(curves, "MAX_POWER_BITS", rng.choice((5, 8, 20, 60, 10_000)))
+        _lowered_caps(rng, monkeypatch)
+        cluster = random_coordinatized_cluster(rng, max_points=6)
         node = _tree(rng, 4)
         text = _text(node)
         try:
-            expected = _eager(node, 0)
+            value = _ruled(node, 0)
+            expected = "zero is not a plane element (its values are infinite)" if not value[0] else None
         except _Refused as refused:
             expected = str(PolynomialSyntaxError(*refused.args))
-        if expected == {}:
-            expected = "zero is not a plane element (its values are infinite)"
         try:
             f = parse_poly(text)
         except ValueError as exc:
             assert str(exc) == expected, text
             seen["work" if "work" in str(exc) else "bits" if "bits" in str(exc) else "other"] += 1
             continue
-        deferred = "terms" not in f.__dict__
-        assert f.to_dict() == expected, text  # reading the terms raises no cap
-        seen["deferred" if deferred else "built"] += 1
-    assert min(seen["work"], seen["bits"], seen["deferred"], seen["built"]) >= 30, seen
+        assert expected is None, text
+        assert (f._constant, f._factors, f._degree) == value[:3], text
+        try:
+            terms = _expanded(value, None)
+        except _Refused as refused:
+            with pytest.raises(ValueError) as info:
+                f.to_dict()
+            assert str(info.value) == refused.args[0], text
+            seen["terms refused"] += 1
+            continue
+        assert f.to_dict() == terms, text
+        assert multiplicity_vector(cluster, f) == expanded_multiplicity_vector(cluster, f), text
+        seen["expanded"] += 1
+    assert min(seen["work"], seen["bits"], seen["terms refused"]) >= 30, seen
+    assert seen["expanded"] >= 100, seen
 
 
 def _outcome(build):
-    """The terms of what ``build`` returns and whether they were built with
-    it, or its refusal's message without the parser's position."""
+    """The constant and factors of what ``build`` returns, with its terms or
+    their refusal; or its own refusal, without the parser's position."""
     try:
         f = build()
     except ValueError as exc:
         return str(exc).split(" (at position ")[0]
-    return "terms" in f.__dict__, f.to_dict()
+    try:
+        terms = f.to_dict()
+    except ValueError as exc:
+        terms = str(exc)
+    return f._constant, f._factors, terms
 
 
 def test_operators_run_the_parsers_rule(monkeypatch):
     rng = random.Random(24)
     seen = Counter()
     for _ in range(500):
-        monkeypatch.setattr(curves, "MAX_WORK", rng.choice((1, 4, 12, 40, 150, 600)))
-        monkeypatch.setattr(curves, "MAX_POWER_BITS", rng.choice((5, 8, 20, 60, 10_000)))
+        _lowered_caps(rng, monkeypatch)
         t1, t2, k = _text(_tree(rng, 3)), _text(_tree(rng, 3)), rng.randint(0, 5)
         try:
             f, g = parse_poly(t1), parse_poly(t2)
@@ -309,26 +415,31 @@ def test_operators_run_the_parsers_rule(monkeypatch):
         for text, operate in ((f"{t1}*{t2}", lambda: f * g), (f"{t1}^{k}", lambda: f**k)):
             expected = _outcome(lambda: parse_poly(text))
             assert _outcome(operate) == expected, text
-            if isinstance(expected, tuple):
-                seen["built" if expected[0] else "deferred"] += 1
+            if isinstance(expected, str):
+                seen["refused"] += 1
             else:
-                seen["work" if "work" in expected else "bits" if "bits" in expected else "?"] += 1
-    assert min(seen["work"], seen["bits"], seen["built"], seen["deferred"]) >= 30, seen
+                seen["expanded" if isinstance(expected[2], dict) else "terms refused"] += 1
+    # only the degree cap and the bits of the constant refuse * and **
+    assert seen["refused"] >= 20 and min(seen["expanded"], seen["terms refused"]) >= 100, seen
 
 
-def test_a_product_is_built_where_its_own_expansion_would_pass_the_work_cap(monkeypatch):
-    # the bounds read at most 9*19 = 171 products for multiplying out
-    # (A*B)*(C*D) as it is read, but 48*10 = 480 for the last step of the
-    # factored expansion ((A*B)*C)*D (in fact 44*10): under a cap of 200 the
-    # product is built at once, under 480 it is kept factored
+def test_a_product_is_kept_factored_and_expanded_under_one_budget(monkeypatch):
+    # nothing is multiplied out at the parse, under any cap; the first read
+    # of the terms multiplies the four factors in turn, 529 coefficient
+    # products in all, and is refused under any cap below that
     c = "+".join(f"x^{i}" for i in range(10))
     text = f"((1+y+x*y)*(1+y^2+x))*(({c})*(1+{c}))"
-    monkeypatch.setattr(curves, "MAX_WORK", 200)
+    monkeypatch.setattr(curves, "MAX_WORK", 528)
     f = parse_poly(text)
-    assert "terms" in f.__dict__ and len(f._factors) == 4
-    monkeypatch.setattr(curves, "MAX_WORK", 480)
+    assert "terms" not in f.__dict__ and len(f._factors) == 4
+    with pytest.raises(ValueError, match="^expansion work 529 exceeds the work cap 528$"):
+        f.terms
+    monkeypatch.setattr(curves, "MAX_WORK", 529)
     g = parse_poly(text)
-    assert "terms" not in g.__dict__ and g == f
+    expected = {(0, 0): 1}
+    for part in ("1+y+x*y", "1+y^2+x", c, f"1+{c}"):
+        expected = _plain_product(expected, parse_poly(part).to_dict())
+    assert g._factors == f._factors and g.to_dict() == expected and len(expected) == 80
 
 
 # -- what a curves run multiplies out -------------------------------------------------
@@ -348,9 +459,9 @@ def _multiplications(monkeypatch) -> list:
     calls = []
     multiply = curves._mul_terms
 
-    def counted(f, g):
+    def counted(f, g, spent):
         calls.append((f, g))
-        return multiply(f, g)
+        return multiply(f, g, spent)
 
     monkeypatch.setattr(curves, "_mul_terms", counted)
     return calls
