@@ -10,9 +10,10 @@ An element is a rational constant times the factors it was built from,
 with their exponents, and each factor's strict transform is walked on its
 own: multiplicities add over a product, m_i(f^a g^b) = a m_i(f) + b m_i(g),
 and a factor that misses a point drops out of that point's subtree.  A sum
-is one factor.  Each distinct factor is charted once per cluster, until the
-next insert: the cluster keeps its multiplicities for every element it is a
-factor of.  The values are those of the expanded polynomial.
+is a constant times one factor.  Each distinct factor is charted once per
+cluster, until the next insert: the cluster keeps its multiplicities for
+every element it is a factor of.  The values are those of the expanded
+polynomial.
 
 A product or power is kept factored: ``*`` and ``^`` merge the factors
 and scale their exponents, and build no terms.  The expanded terms are
@@ -25,9 +26,10 @@ numbers too long to take: the constant's, at ``^`` (``power coefficient
 bits 11000 exceeds the bit cap 10000``), and a factor's coefficients', where
 that power is built.  ``MAX_WORK`` is one budget per expansion: the
 coefficient products len(f) * len(g) of all of its multiplications
-(``expansion work 1119960 exceeds the work cap 1000000``).  The parser
-raises :class:`PolynomialSyntaxError` with the position; ``*``, ``**``,
-``+``, ``-`` and reading ``terms`` raise ``ValueError``.  So an element
+(``expansion work 1119960 exceeds the work cap 1000000``).  ``MAX_NESTING``
+refuses more than 200 open parentheses before any text is read.  The
+parser raises :class:`PolynomialSyntaxError` with the position; ``*``,
+``**``, ``+``, ``-`` and reading ``terms`` raise ``ValueError``.  So an element
 whose expansion a cap refuses is still valued factor by factor.
 
 A parse reads each distinct parenthesized group once: the parser keeps
@@ -52,7 +54,7 @@ product with an a/b literal is multiplied as integers over one common
 denominator.  An element is refused if its constant or a factor's
 coefficient has a numerator or denominator of more than ``MAX_DIGITS``
 digits, which ``str`` could not write, and so is reading ``terms`` where an
-expanded coefficient has.
+expanded coefficient has: a sum is checked as a product is.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ MAX_POWER_BITS = 10_000
 #: multiplications of one expansion, checked before each of them:
 #: ``(1+x+y)^1000`` would run for hours.
 MAX_WORK = 1_000_000
+#: Most parentheses open at once: the parser recurses four frames a level,
+#: and the interpreter's recursion limit stops it near 240 levels.
+MAX_NESTING = 200
 
 
 def _numerators(f: Terms) -> tuple[IntTerms, int]:
@@ -123,19 +128,15 @@ def _mul_terms(f: Terms, g: Terms, spent: list[int]) -> Terms:
     charged to ``spent[0]``, the work of the expansion so far; ``ValueError``
     where that passes the work cap.
 
-    A one-term operand shifts the other's terms.  Otherwise the coefficients
-    are multiplied as integers over one common denominator, divided out once
-    per term of the result: a ``Fraction`` product would pay a gcd per
-    coefficient product.
+    The coefficients are multiplied as integers over one common denominator,
+    divided out once per term of the result: a ``Fraction`` product would
+    pay a gcd per coefficient product.
     """
     spent[0] += len(f) * len(g)
     if spent[0] > MAX_WORK:
         raise ValueError(f"expansion work {spent[0]} exceeds the work cap {MAX_WORK}")
     if len(f) < len(g):
         f, g = g, f
-    if len(g) == 1:  # a shift of f's terms
-        [((a, b), c)] = g.items()
-        return {(a1 + a, b1 + b): c1 * c for (a1, b1), c1 in f.items()}
     (f, df), (g, dg) = _numerators(f), _numerators(g)
     out = {}
     for (a2, b2), c2 in g.items():  # the shorter operand outside
@@ -172,26 +173,21 @@ def _accumulate(total: Terms, g: Terms, sign: int = 1) -> Terms:
     return total
 
 
-def _leaf(terms: Terms) -> "PlaneElement":
-    """Expanded terms as a constant times one sign-normalized factor; no
-    factor for a constant or zero."""
+def _sum(terms: Terms) -> "PlaneElement":
+    """The element of a sum's accumulated terms, its zero terms dropped: a
+    constant times one sign-normalized factor, or a constant.  The parser's
+    sums, ``+``, ``-`` and :meth:`PlaneElement.from_terms` all end here."""
+    terms = {k: c for k, c in terms.items() if c}
     degree = max((a + b for a, b in terms), default=0)
     if degree == 0:
-        return PlaneElement(terms.get((0, 0), 0), {}, 0, terms)
+        return PlaneElement(terms.get((0, 0), 0), {}, 0)
     key = tuple(sorted(_primitive(_numerators(terms)[0]).items()))
     if key[0][1] < 0:
         key = tuple((m, -c) for m, c in key)
     (m, c) = key[0]
     constant = Fraction(terms[m]) / c
     constant = constant.numerator if constant.denominator == 1 else constant
-    return PlaneElement(constant, {key: 1}, degree, terms)
-
-
-def _sum(terms: Terms) -> "PlaneElement":
-    """The element of a sum's accumulated terms, its zero terms dropped: one
-    factor, or a constant.  The parser's sums, ``+``, ``-`` and
-    :meth:`PlaneElement.from_terms` all end here."""
-    return _leaf({k: c for k, c in terms.items() if c})
+    return PlaneElement(constant, {key: 1}, degree)
 
 
 def _merge(f: Factors, g: Factors, k: int = 1) -> Factors:
@@ -242,14 +238,11 @@ def _sorted(terms: Terms) -> tuple[tuple[tuple[int, int], Fraction], ...]:
 def _element(f: "PlaneElement") -> "PlaneElement":
     """f, the one exit of the parser and of ``*``, ``**``, ``+`` and ``-``:
     refused if it is zero, or if its constant or a factor's coefficient has
-    a numerator or denominator of more than ``MAX_DIGITS`` digits.  Built
-    terms are read here, under the same digit cap."""
+    a numerator or denominator of more than ``MAX_DIGITS`` digits."""
     if not f._constant:
         raise ValueError("zero is not a plane element (its values are infinite)")
     coefficients = (c for key in f._factors for _, c in key)
     check_digits(_magnitude((f._constant, *coefficients)), "coefficient")
-    if f._raw is not None:
-        f.__dict__["terms"] = _sorted(f._raw)
     return f
 
 
@@ -261,37 +254,32 @@ class PlaneElement:
     step, zero included, is an element until :func:`_element` refuses zero
     and oversized digits.
 
-    ``terms`` is the expansion, sorted by monomial, built when first read
-    and refused there by the work, bit and digit caps.  ``==``, ``hash``,
-    ``repr``, ``str`` and ``to_dict`` read it; ``+`` and ``-`` add the
-    expansions, as the parser's sum does; :meth:`order` and
-    :func:`multiplicity_vector` read the factors.
+    ``terms`` is the expansion, sorted by monomial, built from the constant
+    and the factors when first read, and refused there by the work, bit and
+    digit caps.  ``==``, ``hash``, ``repr``, ``str`` and ``to_dict`` read
+    it; ``+`` and ``-`` add the expansions, as the parser's sum does;
+    :meth:`order` and :func:`multiplicity_vector` read the factors.
     """
 
-    def __init__(self, _constant, _factors: Factors, _degree: int, terms: Terms | None = None):
-        #: The constant c and the factors f_k^e_k, one for an element that
-        #: was not built as a product; the element is c * prod f_k^e_k.
+    def __init__(self, _constant, _factors: Factors, _degree: int):
+        #: The constant c and the factors f_k^e_k, one for a sum; the element
+        #: is c * prod f_k^e_k.
         self._constant = _constant
         self._factors = _factors
         #: The total degree, the factors' degrees times their exponents.
         self._degree = _degree
-        #: The expanded terms of a sum or a number, never changed in place,
-        #: or None for a product or power.
-        self._raw = terms
 
     @cached_property
     def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
         return _sorted(self._expansion())
 
     def _expansion(self) -> Terms:
-        """The expanded terms: as built, else the factors' powers multiplied
-        in turn, under one work budget, times the constant."""
-        terms = self._raw
-        if terms is not None:
-            return terms
-        spent = [0]
+        """The expanded terms, a new dict: the factors' powers multiplied in
+        turn, under one work budget, times the constant.  A factor of
+        exponent 1 is its terms as they are."""
+        terms, spent = None, [0]
         for key, e in self._factors.items():
-            power = _pow_terms(dict(key), e, spent)
+            power = dict(key) if e == 1 else _pow_terms(dict(key), e, spent)
             terms = power if terms is None else _mul_terms(terms, power, spent)
         c = self._constant
         c = c.numerator if c.denominator == 1 else c
@@ -301,12 +289,8 @@ class PlaneElement:
 
     @staticmethod
     def from_terms(terms: Terms) -> "PlaneElement":
-        """The element with these terms, each read by ``exact``, as its own
-        one factor.
-
-        A numerator or denominator of more than ``MAX_DIGITS`` digits is
-        refused: ``str`` could not write it.
-        """
+        """The element with these terms, each read by ``exact``: a constant
+        times one factor, refused as the parser's sum is."""
         return _element(_sum({k: exact(c, "coefficient") for k, c in terms.items()}))
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
@@ -328,10 +312,10 @@ class PlaneElement:
         return f"PlaneElement(terms={self.terms!r})"
 
     def __add__(self, other: "PlaneElement") -> "PlaneElement":
-        return _element(_sum(_accumulate(dict(self._expansion()), other._expansion())))
+        return _element(_sum(_accumulate(self._expansion(), other._expansion())))
 
     def __sub__(self, other: "PlaneElement") -> "PlaneElement":
-        return _element(_sum(_accumulate(dict(self._expansion()), other._expansion(), -1)))
+        return _element(_sum(_accumulate(self._expansion(), other._expansion(), -1)))
 
     def __mul__(self, other: "PlaneElement") -> "PlaneElement":
         return _element(_product(self, other))
@@ -352,34 +336,39 @@ class PlaneElement:
         return " + ".join(parts)
 
 
-#: Zero and the variables; no element's terms are ever changed in place.
-_ZERO, _X, _Y = PlaneElement(0, {}, 0, {}), _leaf({(1, 0): 1}), _leaf({(0, 1): 1})
+#: Zero and the variables.
+_ZERO, _X, _Y = PlaneElement(0, {}, 0), _sum({(1, 0): 1}), _sum({(0, 1): 1})
 
 
 # -- parser ---------------------------------------------------------------
 #
 # expr   = term { ("+" | "-") term }
-# term   = unary { "*" unary }
-# unary  = ("+" | "-") unary | power
-# power  = atom [ "^" natural ]
+# term   = factor { "*" factor }
+# factor = { "+" | "-" } atom [ "^" natural ]
 # atom   = rational | "x" | "y" | "(" expr ")"
 # rational = natural [ "/" natural ]        (the "/" is part of the literal)
 #
 # Each rule returns a :class:`PlaneElement`, zero included, which
-# :func:`_element` refuses at the end.  A product merges its operands'
-# factors and a power scales them, building no terms, by the rules ``*``
-# and ``**`` run; a sum of two or more terms expands its terms and is one
-# factor.  An atom "(" expr ")" whose text between the
-# parentheses was read before in this parse is the element kept for it.
+# :func:`_element` refuses at the end.  A factor's signs are counted in a
+# loop, and an odd count negates the constant after the power: -x^2 is
+# -(x^2).  A product merges its operands' factors and a power scales them,
+# building no terms, by the rules ``*`` and ``**`` run; a sum of two or more
+# terms expands its terms and is a constant times one factor.  An atom
+# "(" expr ")" whose text between the parentheses was read before in this
+# parse is the element kept for it.  Only "(" recurses, four frames a level.
 
 
 def _closing(text: str) -> dict[int, int]:
     """The position of each "(" in ``text`` mapped to that of its matching
-    ")", in one pass; an unmatched "(" has none."""
+    ")", in one pass; an unmatched "(" has none.  A "(" that leaves more
+    than ``MAX_NESTING`` open is refused at its position."""
     closing, open_at = {}, []
     for match in re.finditer(r"[()]", text):
         if match.group() == "(":
             open_at.append(match.start())
+            if len(open_at) > MAX_NESTING:
+                raise PolynomialSyntaxError(f"nesting depth {len(open_at)} exceeds "
+                                            f"the depth cap {MAX_NESTING}", match.start())
         elif open_at:
             closing[open_at.pop()] = match.start()
     return closing
@@ -428,36 +417,30 @@ class _Parser:
         if self.peek() not in ("+", "-"):
             return first
         # each summand is expanded, and refused, at the token after it, where term() stops
-        terms = dict(self.expand(first._expansion))
+        terms = self.expand(first._expansion)
         while (ch := self.peek()) in ("+", "-"):
             self.take()
             _accumulate(terms, self.expand(self.term()._expansion), 1 if ch == "+" else -1)
         return _sum(terms)
 
     def term(self) -> PlaneElement:
-        parsed = self.unary()
+        parsed = self.factor()
         while self.peek() == "*":
             self.take()
-            parsed = self.expand(_product, parsed, self.unary())
+            parsed = self.expand(_product, parsed, self.factor())
         return parsed
 
-    def unary(self) -> PlaneElement:
-        ch = self.peek()
-        if ch == "-":
+    def factor(self) -> PlaneElement:
+        negated = False
+        while (ch := self.peek()) in ("+", "-"):
             self.take()
-            f = self.unary()
-            negated = None if f._raw is None else {k: -c for k, c in f._raw.items()}
-            return PlaneElement(-f._constant, f._factors, f._degree, negated)
-        if ch == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> PlaneElement:
+            negated ^= ch == "-"
         parsed = self.atom()
         if self.peek() == "^":
             self.take()
-            return self.expand(_power, parsed, self.natural("an exponent"))
+            parsed = self.expand(_power, parsed, self.natural("an exponent"))
+        if negated:
+            return PlaneElement(-parsed._constant, parsed._factors, parsed._degree)
         return parsed
 
     def natural(self, what: str) -> int:
@@ -499,7 +482,7 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator")
                 value = Fraction(value, den)
-            return PlaneElement(value, {}, 0, {(0, 0): value}) if value else _ZERO
+            return PlaneElement(value, {}, 0) if value else _ZERO
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")
@@ -519,7 +502,8 @@ def parse_poly(text: str, *, _groups: dict[str, PlaneElement] | None = None) -> 
     ``MAX_POWER_BITS``, at the end of its exponent; a summand whose
     expansion passes ``MAX_POWER_BITS`` or ``MAX_WORK`` raises at the token
     after it; and so does a literal, or the element's constant or a
-    factor's coefficient, of more than ``MAX_DIGITS`` digits.
+    factor's coefficient, of more than ``MAX_DIGITS`` digits, a sum's as a
+    product's.  A "(" past ``MAX_NESTING`` open raises before any parsing.
 
     Each distinct parenthesized group, keyed by its exact text between the
     parentheses, whitespace included, is parsed once; ``_groups`` is the

@@ -56,28 +56,17 @@ TASK_KINDS = MappingProxyType(
 
 
 class Task:
-    """One task: its kind, the objects it takes and their names, and its options."""
+    """One task: its kind, then the objects it takes, their names and its
+    options, each None until the scenario reader sets it."""
 
     __slots__ = ("kind", "cluster", "divisor", "element", "element_name", "filtration",
                  "filtration_name", "cluster_name", "divisor_name", "nmax", "labels")
 
-    def __init__(self, kind: str, cluster: Optional[Cluster] = None,
-                 divisor: Optional[ExcDivisor] = None, element: Optional[PlaneElement] = None,
-                 element_name: Optional[str] = None, filtration: Optional[FiltrationSpec] = None,
-                 filtration_name: Optional[str] = None, cluster_name: Optional[str] = None,
-                 divisor_name: Optional[str] = None, nmax: Optional[int] = None,
-                 labels: Optional[tuple[int, ...]] = None):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.cluster = cluster
-        self.divisor = divisor
-        self.element = element
-        self.element_name = element_name
-        self.filtration = filtration
-        self.filtration_name = filtration_name
-        self.cluster_name = cluster_name
-        self.divisor_name = divisor_name
-        self.nmax = nmax
-        self.labels = labels
+        self.cluster = self.divisor = self.element = self.filtration = None
+        self.cluster_name = self.divisor_name = self.element_name = self.filtration_name = None
+        self.nmax = self.labels = None
 
 
 class Scenario:
@@ -301,7 +290,7 @@ def _finish_task(sc: Scenario, reader: _SectionReader):
         raise ScenarioError(f"unknown task kind {kind!r}", lineno)
     targets = TASK_KINDS[kind]
     reader.known_keys({"kind", "nmax", "labels", *targets})
-    task = Task(kind=kind)
+    task = Task(kind)
     for target in targets:
         tl, tname = reader.single(target)
         setattr(task, target, _named(getattr(sc, target + "s"), target, tname, tl))

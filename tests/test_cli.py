@@ -226,6 +226,18 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
+    def test_polynomial_nested_past_the_depth_cap(self, tmp_path, capsys):
+        # 201 levels of (y-x): a 405-character line, refused before it is parsed
+        scn = tmp_path / "s.scn"
+        scn.write_text(f"[element F]\npoly = {'(' * 201}y-x{')' * 201}\n")
+        assert main(["run", "--scenario", str(scn)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert ("line 2: bad polynomial: nesting depth 201 exceeds the depth cap 200 "
+                "(at position 200)") in err
+        scn.write_text(f"[element F]\npoly = {'(' * 200}y-x{')' * 200}\n")
+        assert main(["run", "--scenario", str(scn)]) == 0
+
     def test_squarefree_work_cap_gives_an_error_row(self, tmp_path):
         # a 30-character line whose repeated factor would take seconds to prove
         scn = tmp_path / "s.scn"

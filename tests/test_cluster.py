@@ -205,80 +205,6 @@ def _try_insert(c, insert, *args):
     return ""
 
 
-def _state(c):
-    """Size, every point's children and slot owners, and the memoized form object."""
-    children = [c.children(i) for i in range(len(c))]
-    return len(c), children, [dict(t) for t in c._taken], c.tree_form()
-
-
-def _assert_state(c, state):
-    size, children, slots, form = state
-    assert (len(c), [c.children(i) for i in range(len(c))]) == (size, children)
-    assert [dict(t) for t in c._taken] == slots
-    assert c.tree_form() is form
-
-
-class TestCopy:
-    """``Cluster.copy`` shares the frozen records and nothing that an insert changes."""
-
-    def test_copy_has_the_same_points_and_form(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            c = random_coordinatized_cluster(rng)
-            cold = c.copy()  # copied before the form is memoized
-            form = c.tree_form()
-            warm = c.copy()
-            assert warm.tree_form() is form  # the memo is carried over
-            for other in (cold, warm):
-                assert other is not c and other.points == c.points
-                assert [other.children(i) for i in range(len(c))] == [
-                    c.children(i) for i in range(len(c))
-                ]
-                assert other.tree_form() == c.tree_form()
-                assert [dict(t) for t in other._taken] == [dict(t) for t in c._taken]
-
-    @pytest.mark.parametrize("grown", ["copy", "original"])
-    def test_inserts_into_one_leave_the_other_as_it_was(self, grown):
-        rng = random.Random(37)
-        sizes = Counter()
-        for _ in range(100):
-            c = random_coordinatized_cluster(rng)
-            dup = c.copy()
-            target, other = (dup, c) if grown == "copy" else (c, dup)
-            state = _state(other)
-            target.tree_form()
-            for k in range(4):
-                pairs = valid_satellite_pairs(target)
-                if pairs and k % 2:
-                    target.add_satellite_point(*rng.choice(pairs))
-                else:
-                    target.add_free_point(rng.randrange(len(target)), Fraction(100 + k, 7))
-                _assert_state(other, state)
-            sizes[len(target) - len(other)] += 1
-        assert sizes == {4: 100}
-
-    def test_copy_refuses_what_the_original_refuses(self):
-        rng = random.Random(41)
-        refused = Counter()
-        for _ in range(100):
-            c = random_coordinatized_cluster(rng)
-            dup = c.copy()
-            attempts = [(False, rec.parent, rec.param) for rec in c.points[1:]]
-            attempts += [(True, rec.index, j) for rec in c.points for j in rec.prox]
-            rng.shuffle(attempts)
-            for satellite, parent, arg in attempts:
-                messages = [
-                    _try_insert(x, x.add_satellite_point if satellite else x.add_free_point,
-                                parent, arg)
-                    for x in (c, dup)
-                ]
-                assert messages[0] == messages[1]
-                for word in ("taken", "crossing", "separated"):
-                    refused[word] += word in messages[0]
-            assert dup.points == c.points
-        assert min(refused.values()) > 50
-
-
 class TestDerivedFields:
     """A record stores only index, parent, prox and param; kind, axis_curves
     and crossing_axis are derived, and must equal the insert-time rules."""

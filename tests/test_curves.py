@@ -1,6 +1,7 @@
 """Polynomial parsing, blowup valuations, degree functions, oracles."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from antinef import (
     unload,
     value_vector,
 )
-from antinef.curves import MAX_DEGREE
+from antinef.curves import MAX_DEGREE, MAX_NESTING
 from helpers import (
     cusp_cluster,
     random_coordinatized_cluster,
@@ -119,6 +120,22 @@ class TestParser:
         with pytest.raises(PolynomialSyntaxError) as info:
             parse_poly(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("depth", [197, MAX_NESTING])
+    def test_nesting_up_to_the_depth_cap_parses(self, depth):
+        assert parse_poly("(" * depth + "x" + ")" * depth) == parse_poly("x")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 10_000])
+    def test_nesting_past_the_depth_cap_is_refused_before_parsing(self, depth):
+        start = time.perf_counter()
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_poly("(" * depth + "x" + ")" * depth)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == "nesting depth 201 exceeds the depth cap 200 (at position 200)"
+
+    def test_a_long_chain_of_signs_is_read_in_a_loop(self):
+        assert parse_poly("-" * 100_001 + "x") == parse_poly("-x")
+        assert parse_poly("+-" * 50_000 + "x") == parse_poly("x")
 
     def test_str_of_mixed_monomial_parses(self):
         f = parse_poly("3/2*x^2*y + y^3")

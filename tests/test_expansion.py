@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antinef import PlaneElement, parse_poly
+from antinef import PlaneElement, parse_poly, value_vector
 from antinef import curves
 from antinef.cli import main
 from antinef.rationals import MAX_DIGITS
+from helpers import cusp_cluster
 
 
 def test_a_long_sum_parses_in_linear_time():
@@ -129,6 +130,19 @@ def test_library_product_refuses_a_coefficient_str_could_not_write():
     assert type(info.value) is ValueError and str(info.value) == TOO_LONG_REFUSAL
     with pytest.raises(ValueError, match="^coefficient of 6015 digits exceeds"):
         PlaneElement.from_terms({(1, 0): 2**19980})
+
+
+def test_a_sum_is_checked_as_the_product_of_its_constant_and_factor():
+    # A*A*x + A*B*y is A*B times the one factor 10^2000*x + y: accepted as
+    # the product is, and its 5,001-digit term refused where terms are read
+    a, b = "1" + "0" * 2500, "1" + "0" * 500
+    cluster = cusp_cluster()
+    sum_, product = parse_poly(f"{a}*{a}*x + {a}*{b}*y"), parse_poly(f"{a}*({a}*x + {b}*y)")
+    assert value_vector(cluster, sum_) == value_vector(cluster, product)
+    refusal = f"^coefficient of 5001 digits exceeds the digit cap {MAX_DIGITS}$"
+    for f in (sum_, product):
+        with pytest.raises(ValueError, match=refusal):
+            f.terms
 
 
 def test_scenario_with_a_coefficient_str_could_not_write_exits_2(tmp_path, capsys):

@@ -112,9 +112,9 @@ def test_sum_and_difference_are_the_parsed_sum_and_difference(seed):
             continue
         got = op(f, g)
         assert got == expected and str(got) == str(expected), text
-        # the parser's sum rule: the same constant, factors, terms and degree
+        # the parser's sum rule: the same constant, factors and degree
         assert got._constant == expected._constant and got._factors == expected._factors
-        assert got._raw == expected._raw and got._degree == expected._degree, text
+        assert got._degree == expected._degree, text
         assert multiplicity_vector(cluster, got) == expanded_multiplicity_vector(cluster, got), text
     with pytest.raises(ValueError, match="^zero is not a plane element"):
         f - f
@@ -182,7 +182,7 @@ def test_equal_factors_merge_and_constants_drop():
 
 def test_an_element_is_not_built_without_its_factors():
     with pytest.raises(TypeError, match="_factors"):
-        PlaneElement(terms=(((1, 0), Fraction(1)),))
+        PlaneElement(1)
     assert PlaneElement.from_terms({(1, 0): 1})._factors == parse_poly("x")._factors
 
 
@@ -415,9 +415,9 @@ def _replay(cluster, rec):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_memo_keeps_up_with_inserts_and_copies(seed):
+def test_memo_keeps_up_with_inserts(seed):
     # products sharing factors, valued on a cluster as it grows towards the
-    # points the factors pass through, and on copies of it that stay behind
+    # points the factors pass through, before and after each insert
     rng = random.Random(seed)
     full = random_coordinatized_cluster(rng, max_points=9)
     pool = [PlaneElement.from_terms(random_branch(rng, full)) for _ in range(3)]
@@ -431,15 +431,10 @@ def test_memo_keeps_up_with_inserts_and_copies(seed):
 
     cluster = new_cluster()
     for rec in full.points[1:]:
-        twin = cluster.copy()
-        for target in (cluster, twin, cluster):
-            check(target)
-        # one of the two grows; the other keeps its points and its walks
-        grown, kept = (cluster, twin) if rng.random() < 0.5 else (twin, cluster)
-        _replay(grown, rec)
-        check(grown)
-        check(kept)
-        cluster = grown
+        for _ in range(2):  # walked, then read from the memo
+            check(cluster)
+        _replay(cluster, rec)
+        check(cluster)
     for _ in range(3):
         check(cluster)
 

@@ -35,7 +35,7 @@ def _scenario(*polys: str) -> str:
 
 def _state(f: PlaneElement):
     """Everything an element carries into a later product, power or sum."""
-    return f._constant, f._factors, f._raw, f._degree, "terms" in f.__dict__
+    return f._constant, f._factors, f._degree, "terms" in f.__dict__
 
 
 def _expression(rng, pool, depth) -> str:
