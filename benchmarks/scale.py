@@ -29,6 +29,12 @@ The ladders (``LADDERS``):
 * ``parse`` - ``parse_scenario`` of the ``value_vector`` ladder's scenario
   for k in 4, 8, 16 and 24: the tree's point lines and the product of k
   picks; the child prints the tree's size and the product's order;
+* ``scenario`` - ``parse_scenario`` of the ``unload`` ladder's seeded
+  n-point cluster, written as point lines with a parameter on every free
+  point, and two divisors on it: the ``unload`` ladder's integer divisor
+  and one with 40% of its coefficients -a/b, n in 250, 500, 1000 and 2000
+  (``MAX_POINTS``); the child prints the cluster's size, its satellite
+  count and sums of the divisors' coefficients;
 * ``definite`` - ``is_negative_definite`` of the intersection matrix of the
   ``unload`` ladder's seeded n-point cluster, n in 100, 200 and 400; the
   matrix is built before the timer starts; the child prints its size and
@@ -121,6 +127,13 @@ LADDERS = {
         "(seed 1) and a product of k seeded picks from its four branch equations",
         (4, 8, 16, 24),
         (4, 24),  # the quartiles of k = 4 and 16 overlap, so their slope can read 0 or less
+    ),
+    "scenario": (
+        "parse_scenario of the unload ladder's seeded n-point cluster as point lines, "
+        "a parameter on every free point, and two divisors on it: the unload ladder's "
+        "and one with 40% of its coefficients -a/b, a in 1..10^6, b in 1..10^3, the rest 0",
+        (250, 500, 1000, 2000),
+        (250, 1000),
     ),
     "definite": (
         "is_negative_definite of the intersection matrix of the unload ladder's seeded "

@@ -80,6 +80,31 @@ def seeded_delta():
     ])
 
 
+def cluster_scenario_text(n: int) -> str:
+    """The seeded n-point cluster as a scenario, and two divisors on it.
+
+    Free point i gets the parameter (60i + r)/60 or its negative, r in 1..59,
+    so siblings never coincide and no free point sits at a crossing.  The
+    divisor D is the ``unload`` ladder's; Q has 40% of its coefficients
+    -a/b, a in 1..10^6, b in 1..10^3, and the rest 0.
+    """
+    cluster = seeded_cluster(n)
+    rng = random.Random(2 * n)
+    lines = ["[cluster C]"]
+    for rec in cluster.points[1:]:
+        if rec.kind == "satellite":
+            lines.append(f"point = satellite parent={rec.parent} other={rec.prox[0]}")
+        else:
+            sign = rng.choice(("", "-"))
+            lines.append(f"point = free parent={rec.parent} "
+                         f"param={sign}{60 * rec.index + rng.randint(1, 59)}/60")
+    q = [f"-{rng.randint(1, TOP)}/{rng.randint(1, 1000)}" if rng.random() < Q_SHARE else "0"
+         for _ in range(n)]
+    lines += ["[divisor D on C]", "coeffs = " + " ".join(map(str, seeded_divisor(n).coeffs))]
+    lines += ["[divisor Q on C]", "coeffs = " + " ".join(q)]
+    return "\n".join(lines)
+
+
 def curves_product_text(k: int) -> str:
     """The ``curves`` workload's tree (seed 1), and a product of k seeded picks
     from its four branch equations, as one scenario.
@@ -127,6 +152,17 @@ def prepare(ladder: str, n: int):
 
         def show(scenario):
             print(len(scenario.clusters["TREE"]), scenario.elements["F"].order())
+            return 0
+
+        return lambda: parse_scenario(text), show
+    if ladder == "scenario":
+        text = cluster_scenario_text(n)
+
+        def show(scenario):
+            cluster = scenario.clusters["C"]
+            print(len(cluster), sum(rec.kind == "satellite" for rec in cluster.points))
+            d, q = scenario.divisors["D"].coeffs, scenario.divisors["Q"].coeffs
+            print(sum(d), sum(c.numerator for c in q), sum(c.denominator for c in q))
             return 0
 
         return lambda: parse_scenario(text), show

@@ -228,3 +228,31 @@ def test_definite_ladder_prints_the_verdict():
     )
     assert proc.stdout.split() == ["30", "True"]
     assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0
+
+
+def test_scenario_ladder_prints_what_it_parsed():
+    # the parsed cluster has the text's points and satellites, and the
+    # divisors the sums of the text's coefficients
+    assert scale.LADDERS["scenario"][1:] == ((250, 500, 1000, 2000), (250, 1000))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, scale.CHILD, "scenario", "30"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    probe = (
+        "import sys; from fractions import Fraction; sys.path.insert(0, sys.argv[1]); "
+        "import scale_child; lines = scale_child.cluster_scenario_text(30).splitlines(); "
+        "d, q = ([Fraction(c) for c in line.split()[2:]] for line in lines if "
+        "line.startswith('coeffs')); "
+        "print(sum(1 for line in lines if line.startswith('point')) + 1, "
+        "sum('satellite' in line for line in lines)); "
+        "print(sum(d), sum(c.numerator for c in q), sum(c.denominator for c in q))"
+    )
+    expected = subprocess.run(
+        [sys.executable, "-c", probe, os.path.join(ROOT, "benchmarks")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == expected.stdout
+    size, satellites = map(int, proc.stdout.split()[:2])
+    assert size == 30 and 0 < satellites < 30
+    assert json.loads(proc.stderr.splitlines()[-1])["code"] == 0

@@ -13,6 +13,7 @@ All exact values are serialized ``a/b``; floating diagnostics carry ``~``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import nullcontext
@@ -49,8 +50,12 @@ def _label(i: int) -> str:
     return f"v{i}"
 
 
-def _labels(indices) -> str:
-    return " ".join(["v" + str(i) for i in sorted(indices)])
+def _labels(sets, top: int) -> list[str]:
+    """Each set of curve indices, none above ``top``, as its labels in order,
+    joined by blanks; the label of a curve is built once, however many sets
+    hold it."""
+    names = [_label(i) for i in range(top + 1)]
+    return [" ".join([names[i] for i in sorted(s)]) for s in sets]
 
 
 def _indexed(*columns):
@@ -122,7 +127,8 @@ def _closure(*columns):
         table = None
         if columns:
             table = _Table(["i", *columns], _indexed(*(cells[c] for c in columns)))
-        rees = _labels(model.rees_valuations)
+        valuations = model.rees_valuations
+        [rees] = _labels([valuations], max(valuations, default=-1))
         return table, [f"e={model.multiplicity}", f"rees={rees}"]
 
     return run
@@ -183,9 +189,10 @@ def _commutation(task: Task, nmax):
 
 def _rees_union(task: Task, nmax):
     rep = flt.rees_union(task.filtration, nmax)
-    rows = ((n, len(s), _labels(s)) for n, s in enumerate(rep.per_n, start=1))
+    *texts, union = _labels([*rep.per_n, rep.union], max(rep.union, default=-1))
+    rows = ((n, len(s), text) for n, (s, text) in enumerate(zip(rep.per_n, texts), start=1))
     return _Table(["n", "rees_count", "rees_labels"], rows), [
-        f"union={_labels(rep.union)} stabilized={'true' if rep.stabilized else 'false'}"
+        f"union={union} stabilized={'true' if rep.stabilized else 'false'}"
     ]
 
 
@@ -275,7 +282,10 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and kept for the process:
+    parsing leaves no state in it, and building it costs ten times a parse."""
     parser = argparse.ArgumentParser(
         prog="antinef",
         description=(
@@ -301,8 +311,11 @@ def main(argv=None) -> int:
     p_self = sub.add_parser("selftest", help="seeded randomized closure-law checks")
     p_self.add_argument("--seed", type=_integer, default=0)
     p_self.add_argument("--trials", type=_integer, default=200)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     for option in ("nmax", "trials"):
         if getattr(args, option, None) is not None and getattr(args, option) < 1:
             print(f"error: --{option} must be positive", file=sys.stderr)

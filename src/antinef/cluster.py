@@ -96,6 +96,8 @@ class PointRecord(_Record):
     __slots__ = _fields = ("index", "parent", "prox", "param")
 
     def __init__(self, index: int, parent: Optional[int], prox: tuple[int, ...], param=None):
+        if isinstance(param, float) and param == INFINITY:
+            param = INFINITY  # the one object, as a pickle or a caller may pass another
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "prox", prox)
@@ -109,15 +111,15 @@ class PointRecord(_Record):
     def axis_curves(self) -> tuple[Optional[int], Optional[int]]:
         if len(self.prox) == 2:
             other = self.prox[0]  # the parent is the more recent of the two
-            if self.param == INFINITY:
+            if self.param is INFINITY:
                 return (other, self.parent)  # chart (uv, v): E_other on u, E_parent on v
             return (self.parent, other)  # chart (u, uv): E_parent on u, E_other on v
         # a free point has its parent's curve on one axis; the origin has none
-        return (None, self.parent) if self.param == INFINITY else (self.parent, None)
+        return (None, self.parent) if self.param is INFINITY else (self.parent, None)
 
     @property
     def crossing_axis(self) -> Optional[str]:
-        return ("u" if self.param == INFINITY else "v") if len(self.prox) == 2 else None
+        return ("u" if self.param is INFINITY else "v") if len(self.prox) == 2 else None
 
 
 class IntersectionForm(_Record):
@@ -167,9 +169,12 @@ class TreeForm(_Record):
 
 
 def _as_param(value):
-    """Normalize a user-supplied parameter to Fraction | INFINITY | None."""
-    if value is None or value == INFINITY or isinstance(value, Fraction):
+    """Normalize a user-supplied parameter to Fraction | INFINITY | None;
+    an infinite value becomes the ``INFINITY`` object itself."""
+    if value is None or isinstance(value, Fraction):
         return value
+    if value == INFINITY:
+        return INFINITY
     if isinstance(value, str):
         return parse_param(value)
     return Fraction(exact(value, "parameter"))
@@ -236,7 +241,7 @@ class Cluster:
         param = _as_param(param)
         if param is not None:
             u_curve, v_curve = self._points[parent].axis_curves
-            crossing = u_curve if param == INFINITY else v_curve if param == 0 else None
+            crossing = u_curve if param is INFINITY else v_curve if param == 0 else None
             if crossing is not None:
                 raise ClusterStructureError(
                     f"parameter {format_param(param)} on curve {parent} is the crossing "

@@ -569,7 +569,7 @@ def _walk(cluster: Cluster, terms: IntTerms) -> tuple[int, ...] | int:
             param = cluster.point(j).param
             if param is None:
                 return j
-            if param == INFINITY:
+            if param is INFINITY:
                 if order not in cone:
                     stack.append((j, _blow_infinity(terms, order)))
             elif not sum(c * param.numerator**b * param.denominator ** (order - b)

@@ -63,6 +63,10 @@ from .divisor import (
 )
 from .rationals import exact, integer, parse_integer
 
+_LABEL = re.compile(r"v[0-9]+")
+#: Example42Spec's closed values, made once: every call returns the same object.
+_ZERO, _ONE, _FOUR = Fraction(0), Fraction(1), Fraction(4)
+
 __all__ = [
     "QDivisorialSpec",
     "Example42Spec",
@@ -251,10 +255,10 @@ class Example42Spec(FiltrationSpec):
         return self.embed(n, self._star)
 
     def closed_multiplicity(self) -> Fraction:
-        return Fraction(4)
+        return _FOUR
 
     def closed_degree(self, v: int) -> Fraction:
-        return Fraction(1) if v == 0 else Fraction(0)
+        return _ONE if v == 0 else _ZERO
 
     def closed_sum_limit(self, vv: Sequence[int], sum_of_limits: Fraction) -> Fraction:
         return Fraction(2 * vv[0])
@@ -444,7 +448,7 @@ def multiplicity_sequence(spec: FiltrationSpec, nmax: int) -> LimitReport:
 
 def parse_label(label) -> int:
     """Accept a curve index or a label like ``v3``."""
-    if isinstance(label, str) and re.fullmatch(r"v[0-9]+", label):
+    if isinstance(label, str) and _LABEL.fullmatch(label):
         return parse_integer(label[1:], "label")
     if isinstance(label, int) and label >= 0:
         return label

@@ -14,9 +14,11 @@ from fractions import Fraction
 
 from .errors import InexactNumberError
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # numerator, denominator
+_INTEGER = re.compile(r"-?[0-9]+")
 
 #: Marker for the point at infinity on an exceptional line (direction u = 0).
+#: A point record holds this very object, so a position is tested with ``is``.
 INFINITY = float("inf")
 
 #: Most digits an integer literal may have: ``int`` refuses to read longer
@@ -48,7 +50,7 @@ def parse_integer(text: str, what: str = "integer") -> int:
 
     A literal above the digit cap raises ``ValueError`` naming ``what`` it is.
     """
-    if re.fullmatch(r"-?[0-9]+", text) is None:
+    if _INTEGER.fullmatch(text) is None:
         raise ValueError(f"malformed integer {text!r}")
     _check_digits(text.lstrip("-"), what)
     return int(text)
@@ -65,14 +67,18 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal literals are not exact, write a/b: {text!r}")
-    if _RATIONAL.fullmatch(text) is None:
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise ValueError(
             f"malformed rational {text!r}: Invalid literal for Fraction: {text!r}"
         )
-    for digits in text.lstrip("-").split("/"):
-        _check_digits(digits, what)
+    num, den = match.groups()
+    _check_digits(num.lstrip("-"), what)
+    if den is None:
+        return Fraction(int(num))
+    _check_digits(den, what)
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
 
@@ -114,7 +120,7 @@ def format_rational(value) -> str:
 
 
 def format_param(value) -> str:
-    if value == INFINITY:
+    if value is INFINITY:
         return "inf"
     return format_rational(value)
 

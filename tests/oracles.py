@@ -50,14 +50,20 @@ integer numerators a_n of s(n) = a_n / n^k.
 A commutation report's sum of limits, one ``Fraction`` addition per curve,
 as the package summed it before it took the limits over one common
 denominator; its sums and its verdict on ``Fraction`` values.
+
+The reading of number text: the whole literal handed to ``Fraction(text)``,
+which parses it a second time with its own pattern, as the package read a
+rational before it built the value from its matched numerator and
+denominator; and an integer checked against a pattern compiled on each call.
 """
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from antinef.errors import ClusterStructureError, CoordinateError
-from antinef.rationals import INFINITY, exact, integer
+from antinef.rationals import INFINITY, MAX_DIGITS, exact, integer
 
 
 def proximity_matrix(cluster) -> tuple[tuple[int, ...], ...]:
@@ -663,3 +669,37 @@ def intersection_multiplicity(f, g) -> int:
     if res.is_zero:
         raise ValueError("a zero resultant: the curves share a component")
     return min(a for (a,) in res.monoms())
+
+
+def _digit_cap(digits: str, what: str) -> None:
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{what} of {len(digits)} digits exceeds the digit cap {MAX_DIGITS}")
+
+
+def fraction_text_rational(text: str, what: str = "rational") -> Fraction:
+    """``a``, ``-a`` or ``a/b`` checked by pattern and digit cap, then read by ``Fraction(text)``."""
+    text = text.strip()
+    if "." in text:
+        raise ValueError(f"decimal literals are not exact, write a/b: {text!r}")
+    if re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", text) is None:
+        raise ValueError(f"malformed rational {text!r}: Invalid literal for Fraction: {text!r}")
+    for digits in text.lstrip("-").split("/"):
+        _digit_cap(digits, what)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"malformed rational {text!r}: {exc}") from None
+
+
+def fraction_text_param(text: str):
+    """A free-point parameter: ``inf``, or a rational read by :func:`fraction_text_rational`."""
+    text = text.strip()
+    return INFINITY if text == "inf" else fraction_text_rational(text, "param")
+
+
+def text_integer(text: str, what: str = "integer") -> int:
+    """``a`` or ``-a`` checked by a pattern compiled on each call, then read by ``int``."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"malformed integer {text!r}")
+    _digit_cap(text.lstrip("-"), what)
+    return int(text)

@@ -1,13 +1,17 @@
 """Command line behavior: determinism, formats, exit codes."""
 
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import antinef
 from antinef import cli, degree_function, parse_scenario, selfcheck
 from antinef.cli import main
+
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "demo.scn")
 
 CUSP_SCENARIO = """\
 [cluster CUSP]
@@ -459,3 +463,49 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "e_In" in proc.stdout
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and parses every later
+    call with the same one, which must carry nothing from call to call."""
+
+    SEQUENCE = (
+        ["run", "--scenario", DEMO],
+        ["run", "--scenario", DEMO, "--nmax", "x"],
+        ["example42", "--nmax", "3"],
+        ["--help"],
+        ["run"],
+        ["run", "--scenario", DEMO],
+    )
+    #: One ``main`` call in a fresh interpreter, its status the process's.
+    ALONE = "import sys; from antinef.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def test_each_call_is_as_in_a_fresh_interpreter(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(antinef.__file__)))
+        cli._parser.cache_clear()
+        seen = []
+        for argv in self.SEQUENCE:
+            code = exit_code(argv)
+            seen.append((code, *capsys.readouterr()))
+        assert cli._parser() is cli._parser()
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, _out, _err in seen] == [0, 2, 0, 0, 2, 0]
+        assert seen[0] == seen[-1]
+        for argv, got in zip(self.SEQUENCE, seen):
+            proc = subprocess.run([sys.executable, "-c", self.ALONE, *argv], env=env,
+                                  capture_output=True, text=True, timeout=60, check=False)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    def test_the_parser_is_built_on_the_first_call_not_at_import(self):
+        probe = (
+            "from antinef import cli\n"
+            "before = cli._parser.cache_info().currsize\n"
+            f"code = cli.main(['example42', '--nmax', '1', '--output', {os.devnull!r}])\n"
+            "print(before, cli._parser.cache_info().currsize, code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(antinef.__file__)))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.split() == ["0", "1", "0"]

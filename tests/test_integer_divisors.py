@@ -306,8 +306,8 @@ class TestNoFractionOnIntegralPaths:
         """The sweep hands the report the integers e(I_n) = (n+1)(4n+1) over n^2.
 
         The cluster stores each free point's parameter as a ``Fraction``; the
-        report's own arithmetic is left out by capturing its input, so the one
-        other ``Fraction`` is the closed form.
+        report's own arithmetic is left out by capturing its input.  The
+        closed form is one ``Fraction`` made at import, not per call.
         """
         nmax = 40
         reports = []
@@ -316,7 +316,8 @@ class TestNoFractionOnIntegralPaths:
         with fractions_made() as made:
             multiplicity_sequence(spec, nmax)
         (nums, power, closed), = reports
-        assert made == [Fraction(i) for i in range(nmax)] + [closed]
+        assert made == [Fraction(i) for i in range(nmax)]
+        assert closed == 4 and closed is spec.closed_multiplicity()
         assert power == 2 and all(type(e) is int for e in nums)
         assert nums == [(n + 1) * (4 * n + 1) for n in range(1, nmax + 1)]
         model = spec.member(nmax)

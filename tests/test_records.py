@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from antinef import (
+    INFINITY,
     CommutationReport,
     IntersectionForm,
     LimitReport,
@@ -110,6 +111,24 @@ def test_cluster_records_are_frozen_values():
     triangle = TreeForm(diag=(-3, -3, -3), nbrs=((1, 2), (0, 2), (0, 1)))
     assert triangle == TreeForm((-3, -3, -3), ((1, 2), (0, 2), (0, 1)))
     assert IntersectionForm(((-1,),)) == IntersectionForm(entries=((-1,),))
+
+
+def test_an_infinite_parameter_is_held_as_the_infinity_object():
+    # positions are tested with ``is INFINITY``, so another infinite float,
+    # passed in or made by a pickle, must become that object
+    other = float("inf")
+    assert other is not INFINITY
+    c = new_cluster()
+    c.add_free_point(0, other)
+    c.add_satellite_point(1, 0)
+    c.add_free_point(1, other)
+    assert PointRecord(1, 0, (0,), other).param is INFINITY
+    for rec in c.points[1:]:
+        for same in (rec, *_round_trips(rec)):
+            assert (same.param is INFINITY) == (rec.index != 2)
+            assert (same.kind, same.axis_curves, same.crossing_axis) == (
+                rec.kind, rec.axis_curves, rec.crossing_axis)
+    assert [rec.axis_curves for rec in c.points[1:]] == [(None, 0), (1, 0), (None, 1)]
 
 
 def test_models_and_valuation_vectors_are_frozen_values():
